@@ -3,7 +3,8 @@ into normal-form blocks, run verification suites, and emit convergence
 traces.
 
 Exit codes: 0 success, 1 suite failure, 2 matrix parse failure, 3 input not
-skew-symplectic, 4 method precondition violated, 5 non-semisimple input.
+skew-symplectic or not finite, 4 method precondition violated or no finite
+result (limit-route overflow, unresolved phase gaps), 5 non-semisimple input.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 from . import harness, report as reportmod
 from .maslov import (
     MaslovLimitConfig,
+    MaslovLimitError,
     SemisimplicityError,
     maslov_dim2,
-    maslov_limit,
-    maslov_spectral,
+    maslov_evaluate,
     phase_trace,
-    spectral_error_estimate,
 )
 from .matrixio import MatrixParseError, atomic_write, read_matrix, write_matrix
 from .quasistates import discontinuous_qs, linear_qs, linear_combination, maslov_qs, nilpotent_jordan_sp
@@ -31,13 +31,13 @@ from .symplectic import (
     SkewSymplecticityError,
     SpElement,
     SymplecticSpace,
+    omega_adjoint,
     standard_complex_structure,
 )
 from .williamson import (
     ClassificationError,
     NonSemisimpleError,
     NormalizationError,
-    classify_eigenstructure,
     williamson_decompose,
 )
 
@@ -98,24 +98,23 @@ def cmd_eval(args) -> int:
     cfg = _config_from(args)
     B = _load_element(args.matrix_file)
     method = args.method
-    if method == "dim2" and B.space.n != 1:
-        print("error: dim2 closed form needs a 2x2 input", file=sys.stderr)
-        return EXIT_PRECONDITION
-    if method == "auto":
-        method = "spectral" if classify_eigenstructure(B).semi_simple else "limit"
     if method == "dim2":
+        if B.space.n != 1:
+            print("error: dim2 closed form needs a 2x2 input", file=sys.stderr)
+            return EXIT_PRECONDITION
         value = maslov_dim2(B.mat[0, 0], B.mat[0, 1], B.mat[1, 0])
         error_bar = 0.0
-    elif method == "spectral":
+    else:
         try:
-            value = maslov_spectral(B)
+            value, error_bar, method = maslov_evaluate(B, cfg.limit_config(), method)
         except (SemisimplicityError, ClassificationError) as exc:
+            if method == "auto":
+                raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
-        error_bar = spectral_error_estimate(B)
-    else:
-        est = maslov_limit(B, cfg.limit_config())
-        value, error_bar = est.value, est.error_bar
+    if not (np.isfinite(value) and np.isfinite(error_bar)):
+        print(f"error: non-finite value {value!r} or error bar {error_bar!r}", file=sys.stderr)
+        return EXIT_PRECONDITION
     print(f"value: {value!r}")
     print(f"error_bar: {error_bar!r}")
     print(f"method: {method}")
@@ -126,12 +125,8 @@ def cmd_decompose(args) -> int:
     B = _load_element(args.matrix_file)
     dec = williamson_decompose(B)
     n = B.space.n
-    from .symplectic import symplectic_inverse
-
     resid = float(
-        np.abs(
-            dec.S @ dec.assemble() @ symplectic_inverse(B.space, dec.S) - B.mat
-        ).max()
+        np.abs(dec.S @ dec.assemble() @ omega_adjoint(dec.S) - B.mat).max()
         / max(1.0, np.abs(B.mat).max())
     )
     out_dir = args.out or _default_out_dir()
@@ -372,7 +367,7 @@ def main(argv=None) -> int:
     except (NonSemisimpleError, ClassificationError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_SEMISIMPLE
-    except ValueError as exc:
+    except (ValueError, MaslovLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

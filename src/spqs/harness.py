@@ -19,12 +19,12 @@ from .symplectic import (
     SymplecticSpace,
     commuting_pair,
     omega,
+    omega_adjoint,
     project_skew_symplectic,
     random_sp_element,
     random_symplectic_group_element,
     realize,
     rng_from,
-    symplectic_inverse,
     y_element,
     z_element,
 )
@@ -84,9 +84,6 @@ class FGEvaluator:
 
     def G(self, xi: np.ndarray, eta: np.ndarray) -> float:
         return self.quasi_state(z_element(self.space, xi, eta))
-
-    def in_positive_cone(self, xi: np.ndarray, eta: np.ndarray) -> bool:
-        return omega(self.space, xi, eta) > 0
 
 
 def check_quasi_linearity(
@@ -158,7 +155,7 @@ def check_ad_invariance(
     for t in range(trials):
         A = random_sp_element(space, 1.0, rng)
         g = random_symplectic_group_element(space, 0.6, rng)
-        conj = project_skew_symplectic(space, g @ A.mat @ symplectic_inverse(space, g))
+        conj = project_skew_symplectic(space, g @ A.mat @ omega_adjoint(g))
         va, ea = zeta.with_error(A)
         vc, ec = zeta.with_error(conj)
         defect = abs(vc - va)
@@ -285,7 +282,7 @@ class GlEmbedding:
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n] = M
         block[n:, n:] = -M.T
-        mat = self.g @ block @ symplectic_inverse(self.space, self.g)
+        mat = self.g @ block @ omega_adjoint(self.g)
         return project_skew_symplectic(self.space, mat)
 
     def rank_one(self, xi: np.ndarray, eta: np.ndarray) -> SpElement:

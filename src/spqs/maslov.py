@@ -1,6 +1,7 @@
 """The Maslov quasi-state on the skew-symplectic algebra, computed three ways:
 the defining asymptotic limit along t -> exp(tB), a spectral formula through
-the block normal form, and the closed form on sp(2, R)."""
+the block normal form, and the closed form on sp(2, R).  `maslov_evaluate` is
+the one `auto` dispatch between the first two, for the library and the CLI."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import scipy.linalg
 
 from .kernels import LiftGapError, complex_blocks, lift_argument
 from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
+from .williamson import SpectrumReport, classify_eigenstructure, krein_parameters
 
 GAP_REFINE = 0.5 * np.pi  # halve the step when a per-step phase gap exceeds this
+METHODS = ("auto", "limit", "spectral")
 
 
 class MaslovLimitError(RuntimeError):
@@ -33,14 +36,13 @@ class MaslovLimitConfig:
 
     t_max: float = 2000.0
     dt: float = 0.05
-    tol: float = 1e-3
     max_refinements: int = 6
 
     def __post_init__(self):
         if self.t_max <= 0 or self.dt <= 0 or self.dt > self.t_max:
             raise ValueError("need 0 < dt <= t_max")
-        if self.tol <= 0 or self.max_refinements < 0:
-            raise ValueError("tol must be positive, max_refinements >= 0")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -108,27 +110,32 @@ def _estimate_from_path(theta: np.ndarray, dt: float) -> MaslovEstimate:
     )
 
 
-def maslov_limit_batch(
-    elements: list[SpElement], cfg: MaslovLimitConfig | None = None
-) -> list[MaslovEstimate]:
-    """Asymptotic evaluation of a batch sharing one config (one path sweep)."""
-    cfg = cfg or MaslovLimitConfig()
-    if not elements:
-        return []
-    Bs = np.stack([b.mat for b in elements])
+def _refined_path(Bs: np.ndarray, cfg: MaslovLimitConfig) -> tuple[np.ndarray, float]:
+    """Sweep the stack Bs, halving dt until every per-step phase gap is under
+    GAP_REFINE; returns (theta array (m, steps+1), the dt that succeeded)."""
     dt = cfg.dt
-    for attempt in range(cfg.max_refinements + 1):
+    for _ in range(cfg.max_refinements + 1):
         try:
             theta, gap = _phase_path(Bs, cfg.t_max, dt)
         except LiftGapError:
             gap = np.pi  # aliased step: same remedy as a large gap
         if gap < GAP_REFINE:
-            break
+            return theta, dt
         dt *= 0.5
-    else:
-        raise MaslovLimitError(
-            f"phase gaps still {gap:.3f} after {cfg.max_refinements} refinements"
-        )
+    raise MaslovLimitError(
+        f"phase gaps still {gap:.3f} after {cfg.max_refinements} refinements"
+    )
+
+
+def maslov_limit_batch(
+    elements: list[SpElement], cfg: MaslovLimitConfig | None = None
+) -> list[MaslovEstimate]:
+    """Asymptotic evaluation of a batch sharing one config (one path sweep)."""
+    if not elements:
+        return []
+    theta, dt = _refined_path(
+        np.stack([b.mat for b in elements]), cfg or MaslovLimitConfig()
+    )
     return [_estimate_from_path(theta[i], dt) for i in range(len(elements))]
 
 
@@ -142,20 +149,8 @@ def phase_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(t_k, theta(t_k)) along the path: the convergence data behind the
     limit.  theta(t_k)/t_k tends to the quasi-state value."""
-    cfg = cfg or MaslovLimitConfig()
-    dt = cfg.dt
-    for _ in range(cfg.max_refinements + 1):
-        try:
-            theta, gap = _phase_path(B.mat[None], cfg.t_max, dt)
-        except LiftGapError:
-            gap = np.pi
-        if gap < GAP_REFINE:
-            break
-        dt *= 0.5
-    else:
-        raise MaslovLimitError("phase gaps persist after refinement")
-    steps = theta.shape[1] - 1
-    return dt * np.arange(steps + 1), theta[0]
+    theta, dt = _refined_path(B.mat[None], cfg or MaslovLimitConfig())
+    return dt * np.arange(theta.shape[1]), theta[0]
 
 
 def maslov_dim2(a: float, b: float, c: float) -> float:
@@ -183,18 +178,17 @@ def maslov_on_descriptor(desc: RankOneDescriptor) -> float:
     return 0.0
 
 
-def maslov_spectral(B: SpElement) -> float:
+def maslov_spectral(B: SpElement, report: SpectrumReport | None = None) -> float:
     """Spectral evaluation: each purely imaginary eigenvalue pair contributes
     minus its oriented block parameter; real pairs, quadruples and the kernel
     contribute nothing.
 
     Requires a numerically semi-simple input (eigenvector condition number at
     most 1e8); otherwise SemisimplicityError is raised and only the path
-    evaluator applies.
+    evaluator applies.  `report` is B's classification when the caller
+    already has it.
     """
-    from .williamson import classify_eigenstructure, krein_parameters
-
-    report = classify_eigenstructure(B)
+    report = report or classify_eigenstructure(B)
     if not report.semi_simple:
         raise SemisimplicityError(
             f"eigenvector condition {report.eigvec_cond:.3e} exceeds 1e8; "
@@ -206,3 +200,21 @@ def maslov_spectral(B: SpElement) -> float:
 def spectral_error_estimate(B: SpElement) -> float:
     """Crude bound on the spectral evaluation error (eigensolve roundoff)."""
     return 1e-8 * (1.0 + B.norm())
+
+
+def maslov_evaluate(
+    B: SpElement, cfg: MaslovLimitConfig, method: str = "auto"
+) -> tuple[float, float, str]:
+    """(value, error bar, route taken) by one of 'limit', 'spectral' or
+    'auto'.  'auto' classifies B once: semi-simple inputs go the spectral
+    route with that classification, the rest go the limit route."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    report = None
+    if method == "auto":
+        report = classify_eigenstructure(B)
+        method = "spectral" if report.semi_simple else "limit"
+    if method == "spectral":
+        return maslov_spectral(B, report), spectral_error_estimate(B), method
+    est = maslov_limit(B, cfg)
+    return est.value, est.error_bar, method

@@ -9,14 +9,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .maslov import (
-    MaslovLimitConfig,
-    maslov_limit,
-    maslov_spectral,
-    spectral_error_estimate,
-)
+from .maslov import METHODS, MaslovLimitConfig, maslov_evaluate
 from .symplectic import SpElement, SymplecticSpace, rng_from, skew_defect
-from .williamson import classify_eigenstructure
 
 MEMBERSHIP_RTOL = 1e-8    # relative residual for odd-power subspace membership
 GRAM_COND_MAX = 1e12
@@ -73,15 +67,11 @@ def maslov_qs(cfg: MaslovLimitConfig | None = None, method: str = "auto") -> Qua
     otherwise; 'limit' and 'spectral' force one route.
     """
     cfg = cfg or MaslovLimitConfig()
-    if method not in ("auto", "limit", "spectral"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
     def ev_err(x: SpElement) -> tuple[float, float]:
-        if method in ("auto", "spectral"):
-            if method == "spectral" or classify_eigenstructure(x).semi_simple:
-                return maslov_spectral(x), spectral_error_estimate(x)
-        est = maslov_limit(x, cfg)
-        return est.value, est.error_bar
+        return maslov_evaluate(x, cfg, method)[:2]
 
     # constructor-level bound: bounded-defect convergence at the configured
     # horizon, desk scale (covers n <= 8)

@@ -126,6 +126,8 @@ class SpElement:
             raise ValueError(
                 f"matrix shape {M.shape} does not match space dimension {self.space.dim}"
             )
+        if not np.all(np.isfinite(M)):
+            raise SkewSymplecticityError("matrix has non-finite entries")
         if skew_defect(M) > SKEW_TOL:
             raise SkewSymplecticityError(
                 f"matrix is not skew-symplectic (defect {skew_defect(M):.3e})"
@@ -282,18 +284,6 @@ def random_symplectic_group_element(
     return g
 
 
-def symplectic_inverse(space: SymplecticSpace, g: np.ndarray) -> np.ndarray:
-    """g^{-1} = Omega^{-1} g^T Omega for symplectic g (no LU needed)."""
-    n = space.n
-    gt = np.asarray(g).T
-    out = np.empty_like(gt)
-    out[:n, :n] = gt[n:, n:]
-    out[:n, n:] = -gt[n:, :n]
-    out[n:, :n] = -gt[:n, n:]
-    out[n:, n:] = gt[:n, :n]
-    return out
-
-
 class CommutingStrategy(str, Enum):
     COMMON_FRAME = "common-frame"
     ODD_POLYNOMIAL = "odd-polynomial"
@@ -357,15 +347,12 @@ def commuting_pair(
         Da = np.zeros((space.dim, space.dim))
         Db = np.zeros((space.dim, space.dim))
         for k in range(n):
-            e, f = space.basis_e(k), space.basis_f(k)
-            if kinds[k]:
-                blk = _t_matrix(space, e, e) + _t_matrix(space, f, f)
-            else:
-                blk = _t_matrix(space, f, e) + _t_matrix(space, e, f)
+            element = y_element if kinds[k] else z_element
+            blk = element(space, space.basis_e(k), space.basis_f(k)).mat
             Da += ca[k] * blk
             Db += cb[k] * blk
         g = random_symplectic_group_element(space, 0.5, rng)
-        ginv = symplectic_inverse(space, g)
+        ginv = omega_adjoint(g)
         pa = project_skew_symplectic(space, g @ Da @ ginv)
         pb = project_skew_symplectic(space, g @ Db @ ginv)
 

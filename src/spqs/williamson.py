@@ -13,11 +13,12 @@ from .symplectic import (
     RankOneKind,
     SpElement,
     SymplecticSpace,
+    omega,
+    omega_adjoint,
     project_skew_symplectic,
     random_symplectic_group_element,
     realize,
     rng_from,
-    symplectic_inverse,
 )
 
 AXIS_BAND = 1e-8          # |Re| or |Im| below band*(1+|lambda|) counts as on-axis
@@ -197,29 +198,16 @@ def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndar
     return X.T @ (space.omega_matrix @ Y)
 
 
-def _krein_matrix(space: SymplecticSpace, W: np.ndarray) -> np.ndarray:
-    """Hermitian pairing (i/2) omega(w_j, conj(w_k)) on an imaginary eigenspace;
-    its eigenvalue signs are the orientation data of the invariant planes."""
-    return 0.5j * _omega_form(space, W, W.conj())
-
-
 def krein_parameters(B: SpElement, report: SpectrumReport | None = None) -> list[float]:
     """Signed imaginary-pair parameters (one per invariant plane): +b when the
     normalized plane carries the positively oriented block, -b otherwise."""
     report = report or classify_eigenstructure(B)
-    V = report._vectors
-    out = []
-    for g in report._groups:
-        if g.kind != "imag":
-            continue
-        W = V[:, list(g.indices)]
-        mu = np.linalg.eigvalsh(_krein_matrix(B.space, W))
-        if np.abs(mu).min() <= 1e-10 * max(1.0, np.abs(mu).max()):
-            raise NormalizationError(
-                "degenerate orientation pairing on an imaginary eigenspace"
-            )
-        out.extend(float(np.sign(m)) * g.b for m in mu)
-    return out
+    return [
+        beta
+        for g in report._groups
+        if g.kind == "imag"
+        for beta, _, _ in _planes_imag(B.space, report._vectors, g)
+    ]
 
 
 @dataclass(frozen=True)
@@ -232,13 +220,6 @@ class WilliamsonBlock:
     a: float
     b: float
     planes: tuple
-
-    def parameter_key(self) -> tuple:
-        if self.kind == "real":
-            return (0, abs(self.a), 0.0)
-        if self.kind == "imag":
-            return (1, abs(self.b), 0.0)
-        return (2, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -300,9 +281,10 @@ def _planes_real(space, V, g) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _planes_imag(space, V, g):
-    """[(beta_signed, e, f)] for one imaginary group."""
+    """[(beta_signed, e, f)] for one imaginary group: the eigenvalue signs of
+    the Hermitian pairing (i/2) omega(w_j, conj(w_k)) orient the planes."""
     W = V[:, list(g.indices)]
-    mu, T = np.linalg.eigh(_krein_matrix(space, W))
+    mu, T = np.linalg.eigh(0.5j * _omega_form(space, W, W.conj()))
     if np.abs(mu).min() <= 1e-10 * max(1.0, np.abs(mu).max()):
         raise NormalizationError("degenerate orientation pairing")
     out = []
@@ -342,21 +324,16 @@ def _planes_zero(space, B) -> list[tuple[np.ndarray, np.ndarray]]:
         x = vecs.pop(0)
         if not vecs:
             raise NormalizationError("odd-dimensional kernel remainder")
-        pair = np.array([omega_vec(space, x, y) for y in vecs])
+        pair = np.array([omega(space, x, y) for y in vecs])
         j = int(np.argmax(np.abs(pair)))
         if abs(pair[j]) < 1e-10:
             raise NormalizationError("kernel plane with vanishing pairing")
         f = vecs.pop(j) / pair[j]
         planes.append((x, f))
         vecs = [
-            v - omega_vec(space, v, f) * x + omega_vec(space, v, x) * f for v in vecs
+            v - omega(space, v, f) * x + omega(space, v, x) * f for v in vecs
         ]
     return planes
-
-
-def omega_vec(space: SymplecticSpace, x, y) -> float:
-    n = space.n
-    return float(x[:n] @ y[n:] - x[n:] @ y[:n])
 
 
 def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
@@ -414,7 +391,7 @@ def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
     sdef = float(np.abs(S.T @ O @ S - O).max())
     if sdef > FRAME_SYMPLECTIC_TOL:
         raise NormalizationError(f"frame symplectic defect {sdef:.3e}")
-    resid = np.abs(S @ dec.assemble() @ symplectic_inverse(space, S) - B.mat).max()
+    resid = np.abs(S @ dec.assemble() @ omega_adjoint(S) - B.mat).max()
     if resid > ROUNDTRIP_TOL * max(1.0, np.abs(B.mat).max()):
         raise NormalizationError(f"round-trip residual {resid:.3e}")
     return dec
@@ -530,5 +507,5 @@ def random_semisimple(
             plane += 1
     D = WilliamsonDecomposition(space, np.eye(2 * n), tuple(blocks)).assemble()
     g = random_symplectic_group_element(space, scale, rng)
-    M = g @ D @ symplectic_inverse(space, g)
+    M = g @ D @ omega_adjoint(g)
     return project_skew_symplectic(space, M), blocks

@@ -7,8 +7,9 @@ import pytest
 
 from spqs.cli import main
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
+from spqs.quasistates import maslov_qs
 from spqs.symplectic import SymplecticSpace
-from spqs.williamson import random_semisimple
+from spqs.williamson import ClassificationError, random_semisimple
 
 
 def run_cli(args, capsys):
@@ -85,6 +86,7 @@ class TestEval:
         bar = float(out_l.splitlines()[1].split(": ")[1])
         assert abs(vs - vl) <= bar + 1e-2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense\n")
@@ -103,6 +105,70 @@ class TestEval:
         nil = tmp_path / "nil.txt"
         nil.write_text("dim 2\n0 1\n0 0\n")
         assert run_cli(["eval", str(nil), "--method", "spectral"], capsys)[0] == 4
+
+        allnan = tmp_path / "allnan.txt"
+        allnan.write_text("dim 2\nnan nan\nnan nan\n")
+        withinf = tmp_path / "withinf.txt"
+        withinf.write_text("dim 2\n0 inf\n-1 0\n")
+        for path in (allnan, withinf):
+            for method in ("auto", "limit"):
+                code, _, err = run_cli(["eval", str(path), "--method", method], capsys)
+                assert code == 3
+                assert err.startswith("error:")
+
+        # 1e200 norm: the limit route overflows, the spectral bar is infinite
+        huge = tmp_path / "huge.txt"
+        huge.write_text("dim 2\n0 1e200\n-1e200 0\n")
+        for argv in (
+            ["eval", str(huge), "--method", "limit"],
+            ["eval", str(huge), "--method", "auto"],
+            ["eval", str(huge), "--method", "spectral"],
+            ["trace", str(huge), "--out", str(tmp_path / "huge.csv")],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 4, argv
+            assert err.startswith("error:"), argv
+            assert "value:" not in out
+
+
+def _count_classifications(monkeypatch, replacement=None):
+    """Rebind classify_eigenstructure in every spqs module that binds it;
+    returns the list that records one entry per call."""
+    import spqs.williamson
+
+    original = spqs.williamson.classify_eigenstructure
+    calls = []
+
+    def counting(B):
+        calls.append(B)
+        return (replacement or original)(B)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spqs") and getattr(mod, "classify_eigenstructure", None) is original:
+            monkeypatch.setattr(mod, "classify_eigenstructure", counting)
+    return calls
+
+
+class TestAutoDispatch:
+    def test_one_classification_per_auto_evaluation(self, tmp_path, monkeypatch, capsys):
+        B, _ = random_semisimple(SymplecticSpace(2), 3)
+        p = str(tmp_path / "b.txt")
+        write_matrix(p, B.mat)
+        calls = _count_classifications(monkeypatch)
+        maslov_qs().with_error(B)
+        assert len(calls) == 1
+        code, out, _ = run_cli(["eval", p, "--method", "auto"], capsys)
+        assert code == 0
+        assert "method: spectral" in out
+        assert len(calls) == 2
+
+    def test_classification_error_exit_codes(self, rotation_file, monkeypatch, capsys):
+        def ambiguous(B):
+            raise ClassificationError("eigenvalue in both bands")
+
+        _count_classifications(monkeypatch, ambiguous)
+        assert run_cli(["eval", rotation_file, "--method", "auto"], capsys)[0] == 5
+        assert run_cli(["eval", rotation_file, "--method", "spectral"], capsys)[0] == 4
 
 
 class TestDecompose:

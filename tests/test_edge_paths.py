@@ -27,7 +27,7 @@ class TestLimitConfig:
         with pytest.raises(ValueError):
             MaslovLimitConfig(t_max=1.0, dt=2.0)
         with pytest.raises(ValueError):
-            MaslovLimitConfig(tol=-1e-3)
+            MaslovLimitConfig(max_refinements=-1)
 
 
 class TestLimitErrorPaths:

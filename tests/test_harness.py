@@ -102,7 +102,7 @@ class TestAdInvariance:
         r = check_ad_invariance(MQ, sp1, 25, 0.0, 6)
         assert r.passed
         # independent oracle: conjugating and re-reading the coordinates
-        from spqs.symplectic import random_symplectic_group_element, symplectic_inverse
+        from spqs.symplectic import omega_adjoint, random_symplectic_group_element
         from spqs.symplectic import project_skew_symplectic
 
         rng = np.random.Generator(np.random.Philox(7))
@@ -110,7 +110,7 @@ class TestAdInvariance:
             A = random_sp_element(sp1, 1.0, rng)
             g = random_symplectic_group_element(sp1, 0.6, rng)
             conj = project_skew_symplectic(
-                sp1, g @ A.mat @ symplectic_inverse(sp1, g)
+                sp1, g @ A.mat @ omega_adjoint(g)
             )
             v1 = maslov_dim2(A.mat[0, 0], A.mat[0, 1], A.mat[1, 0])
             v2 = maslov_dim2(conj.mat[0, 0], conj.mat[0, 1], conj.mat[1, 0])

@@ -14,10 +14,10 @@ from spqs.quasistates import (
 from spqs.symplectic import (
     SpElement,
     SymplecticSpace,
+    omega_adjoint,
     project_skew_symplectic,
     random_sp_element,
     random_symplectic_group_element,
-    symplectic_inverse,
     y_element,
 )
 
@@ -181,7 +181,7 @@ class TestDiscontinuous:
         A = nilpotent_jordan_sp(sp2)
         g = random_symplectic_group_element(sp2, 0.5, 7)
         A2 = project_skew_symplectic(
-            sp2, g @ A.mat @ symplectic_inverse(sp2, g)
+            sp2, g @ A.mat @ omega_adjoint(g)
         )
         z1 = discontinuous_qs(A, 1.0)
         z2 = discontinuous_qs(A2, 1.0)

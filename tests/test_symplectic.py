@@ -18,7 +18,6 @@ from spqs.symplectic import (
     random_symplectic_group_element,
     realize,
     standard_complex_structure,
-    symplectic_inverse,
     y_element,
     z_element,
 )
@@ -201,7 +200,7 @@ class TestRandomGenerators:
         assert np.abs(g.T @ O @ g - O).max() < 1e-8
         assert abs(np.linalg.det(g) - 1.0) < 1e-6
         np.testing.assert_allclose(
-            symplectic_inverse(sp3, g), np.linalg.inv(g), atol=1e-6
+            omega_adjoint(g), np.linalg.inv(g), atol=1e-6
         )
 
 
