@@ -3,8 +3,8 @@ into normal-form blocks, run verification suites, and emit convergence
 traces.
 
 Exit codes: 0 success, 1 suite failure, 2 matrix parse failure, 3 input not
-skew-symplectic or not finite, 4 method precondition violated or no finite
-result (limit-route overflow, unresolved phase gaps), 5 non-semisimple input.
+skew-symplectic or not finite, 4 bad numeric option, unmet method precondition
+or no finite result (overflow, unresolved phase gaps), 5 non-semisimple input.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from . import harness, report as reportmod
 from .maslov import (
     MaslovLimitConfig,
     MaslovLimitError,
-    SemisimplicityError,
     maslov_dim2,
     maslov_evaluate,
     phase_trace,
@@ -61,27 +59,12 @@ SUITES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n: int = 3
-    seed: int = 0
-    t_max: float = 2000.0
-    dt: float = 0.05
-    tol: float = 1e-2
-    trials: int = 50
-    output_path: str | None = None
-    format: str = "structured-text"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if min(self.t_max, self.dt, self.tol) <= 0 or self.trials < 1:
-            raise ValueError("numeric configuration fields must be positive")
-        if self.format not in ("structured-text", "comma-separated"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-    def limit_config(self) -> MaslovLimitConfig:
-        return MaslovLimitConfig(t_max=self.t_max, dt=self.dt)
+def _check_options(args) -> MaslovLimitConfig:
+    """Check --n, --trials and --tol and return the path options as a
+    MaslovLimitConfig, which checks --t-max and --dt; a ValueError exits 4."""
+    if args.n < 1 or args.trials < 1 or not 0 < args.tol < np.inf:
+        raise ValueError("need --n >= 1, --trials >= 1 and 0 < --tol < inf")
+    return MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
 
 
 def _default_out_dir() -> str:
@@ -95,7 +78,7 @@ def _load_element(path: str) -> SpElement:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from(args)
+    cfg = _check_options(args)
     B = _load_element(args.matrix_file)
     method = args.method
     if method == "dim2":
@@ -106,8 +89,8 @@ def cmd_eval(args) -> int:
         error_bar = 0.0
     else:
         try:
-            value, error_bar, method = maslov_evaluate(B, cfg.limit_config(), method)
-        except (SemisimplicityError, ClassificationError) as exc:
+            value, error_bar, method = maslov_evaluate(B, cfg, method)
+        except (NonSemisimpleError, ClassificationError) as exc:
             if method == "auto":
                 raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
             print(f"error: {exc}", file=sys.stderr)
@@ -147,10 +130,10 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _suite_reports(suite: str, cfg: RunConfig, negative_control: bool):
-    space = SymplecticSpace(cfg.n)
-    seed = cfg.seed
-    mq = maslov_qs(cfg.limit_config())
+def _suite_reports(args, cfg: MaslovLimitConfig):
+    space = SymplecticSpace(args.n)
+    seed = args.seed
+    mq = maslov_qs(cfg)
     rng_n = np.random.Generator(np.random.Philox(seed + 1))
     Nmat = rng_n.standard_normal((space.dim, space.dim))
     lin = linear_qs(Nmat)
@@ -159,35 +142,35 @@ def _suite_reports(suite: str, cfg: RunConfig, negative_control: bool):
     def qlin():
         for strat in ("common-frame", "odd-polynomial"):
             reports.append(
-                harness.check_quasi_linearity(lin, space, strat, cfg.trials, 1e-10, seed)
+                harness.check_quasi_linearity(lin, space, strat, args.trials, 1e-10, seed)
             )
             reports.append(
-                harness.check_quasi_linearity(mq, space, strat, cfg.trials, cfg.tol, seed)
+                harness.check_quasi_linearity(mq, space, strat, args.trials, args.tol, seed)
             )
         A = nilpotent_jordan_sp(space)
         dq = discontinuous_qs(A, 1.0)
         reports.append(
             harness.check_quasi_linearity(
-                dq, space, "odd-polynomial", cfg.trials, 1e-9, seed, base=A
+                dq, space, "odd-polynomial", args.trials, 1e-9, seed, base=A
             )
         )
-        if negative_control:
+        if args.negative_control:
             reports.append(
                 harness.check_quasi_linearity(
                     harness.frobenius_pseudo_state(space),
                     space,
                     "common-frame",
-                    cfg.trials,
-                    cfg.tol,
+                    args.trials,
+                    args.tol,
                     seed,
                 )
             )
 
     def adinv():
-        reports.append(harness.check_ad_invariance(mq, space, cfg.trials, cfg.tol, seed))
-        if negative_control:
+        reports.append(harness.check_ad_invariance(mq, space, args.trials, args.tol, seed))
+        if args.negative_control:
             reports.append(
-                harness.check_ad_invariance(lin, space, cfg.trials, cfg.tol, seed)
+                harness.check_ad_invariance(lin, space, args.trials, args.tol, seed)
             )
 
     def gleason():
@@ -195,42 +178,42 @@ def _suite_reports(suite: str, cfg: RunConfig, negative_control: bool):
         reports.append(harness.fit_gleason_on_unitary(lin, J, 1e-9, seed))
         reports.append(
             harness.fit_gleason_on_unitary(
-                mq, J, cfg.tol, seed, oracle=harness.maslov_imtrace_oracle(space)
+                mq, J, args.tol, seed, oracle=harness.maslov_imtrace_oracle(space)
             )
         )
 
     def rankone():
         emb = harness.embed_gl(space, seed + 2)
-        reports.append(harness.fit_rank_one_trace(lin, emb, cfg.trials, 1e-9, seed))
-        reports.append(harness.fit_rank_one_trace(mq, emb, cfg.trials, cfg.tol, seed))
+        reports.append(harness.fit_rank_one_trace(lin, emb, args.trials, 1e-9, seed))
+        reports.append(harness.fit_rank_one_trace(mq, emb, args.trials, args.tol, seed))
 
     def isotropic():
         rng = np.random.Generator(np.random.Philox(seed + 3))
         cov = rng.standard_normal(space.dim)
         reports.append(
             harness.check_isotropic_linearity(
-                lambda v: float(cov @ v), space, cfg.trials, 1e-10, seed
+                lambda v: float(cov @ v), space, args.trials, 1e-10, seed
             )
         )
         fg = harness.FGEvaluator(mq, space)
         xi = rng.standard_normal(space.dim)
         reports.append(
             harness.check_isotropic_linearity(
-                lambda v: fg.G(xi, v), space, cfg.trials, cfg.tol, seed
+                lambda v: fg.G(xi, v), space, args.trials, args.tol, seed
             )
         )
-        if negative_control:
+        if args.negative_control:
             reports.append(
                 harness.check_isotropic_linearity(
-                    lambda v: float(np.linalg.norm(v)), space, cfg.trials, cfg.tol, seed
+                    lambda v: float(np.linalg.norm(v)), space, args.trials, args.tol, seed
                 )
             )
 
     def maintheorem():
-        reports.append(harness.fit_main_theorem(lin, space, cfg.tol, seed))
-        reports.append(harness.fit_main_theorem(mq, space, cfg.tol, seed))
+        reports.append(harness.fit_main_theorem(lin, space, args.tol, seed))
+        reports.append(harness.fit_main_theorem(mq, space, args.tol, seed))
         composite = linear_combination([(2.0, mq), (1.0, lin)])
-        reports.append(harness.fit_main_theorem(composite, space, cfg.tol, seed))
+        reports.append(harness.fit_main_theorem(composite, space, args.tol, seed))
 
     steps = {
         "quasi-linearity": qlin,
@@ -240,27 +223,27 @@ def _suite_reports(suite: str, cfg: RunConfig, negative_control: bool):
         "isotropic": isotropic,
         "main-theorem": maintheorem,
     }
-    if suite == "all":
+    if args.suite == "all":
         for fn in steps.values():
             fn()
     else:
-        steps[suite]()
+        steps[args.suite]()
     return reports
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from(args)
-    if args.suite in ("gleason", "rank-one", "main-theorem", "all") and cfg.n < 3:
+    cfg = _check_options(args)
+    if args.suite in ("gleason", "rank-one", "main-theorem", "all") and args.n < 3:
         print("error: hypothesis n >= 3 not met for the requested suite", file=sys.stderr)
         return EXIT_PRECONDITION
-    reports = _suite_reports(args.suite, cfg, args.negative_control)
-    if cfg.format == "comma-separated":
+    reports = _suite_reports(args, cfg)
+    if args.format == "comma-separated":
         text = reportmod.reports_to_csv(reports)
         default_name = f"verify_{args.suite}.csv"
     else:
         text = reportmod.reports_to_text(reports)
         default_name = f"verify_{args.suite}.txt"
-    out_path = cfg.output_path or os.path.join(_default_out_dir(), default_name)
+    out_path = args.out or os.path.join(_default_out_dir(), default_name)
     atomic_write(out_path, text)
     npass = sum(r.passed for r in reports)
     total = len(reports)
@@ -279,9 +262,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _config_from(args)
+    cfg = _check_options(args)
     B = _load_element(args.matrix_file)
-    t, theta = phase_trace(B, cfg.limit_config())
+    t, theta = phase_trace(B, cfg)
     lines = ["t,theta,theta_over_t"]
     for k in range(len(t)):
         ratio = float(theta[k] / t[k]) if t[k] > 0 else 0.0
@@ -294,25 +277,12 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        n=getattr(args, "n", 3),
-        seed=getattr(args, "seed", 0),
-        t_max=getattr(args, "t_max", 2000.0),
-        dt=getattr(args, "dt", 0.05),
-        tol=getattr(args, "tol", 1e-2),
-        trials=getattr(args, "trials", 50),
-        output_path=getattr(args, "out", None),
-        format=getattr(args, "format", "structured-text"),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=3, help="half-dimension for suites")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--t-max", dest="t_max", type=float, default=2000.0)
-    common.add_argument("--dt", type=float, default=0.05)
+    common.add_argument("--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max)
+    common.add_argument("--dt", type=float, default=MaslovLimitConfig.dt)
     common.add_argument("--tol", type=float, default=1e-2)
     common.add_argument("--trials", type=int, default=50)
     common.add_argument("--out", type=str, default=None, help="output path")

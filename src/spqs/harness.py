@@ -71,6 +71,14 @@ def _report(name, trials, max_defect, tol, seed, params=None, records=()):
     )
 
 
+def _held_out_fit(design: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Least squares on the first TRAIN_FRACTION of the rows: (solution,
+    training row count, RMS residual on the held-out rows)."""
+    cut = int(TRAIN_FRACTION * len(vals))
+    sol, *_ = np.linalg.lstsq(design[:cut], vals[:cut], rcond=None)
+    return sol, cut, float(np.sqrt(np.mean(np.square(design[cut:] @ sol - vals[cut:]))))
+
+
 @dataclass(frozen=True)
 class FGEvaluator:
     """F(xi, eta) = zeta(Y_{xi,eta}) and G(xi, eta) = zeta(Z_{xi,eta}); the two
@@ -343,11 +351,7 @@ def fit_rank_one_trace(
         ys.append(eta)
         vals.append(zeta(embedding.rank_one(xi, eta)))
     design = np.stack([np.outer(e, x).reshape(-1) for x, e in zip(xs, ys)])
-    vals = np.asarray(vals)
-    cut = int(TRAIN_FRACTION * m)
-    sol, *_ = np.linalg.lstsq(design[:cut], vals[:cut], rcond=None)
-    held = design[cut:] @ sol - vals[cut:]
-    residual = float(np.sqrt(np.mean(np.square(held))))
+    sol, cut, residual = _held_out_fit(design, np.asarray(vals))
     N = sol.reshape(n, n)
     return _report(
         f"rank-one-trace[{zeta.provenance}]",
@@ -436,9 +440,7 @@ def fit_main_theorem(
             rows[i, j] = (A @ xi) @ O @ xi + (A @ eta) @ O @ eta
         rows[i, -1] = abs(omega(space, xi, eta))
         vals[i] = fg.F(xi, eta)
-    cut = int(TRAIN_FRACTION * m)
-    sol, *_ = np.linalg.lstsq(rows[:cut], vals[:cut], rcond=None)
-    stage1 = float(np.sqrt(np.mean(np.square(rows[cut:] @ sol - vals[cut:]))))
+    sol, _, stage1 = _held_out_fit(rows, vals)
     C = sum(ck * Ak for ck, Ak in zip(sol[:-1], base))
     c_fit = float(sol[-1])
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import LiftGapError, complex_blocks, lift_argument
+from .kernels import complex_blocks
 from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
 from .williamson import SpectrumReport, classify_eigenstructure, krein_parameters
 
@@ -20,10 +20,6 @@ METHODS = ("auto", "limit", "spectral")
 
 class MaslovLimitError(RuntimeError):
     """The path evaluation failed (undersampled after refinement, or overflow)."""
-
-
-class SemisimplicityError(RuntimeError):
-    """Spectral evaluation refused: eigenstructure too ill-conditioned."""
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,8 @@ class MaslovLimitConfig:
     max_refinements: int = 6
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.dt <= 0 or self.dt > self.t_max:
-            raise ValueError("need 0 < dt <= t_max")
+        if not 0 < self.dt <= self.t_max < np.inf:
+            raise ValueError("need 0 < dt <= t_max < inf")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be >= 0")
 
@@ -50,7 +46,6 @@ class MaslovEstimate:
     value: float            # theta(t_max) / t_max
     error_bar: float        # |theta(T)/T - theta(T/2)/(T/2)|
     samples_used: int
-    value_refined: float    # Richardson extrapolation of the two estimates
 
     def __post_init__(self):
         if self.error_bar < 0:
@@ -86,14 +81,10 @@ def _phase_path(Bs: np.ndarray, t_max: float, dt: float):
         T = Ec + Ea @ N
         increments[:, k] = np.angle(np.linalg.det(T))
         N = (Ecc @ N + Eac) @ np.linalg.inv(T)
-    # Phase sequence on the unit circle, then the continuous lift; the lift's
-    # gap check is the undersampling guard.
-    theta = np.empty((m, steps + 1))
-    for i in range(m):
-        phasors = np.empty(steps + 1, dtype=complex)
-        phasors[0] = 1.0
-        np.exp(1j * np.cumsum(increments[i]), out=phasors[1:])
-        theta[i] = lift_argument(phasors)
+    # Each increment lies in (-pi, pi], so their running sum is the continuous
+    # lift; the caller's gap check is the undersampling guard.
+    theta = np.zeros((m, steps + 1))
+    np.cumsum(increments, axis=1, out=theta[:, 1:])
     return theta, float(np.abs(increments).max(initial=0.0))
 
 
@@ -106,19 +97,16 @@ def _estimate_from_path(theta: np.ndarray, dt: float) -> MaslovEstimate:
         value=float(est_full),
         error_bar=float(abs(est_full - est_half)),
         samples_used=steps + 1,
-        value_refined=float(2.0 * est_full - est_half),
     )
 
 
-def _refined_path(Bs: np.ndarray, cfg: MaslovLimitConfig) -> tuple[np.ndarray, float]:
+def _refined_path(Bs: np.ndarray, cfg: MaslovLimitConfig | None) -> tuple[np.ndarray, float]:
     """Sweep the stack Bs, halving dt until every per-step phase gap is under
     GAP_REFINE; returns (theta array (m, steps+1), the dt that succeeded)."""
+    cfg = cfg or MaslovLimitConfig()
     dt = cfg.dt
     for _ in range(cfg.max_refinements + 1):
-        try:
-            theta, gap = _phase_path(Bs, cfg.t_max, dt)
-        except LiftGapError:
-            gap = np.pi  # aliased step: same remedy as a large gap
+        theta, gap = _phase_path(Bs, cfg.t_max, dt)
         if gap < GAP_REFINE:
             return theta, dt
         dt *= 0.5
@@ -133,9 +121,7 @@ def maslov_limit_batch(
     """Asymptotic evaluation of a batch sharing one config (one path sweep)."""
     if not elements:
         return []
-    theta, dt = _refined_path(
-        np.stack([b.mat for b in elements]), cfg or MaslovLimitConfig()
-    )
+    theta, dt = _refined_path(np.stack([b.mat for b in elements]), cfg)
     return [_estimate_from_path(theta[i], dt) for i in range(len(elements))]
 
 
@@ -149,7 +135,7 @@ def phase_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(t_k, theta(t_k)) along the path: the convergence data behind the
     limit.  theta(t_k)/t_k tends to the quasi-state value."""
-    theta, dt = _refined_path(B.mat[None], cfg or MaslovLimitConfig())
+    theta, dt = _refined_path(B.mat[None], cfg)
     return dt * np.arange(theta.shape[1]), theta[0]
 
 
@@ -183,17 +169,10 @@ def maslov_spectral(B: SpElement, report: SpectrumReport | None = None) -> float
     minus its oriented block parameter; real pairs, quadruples and the kernel
     contribute nothing.
 
-    Requires a numerically semi-simple input (eigenvector condition number at
-    most 1e8); otherwise SemisimplicityError is raised and only the path
-    evaluator applies.  `report` is B's classification when the caller
-    already has it.
+    Requires a numerically semi-simple input; otherwise `krein_parameters`
+    raises NonSemisimpleError and only the path evaluator applies.  `report`
+    is B's classification when the caller already has it.
     """
-    report = report or classify_eigenstructure(B)
-    if not report.semi_simple:
-        raise SemisimplicityError(
-            f"eigenvector condition {report.eigvec_cond:.3e} exceeds 1e8; "
-            "use the asymptotic evaluator"
-        )
     return -float(sum(krein_parameters(B, report))) + 0.0
 
 

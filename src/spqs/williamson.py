@@ -193,6 +193,16 @@ def classify_eigenstructure(B: SpElement) -> SpectrumReport:
     )
 
 
+def _require_semisimple(report: SpectrumReport) -> None:
+    """Raise NonSemisimpleError unless the classified input is numerically
+    semi-simple (eigenvector condition number at most EIGVEC_COND_MAX)."""
+    if not report.semi_simple:
+        raise NonSemisimpleError(
+            f"eigenvector condition {report.eigvec_cond:.3e} exceeds "
+            f"{EIGVEC_COND_MAX:.1e}"
+        )
+
+
 def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Matrix of omega between two column families (complex-bilinear)."""
     return X.T @ (space.omega_matrix @ Y)
@@ -200,8 +210,10 @@ def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndar
 
 def krein_parameters(B: SpElement, report: SpectrumReport | None = None) -> list[float]:
     """Signed imaginary-pair parameters (one per invariant plane): +b when the
-    normalized plane carries the positively oriented block, -b otherwise."""
+    normalized plane carries the positively oriented block, -b otherwise.
+    Raises NonSemisimpleError on a non-semi-simple input."""
     report = report or classify_eigenstructure(B)
+    _require_semisimple(report)
     return [
         beta
         for g in report._groups
@@ -344,11 +356,7 @@ def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
     the plane orientation in their sign, so b and -b blocks are distinct.
     """
     report = classify_eigenstructure(B)
-    if not report.semi_simple:
-        raise NonSemisimpleError(
-            f"eigenvector condition {report.eigvec_cond:.3e} exceeds "
-            f"{EIGVEC_COND_MAX:.1e}"
-        )
+    _require_semisimple(report)
     space = B.space
     V = report._vectors
 

@@ -106,6 +106,16 @@ class TestEval:
         nil.write_text("dim 2\n0 1\n0 0\n")
         assert run_cli(["eval", str(nil), "--method", "spectral"], capsys)[0] == 4
 
+        # a non-finite horizon or step is an option error, not an uncaught overflow
+        for argv in (
+            ["eval", str(nil), "--method", "limit", "--t-max", "inf"],
+            ["eval", str(nil), "--method", "limit", "--dt", "nan"],
+            ["trace", str(nil), "--t-max", "inf", "--out", str(tmp_path / "inf.csv")],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 4, argv
+            assert err.startswith("error:"), argv
+
         allnan = tmp_path / "allnan.txt"
         allnan.write_text("dim 2\nnan nan\nnan nan\n")
         withinf = tmp_path / "withinf.txt"
@@ -231,6 +241,19 @@ class TestVerify:
         )
         assert code == 0
         assert open(out).read().startswith("check_name,record,field,value")
+
+    def test_non_finite_tol_rejected(self, tmp_path, capsys):
+        # tol inf would pass every check, including the negative control
+        out = str(tmp_path / "r.txt")
+        for argv in (
+            ["verify", "--suite", "isotropic", "--tol", "nan", "--out", out],
+            ["verify", "--suite", "quasi-linearity", "--negative-control",
+             "--tol", "inf", "--out", out],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 4, argv
+            assert err.startswith("error:"), argv
+        assert not os.path.exists(out)
 
     def test_small_n_precondition(self, capsys):
         code, _, err = run_cli(

@@ -28,6 +28,9 @@ class TestLimitConfig:
             MaslovLimitConfig(t_max=1.0, dt=2.0)
         with pytest.raises(ValueError):
             MaslovLimitConfig(max_refinements=-1)
+        for bad in ({"t_max": np.inf}, {"t_max": np.nan}, {"dt": np.nan}):
+            with pytest.raises(ValueError):
+                MaslovLimitConfig(**bad)
 
 
 class TestLimitErrorPaths:
@@ -77,18 +80,22 @@ class TestClassificationBands:
         assert len(rep.quadruples) == 1
 
 
-class TestRunConfig:
-    def test_validation(self):
-        from spqs.cli import RunConfig
-
-        with pytest.raises(ValueError):
-            RunConfig(n=0)
-        with pytest.raises(ValueError):
-            RunConfig(tol=-1.0)
-        with pytest.raises(ValueError):
-            RunConfig(trials=0)
-        with pytest.raises(ValueError):
-            RunConfig(format="yaml")
+class TestRunOptions:
+    def test_validation(self, tmp_path, capsys):
+        rot = tmp_path / "rot.txt"
+        rot.write_text("dim 2\n0 -1\n1 0\n")
+        commands = (
+            ["eval", str(rot)],
+            ["verify", "--suite", "isotropic", "--out", str(tmp_path / "r.txt")],
+            ["trace", str(rot), "--out", str(tmp_path / "t.csv")],
+        )
+        for command in commands:
+            for bad in (["--n", "0"], ["--tol", "-1"], ["--trials", "0"]):
+                assert main(command + bad) == 4, command + bad
+                assert capsys.readouterr().err.startswith("error:")
+            with pytest.raises(SystemExit):
+                main(command + ["--format", "yaml"])
+            capsys.readouterr()
 
 
 class TestVerifyAllSuite:

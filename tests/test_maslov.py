@@ -4,7 +4,6 @@ import pytest
 from spqs.kernels import sample_polar_path
 from spqs.maslov import (
     MaslovLimitConfig,
-    SemisimplicityError,
     maslov_dim2,
     maslov_limit,
     maslov_limit_batch,
@@ -23,7 +22,7 @@ from spqs.symplectic import (
     y_element,
     z_element,
 )
-from spqs.williamson import random_semisimple
+from spqs.williamson import NonSemisimpleError, random_semisimple
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -70,8 +69,6 @@ class TestLimit:
         est = maslov_limit(sp2_element(0.3, -1.2, 0.8), SHORT)
         assert est.error_bar >= 0
         assert est.samples_used > 1000
-        # the refined value tightens or matches the plain ratio on this path
-        assert np.isfinite(est.value_refined)
 
     def test_against_closed_form_random(self):
         rng = np.random.Generator(np.random.Philox(2))
@@ -178,7 +175,7 @@ class TestSpectral:
             assert abs(est.value - want) <= est.error_bar + 1e-3
 
     def test_nilpotent_rejected(self):
-        with pytest.raises(SemisimplicityError):
+        with pytest.raises(NonSemisimpleError):
             maslov_spectral(nilpotent_jordan_sp(sp2))
 
 
