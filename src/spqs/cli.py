@@ -2,9 +2,10 @@
 into normal-form blocks, run verification suites, and emit convergence
 traces.
 
-Exit codes: 0 success, 1 suite failure, 2 matrix parse failure, 3 input not
-skew-symplectic or not finite, 4 bad numeric option, unmet method precondition
-or no finite result (overflow, unresolved phase gaps), 5 non-semisimple input.
+Exit codes: 0 success, 1 suite failure, 2 matrix parse failure or argparse
+usage error, 3 input not skew-symplectic or not finite, 4 bad numeric option,
+unmet method precondition, no finite result (overflow, unresolved phase gaps)
+or unwritable output, 5 non-semisimple input.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ SUITES = (
 )
 
 
-def _check_options(args) -> MaslovLimitConfig:
-    """Check --n, --trials and --tol and return the path options as a
-    MaslovLimitConfig, which checks --t-max and --dt; a ValueError exits 4."""
-    if args.n < 1 or args.trials < 1 or not 0 < args.tol < np.inf:
-        raise ValueError("need --n >= 1, --trials >= 1 and 0 < --tol < inf")
-    return MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
-
-
 def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
 
@@ -78,7 +71,7 @@ def _load_element(path: str) -> SpElement:
 
 
 def cmd_eval(args) -> int:
-    cfg = _check_options(args)
+    cfg = MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
     B = _load_element(args.matrix_file)
     method = args.method
     if method == "dim2":
@@ -232,7 +225,9 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
 
 
 def cmd_verify(args) -> int:
-    cfg = _check_options(args)
+    if args.n < 1 or args.trials < 1 or not 0 < args.tol < np.inf:
+        raise ValueError("need --n >= 1, --trials >= 1 and 0 < --tol < inf")
+    cfg = MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
     if args.suite in ("gleason", "rank-one", "main-theorem", "all") and args.n < 3:
         print("error: hypothesis n >= 3 not met for the requested suite", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -262,7 +257,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _check_options(args)
+    cfg = MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
     B = _load_element(args.matrix_file)
     t, theta = phase_trace(B, cfg)
     lines = ["t,theta,theta_over_t"]
@@ -278,39 +273,33 @@ def cmd_trace(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=3, help="half-dimension for suites")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max)
-    common.add_argument("--dt", type=float, default=MaslovLimitConfig.dt)
-    common.add_argument("--tol", type=float, default=1e-2)
-    common.add_argument("--trials", type=int, default=50)
-    common.add_argument("--out", type=str, default=None, help="output path")
-    common.add_argument(
-        "--format",
-        choices=["structured-text", "comma-separated"],
-        default="structured-text",
-    )
-
+    """Each subcommand takes only the options it reads."""
     p = argparse.ArgumentParser(
         prog="spqs",
         description="Quasi-state computations on the skew-symplectic matrix algebra",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", parents=[common], help="evaluate the Maslov quasi-state")
+    pe = sub.add_parser("eval", help="evaluate the Maslov quasi-state")
     pe.add_argument("matrix_file")
-    pe.add_argument(
-        "--method", choices=["limit", "spectral", "dim2", "auto"], default="auto"
-    )
+    pe.add_argument("--method", choices=["limit", "spectral", "dim2", "auto"], default="auto")
     pe.set_defaults(func=cmd_eval)
 
-    pd = sub.add_parser("decompose", parents=[common], help="normal-form blocks")
+    pd = sub.add_parser("decompose", help="normal-form blocks")
     pd.add_argument("matrix_file")
     pd.set_defaults(func=cmd_decompose)
 
-    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=SUITES, required=True)
+    pv.add_argument("--n", type=int, default=3, help="half-dimension for suites")
+    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--tol", type=float, default=1e-2)
+    pv.add_argument("--trials", type=int, default=50)
+    pv.add_argument(
+        "--format",
+        choices=["structured-text", "comma-separated"],
+        default="structured-text",
+    )
     pv.add_argument(
         "--negative-control",
         action="store_true",
@@ -318,9 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.set_defaults(func=cmd_verify)
 
-    pt = sub.add_parser("trace", parents=[common], help="winding convergence trace")
+    pt = sub.add_parser("trace", help="winding convergence trace")
     pt.add_argument("matrix_file")
     pt.set_defaults(func=cmd_trace)
+
+    for parser in (pe, pv, pt):
+        parser.add_argument("--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max)
+        parser.add_argument("--dt", type=float, default=MaslovLimitConfig.dt)
+    for parser in (pd, pv, pt):
+        parser.add_argument("--out", help="output path")
     return p
 
 
@@ -337,7 +332,8 @@ def main(argv=None) -> int:
     except (NonSemisimpleError, ClassificationError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_SEMISIMPLE
-    except (ValueError, MaslovLimitError) as exc:
+    except (ValueError, MaslovLimitError, OSError) as exc:
+        # reads raise MatrixParseError, so an OSError comes from writing the output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -33,6 +33,10 @@ from .williamson import random_semisimple, yz_decomposition
 TRAIN_FRACTION = 0.7
 SAMPLES_PER_UNKNOWN = 10
 CONE_MARGIN = 0.1  # reject |omega(xi,eta)| below this fraction of |xi||eta|
+QLIN_BAR_MULTIPLIER = 3.0  # error-bar multiples a quasi-linearity defect may use
+ADINV_BAR_MULTIPLIER = 2.0  # the same for an ad-invariance defect
+GLEASON_TEST_SAMPLES = 40  # held-out elements for the unitary trace-form fit
+STAGE3_SAMPLES = 40  # semi-simple elements in stage 3 of the main-theorem fit
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,11 @@ def check_quasi_linearity(
     trials: int,
     tol: float,
     seed: int,
-    bar_multiplier: float = 3.0,
     base: Optional[SpElement] = None,
 ) -> VerificationReport:
     """Draw certified commuting pairs and random scalars in [-2, 2]; the
     defect |zeta(c1 A + c2 B) - c1 zeta(A) - c2 zeta(B)| must stay within
-    bar_multiplier times the summed per-evaluation error bars, plus tol.
+    QLIN_BAR_MULTIPLIER times the summed per-evaluation error bars, plus tol.
 
     `base` pins the odd-polynomial strategy to one element (useful for states
     supported on a particular abelian subspace)."""
@@ -123,7 +126,7 @@ def check_quasi_linearity(
         vb, eb = zeta.with_error(pair.b)
         vc, ec = zeta.with_error(combo)
         defect = abs(vc - c1 * va - c2 * vb)
-        allowance = bar_multiplier * (abs(c1) * ea + abs(c2) * eb + ec)
+        allowance = QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec)
         excess = defect - allowance
         max_excess = max(max_excess, excess)
         records.append(
@@ -142,7 +145,7 @@ def check_quasi_linearity(
         max_excess,
         tol,
         seed,
-        {"bar_multiplier": bar_multiplier, "n": space.n},
+        {"bar_multiplier": QLIN_BAR_MULTIPLIER, "n": space.n},
         records,
     )
 
@@ -153,10 +156,9 @@ def check_ad_invariance(
     trials: int,
     tol: float,
     seed: int,
-    bar_multiplier: float = 2.0,
 ) -> VerificationReport:
     """|zeta(g A g^{-1}) - zeta(A)| over random symplectic g and random A,
-    within bar_multiplier summed error bars plus tol."""
+    within ADINV_BAR_MULTIPLIER summed error bars plus tol."""
     rng = rng_from(seed)
     records = []
     max_excess = -np.inf
@@ -167,7 +169,7 @@ def check_ad_invariance(
         va, ea = zeta.with_error(A)
         vc, ec = zeta.with_error(conj)
         defect = abs(vc - va)
-        allowance = bar_multiplier * (ea + ec)
+        allowance = ADINV_BAR_MULTIPLIER * (ea + ec)
         max_excess = max(max_excess, defect - allowance)
         records.append({"trial": t, "defect": defect, "allowance": allowance})
     return _report(
@@ -176,7 +178,7 @@ def check_ad_invariance(
         max_excess,
         tol,
         seed,
-        {"bar_multiplier": bar_multiplier, "n": space.n},
+        {"bar_multiplier": ADINV_BAR_MULTIPLIER, "n": space.n},
         records,
     )
 
@@ -226,7 +228,6 @@ def fit_gleason_on_unitary(
     J: CompatibleComplexStructure,
     tol: float,
     seed: int = 0,
-    n_test: int = 40,
     oracle: Optional[Callable[[SpElement], float]] = None,
 ) -> VerificationReport:
     """Fit zeta restricted to the unitary subalgebra by a trace form tr(H .)
@@ -249,7 +250,7 @@ def fit_gleason_on_unitary(
     errs = []
     oracle_dev = 0.0
     records = []
-    for t in range(n_test):
+    for t in range(GLEASON_TEST_SAMPLES):
         coef = rng.standard_normal(len(basis))
         A = SpElement(space, sum(c * b.mat for c, b in zip(coef, basis)))
         actual = zeta(A)
@@ -266,7 +267,7 @@ def fit_gleason_on_unitary(
     if oracle is not None:
         params["oracle_max_dev"] = oracle_dev
     return _report(
-        f"gleason-fit[{zeta.provenance}]", n_test, residual, tol, seed, params, records
+        f"gleason-fit[{zeta.provenance}]", len(records), residual, tol, seed, params, records
     )
 
 
@@ -277,25 +278,34 @@ class GlEmbedding:
     the first one."""
 
     space: SymplecticSpace
-    L1: np.ndarray  # 2n x n frame columns
-    L2: np.ndarray
     g: np.ndarray = field(repr=False)
     bracket_defect: float = 0.0
 
+    @property
+    def L1(self) -> np.ndarray:
+        """First frame: the first n columns of g (2n x n)."""
+        return self.g[:, : self.space.n]
+
+    @property
+    def L2(self) -> np.ndarray:
+        """Second frame: the last n columns of g."""
+        return self.g[:, self.space.n :]
+
     def inject(self, M: np.ndarray) -> SpElement:
-        n = self.space.n
-        M = np.asarray(M, dtype=float)
-        if M.shape != (n, n):
-            raise ValueError(f"expected an {n} x {n} matrix")
-        block = np.zeros((2 * n, 2 * n))
-        block[:n, :n] = M
-        block[n:, n:] = -M.T
-        mat = self.g @ block @ omega_adjoint(self.g)
-        return project_skew_symplectic(self.space, mat)
+        return _gl_inject(self.space, self.g, M)
 
     def rank_one(self, xi: np.ndarray, eta: np.ndarray) -> SpElement:
         """Injection of the rank-one map x -> (x, eta) xi."""
         return self.inject(np.outer(xi, eta))
+
+
+def _gl_inject(space: SymplecticSpace, g: np.ndarray, M: np.ndarray) -> SpElement:
+    n = space.n
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise ValueError(f"expected an {n} x {n} matrix")
+    Z = np.zeros((n, n))
+    return project_skew_symplectic(space, g @ np.block([[M, Z], [Z, -M.T]]) @ omega_adjoint(g))
 
 
 def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
@@ -307,17 +317,16 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
     g = random_symplectic_group_element(space, 0.5, rng)
     if np.linalg.cond(g) > 1e6:
         raise RuntimeError("transversality failure; re-draw with another seed")
-    emb = GlEmbedding(space=space, L1=g[:, :n].copy(), L2=g[:, n:].copy(), g=g)
     defect = 0.0
     for _ in range(20):
         M1 = rng.standard_normal((n, n))
         M2 = rng.standard_normal((n, n))
-        lhs = emb.inject(M1 @ M2 - M2 @ M1).mat
-        a, b = emb.inject(M1).mat, emb.inject(M2).mat
+        lhs = _gl_inject(space, g, M1 @ M2 - M2 @ M1).mat
+        a, b = _gl_inject(space, g, M1).mat, _gl_inject(space, g, M2).mat
         defect = max(defect, float(np.abs(lhs - (a @ b - b @ a)).max()))
     if defect > 1e-9 * (1.0 + np.linalg.cond(g) ** 2):
         raise RuntimeError(f"bracket preservation defect {defect:.3e}")
-    return GlEmbedding(space=space, L1=emb.L1, L2=emb.L2, g=g, bracket_defect=defect)
+    return GlEmbedding(space=space, g=g, bracket_defect=defect)
 
 
 def fit_rank_one_trace(
@@ -408,7 +417,6 @@ def fit_main_theorem(
     space: SymplecticSpace,
     tol: float,
     seed: int = 0,
-    stage3_samples: int = 40,
 ) -> VerificationReport:
     """Three-stage decomposition fit.
 
@@ -453,7 +461,7 @@ def fit_main_theorem(
 
     errs3 = []
     yz_dev = 0.0
-    for _ in range(stage3_samples):
+    for _ in range(STAGE3_SAMPLES):
         B, _ = random_semisimple(space, rng)
         via_terms = sum(coef * zeta(realize(d)) for coef, d in yz_decomposition(B))
         direct = zeta(B)
@@ -476,7 +484,7 @@ def fit_main_theorem(
         params["caveat"] = caveat
     return _report(
         f"main-theorem[{zeta.provenance}]",
-        m + m2 + stage3_samples,
+        m + m2 + STAGE3_SAMPLES,
         worst,
         tol,
         seed,

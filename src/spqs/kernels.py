@@ -13,6 +13,7 @@ from .symplectic import SymplecticSpace
 
 POLAR_COND_MAX = 1e12     # refuse polar factorization beyond this condition number
 ORTHO_TOL = 1e-8
+EXPM_TOL = 1e-10          # relative residual allowed between exp(A) and exp(A/2)^2
 LIFT_MARGIN = 1e-6        # consecutive lifted angles must differ by < pi - margin
 
 
@@ -24,14 +25,9 @@ class IllConditionedError(RuntimeError):
     """Input too close to singular for the requested factorization."""
 
 
-def expm(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring, fixed-order rational kernel),
     with the result cross-checked against a step-halved recomputation.
-
-    Parameters
-    ----------
-    A : square matrix
-    tol : relative residual allowed between exp(A) and exp(A/2)^2.
 
     The halving residual is a cheap a-posteriori accuracy certificate; its
     failure signals an overflow-grade norm rather than being clamped silently.
@@ -39,16 +35,14 @@ def expm(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got {A.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     E = scipy.linalg.expm(A)
     H = scipy.linalg.expm(0.5 * A)
     if not np.all(np.isfinite(E)) or not np.all(np.isfinite(H)):
         raise OverflowError("matrix exponential overflowed; rescale the input")
     resid = np.linalg.norm(H @ H - E) / max(1.0, np.linalg.norm(E))
-    if resid > tol:
+    if resid > EXPM_TOL:
         raise ArithmeticError(
-            f"exponential residual {resid:.3e} exceeds tol={tol:.1e} "
+            f"exponential residual {resid:.3e} exceeds tol={EXPM_TOL:.1e} "
             f"(norm {np.linalg.norm(A):.3e} too extreme)"
         )
     return E
@@ -98,7 +92,7 @@ def complex_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Zc, Za
 
 
-def complexify_orthosymplectic(U: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
+def complexify_orthosymplectic(U: np.ndarray) -> np.ndarray:
     """Identify an orthogonal symplectic matrix with a unitary n x n matrix.
 
     U must commute with the standard complex structure (equivalently: be
@@ -110,10 +104,10 @@ def complexify_orthosymplectic(U: np.ndarray, tol: float = ORTHO_TOL) -> np.ndar
     if U.shape != (d, d) or d % 2:
         raise ValueError("expected a square even-dimensional matrix")
     scale = max(1.0, np.abs(U).max())
-    if np.abs(U.T @ U - np.eye(d)).max() > tol * scale:
+    if np.abs(U.T @ U - np.eye(d)).max() > ORTHO_TOL * scale:
         raise ValueError("input is not orthogonal within tolerance")
     Zc, Za = complex_blocks(U)
-    if np.abs(Za).max() > tol * scale:
+    if np.abs(Za).max() > ORTHO_TOL * scale:
         raise ValueError(
             "input does not commute with the standard complex structure "
             f"(anti-linear defect {np.abs(Za).max():.3e})"
@@ -121,12 +115,12 @@ def complexify_orthosymplectic(U: np.ndarray, tol: float = ORTHO_TOL) -> np.ndar
     return Zc
 
 
-def det_complex(Uc: np.ndarray, tol: float = ORTHO_TOL) -> complex:
+def det_complex(Uc: np.ndarray) -> complex:
     """Determinant of a (near-)unitary complex matrix; |det| is checked to be
     within tolerance of 1."""
     Uc = np.asarray(Uc, dtype=complex)
     det = complex(np.linalg.det(Uc))
-    if abs(abs(det) - 1.0) > tol * 10:
+    if abs(abs(det) - 1.0) > ORTHO_TOL * 10:
         raise ValueError(f"|det| = {abs(det):.6f} is not 1; input not unitary")
     return det
 

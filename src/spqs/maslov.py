@@ -15,6 +15,7 @@ from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
 from .williamson import SpectrumReport, classify_eigenstructure, krein_parameters
 
 GAP_REFINE = 0.5 * np.pi  # halve the step when a per-step phase gap exceeds this
+MAX_REFINEMENTS = 6  # halvings of dt before the sweep gives up
 METHODS = ("auto", "limit", "spectral")
 
 
@@ -32,13 +33,10 @@ class MaslovLimitConfig:
 
     t_max: float = 2000.0
     dt: float = 0.05
-    max_refinements: int = 6
 
     def __post_init__(self):
         if not 0 < self.dt <= self.t_max < np.inf:
             raise ValueError("need 0 < dt <= t_max < inf")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,14 +103,12 @@ def _refined_path(Bs: np.ndarray, cfg: MaslovLimitConfig | None) -> tuple[np.nda
     GAP_REFINE; returns (theta array (m, steps+1), the dt that succeeded)."""
     cfg = cfg or MaslovLimitConfig()
     dt = cfg.dt
-    for _ in range(cfg.max_refinements + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
         theta, gap = _phase_path(Bs, cfg.t_max, dt)
         if gap < GAP_REFINE:
             return theta, dt
         dt *= 0.5
-    raise MaslovLimitError(
-        f"phase gaps still {gap:.3f} after {cfg.max_refinements} refinements"
-    )
+    raise MaslovLimitError(f"phase gaps still {gap:.3f} after {MAX_REFINEMENTS} refinements")
 
 
 def maslov_limit_batch(

@@ -29,7 +29,7 @@ def read_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     if not lines or not lines[0].startswith("dim "):
         raise MatrixParseError("missing 'dim 2n' header line")
@@ -56,7 +56,10 @@ def read_matrix(path: str) -> np.ndarray:
 def atomic_write(path: str, text: str) -> None:
     """Write-temp-then-rename so partially written files never appear."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,6 +14,7 @@ from .symplectic import SpElement, SymplecticSpace, rng_from, skew_defect
 
 MEMBERSHIP_RTOL = 1e-8    # relative residual for odd-power subspace membership
 GRAM_COND_MAX = 1e12
+ODDNESS_SAMPLES = 32      # seeded antipodal pairs checked by dim2_homogeneous_qs
 
 
 @dataclass(frozen=True)
@@ -90,19 +91,17 @@ def maslov_qs(cfg: MaslovLimitConfig | None = None, method: str = "auto") -> Qua
 def dim2_homogeneous_qs(
     f: Callable[[np.ndarray], float],
     space: SymplecticSpace,
-    oddness_samples: int = 32,
-    seed: int = 0,
 ) -> QuasiState:
     """Degree-1 homogeneous extension zeta(A) = |A| f(A/|A|) on sp(2, R).
 
     Any odd function on the unit sphere works because commuting elements of
-    sp(2, R) are proportional.  Oddness is checked on sampled antipodal pairs
-    (Frobenius norm used throughout).
+    sp(2, R) are proportional.  Oddness is checked on ODDNESS_SAMPLES seeded
+    antipodal pairs (Frobenius norm used throughout).
     """
     if space.n != 1:
         raise ValueError("the homogeneous family lives on sp(2, R) only")
-    rng = rng_from(seed)
-    for _ in range(oddness_samples):
+    rng = rng_from(0)
+    for _ in range(ODDNESS_SAMPLES):
         a, b, c = rng.standard_normal(3)
         A = np.array([[a, b], [c, -a]])
         U = A / np.linalg.norm(A)

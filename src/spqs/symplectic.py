@@ -314,7 +314,6 @@ def commuting_pair(
     space: SymplecticSpace,
     strategy: CommutingStrategy | str,
     seed: SeedLike,
-    scale: float = 1.0,
     base: "SpElement | None" = None,
 ) -> CommutingPair:
     """Draw a certified commuting pair.
@@ -332,7 +331,7 @@ def commuting_pair(
     n = space.n
 
     if strategy is CommutingStrategy.ODD_POLYNOMIAL:
-        A = base if base is not None else random_sp_element(space, scale * 0.5, rng)
+        A = base if base is not None else random_sp_element(space, 0.5, rng)
         deg = max(1, min(n, 3))
         ca = rng.uniform(-1.0, 1.0, deg)
         cb = rng.uniform(-1.0, 1.0, deg)
@@ -342,8 +341,8 @@ def commuting_pair(
         pb = project_skew_symplectic(space, Mb)
     else:
         kinds = rng.integers(0, 2, size=n)  # 0 -> Z, 1 -> Y per plane
-        ca = rng.uniform(-scale, scale, n) * (rng.random(n) < 0.8)
-        cb = rng.uniform(-scale, scale, n) * (rng.random(n) < 0.8)
+        ca = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
+        cb = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
         Da = np.zeros((space.dim, space.dim))
         Db = np.zeros((space.dim, space.dim))
         for k in range(n):

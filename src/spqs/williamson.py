@@ -27,6 +27,8 @@ CLUSTER_TOL = 1e-7        # eigenvalues closer than this (relative) share a bloc
 FRAME_SYMPLECTIC_TOL = 1e-8
 ROUNDTRIP_TOL = 1e-6
 COMMUTE_TOL = 1e-8
+SEMISIMPLE_PARAM_RANGE = (0.3, 2.0)  # block parameters drawn by random_semisimple
+SEMISIMPLE_FRAME_SCALE = 0.4         # scale of its random symplectic frame
 
 
 class NonSemisimpleError(RuntimeError):
@@ -486,17 +488,15 @@ def yz_decomposition(
 def random_semisimple(
     space: SymplecticSpace,
     seed,
-    scale: float = 0.4,
-    param_range: tuple[float, float] = (0.3, 2.0),
     kinds: tuple = ("real", "imag", "quad"),
 ) -> tuple[SpElement, list[WilliamsonBlock]]:
     """Random semi-simple element with known block content: draw typed blocks
-    with parameters in param_range, then conjugate by a random symplectic
-    matrix.  Returns the element and its generating blocks (canonical truth
-    for round-trip tests)."""
+    with parameters in SEMISIMPLE_PARAM_RANGE, then conjugate by a random
+    symplectic matrix of scale SEMISIMPLE_FRAME_SCALE.  Returns the element
+    and its generating blocks (canonical truth for round-trip tests)."""
     rng = rng_from(seed)
     n = space.n
-    lo, hi = param_range
+    lo, hi = SEMISIMPLE_PARAM_RANGE
     blocks = []
     plane = 0
     while plane < n:
@@ -514,6 +514,6 @@ def random_semisimple(
             blocks.append(WilliamsonBlock("real", float(a), 0.0, (plane,)))
             plane += 1
     D = WilliamsonDecomposition(space, np.eye(2 * n), tuple(blocks)).assemble()
-    g = random_symplectic_group_element(space, scale, rng)
+    g = random_symplectic_group_element(space, SEMISIMPLE_FRAME_SCALE, rng)
     M = g @ D @ omega_adjoint(g)
     return project_skew_symplectic(space, M), blocks

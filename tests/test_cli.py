@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spqs.cli import main
+from spqs.cli import build_parser, main
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
 from spqs.quasistates import maslov_qs
 from spqs.symplectic import SymplecticSpace
@@ -49,6 +49,15 @@ class TestMatrixIO:
         p.write_text("dim 2\n0 1\n")
         with pytest.raises(MatrixParseError):
             read_matrix(str(p))
+
+    def test_non_utf8_is_a_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "latin.txt"
+        p.write_bytes(b"dim 2\n0 \xff\n1 0\n")
+        with pytest.raises(MatrixParseError, match="cannot read"):
+            read_matrix(str(p))
+        code, _, err = run_cli(["eval", str(p)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestEval:
@@ -140,6 +149,19 @@ class TestEval:
             assert err.startswith("error:"), argv
             assert "value:" not in out
 
+    def test_unwritable_output_exits_4(self, rotation_file, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        for argv in (
+            ["decompose", rotation_file, "--out", str(missing)],
+            ["verify", "--suite", "isotropic", "--trials", "2",
+             "--out", str(missing / "r.txt")],
+            ["trace", rotation_file, "--t-max", "1", "--out", str(missing / "t.csv")],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 4, argv
+            assert err.startswith("error: cannot write"), argv
+        assert not missing.exists()
+
 
 def _count_classifications(monkeypatch, replacement=None):
     """Rebind classify_eigenstructure in every spqs module that binds it;
@@ -157,6 +179,38 @@ def _count_classifications(monkeypatch, replacement=None):
         if name.startswith("spqs") and getattr(mod, "classify_eigenstructure", None) is original:
             monkeypatch.setattr(mod, "classify_eigenstructure", counting)
     return calls
+
+
+class TestSubcommandOptions:
+    # every option of the CLI; a value a reader would reject (inf, 0, nan)
+    # must still be a usage error where the option is foreign.  None marks a flag
+    OPTIONS = {
+        "--method": "auto", "--n": "0", "--seed": "0", "--t-max": "inf",
+        "--dt": "0.05", "--tol": "nan", "--trials": "5", "--out": "o",
+        "--format": "comma-separated", "--negative-control": None,
+    }
+    READS = {
+        "eval": {"--method", "--t-max", "--dt"},
+        "decompose": {"--out"},
+        "verify": set(OPTIONS) - {"--method"},
+        "trace": {"--t-max", "--dt", "--out"},
+    }
+
+    def test_only_read_options_are_accepted(self, rotation_file, capsys):
+        parser = build_parser()
+        for command, reads in self.READS.items():
+            head = [command, rotation_file]
+            if command == "verify":
+                head = [command, "--suite", "isotropic"]
+            for option, value in self.OPTIONS.items():
+                argv = head + [option] + ([] if value is None else [value])
+                if option in reads:
+                    parser.parse_args(argv)
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2, argv
+                assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAutoDispatch:
