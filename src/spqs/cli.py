@@ -111,13 +111,7 @@ def cmd_decompose(args) -> int:
     write_matrix(frame_path, dec.S)
     print(f"planes: {n}")
     for blk in dec.blocks:
-        if blk.kind == "real":
-            desc = f"real_pair a={blk.a!r}"
-        elif blk.kind == "imag":
-            desc = f"imag_pair b={blk.b!r}"
-        else:
-            desc = f"quadruple a={blk.a!r} b={blk.b!r}"
-        print(f"block: {desc} planes={list(blk.planes)}")
+        print(f"block: {blk.label} planes={list(blk.planes)}")
     print(f"frame_file: {frame_path}")
     print(f"roundtrip_residual: {resid!r}")
     return EXIT_OK

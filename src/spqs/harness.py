@@ -75,6 +75,17 @@ def _report(name, trials, max_defect, tol, seed, params=None, records=()):
     )
 
 
+def _trial_check(name, trials, tol, seed, params, trial: Callable[[], dict]):
+    """Report over `trials` records {"trial": t, **trial()}: each record has a
+    raw "defect" and may carry an "allowance" (the error-bar multiple it may
+    use); max_defect is the largest defect minus allowance."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    records = [{"trial": t, **trial()} for t in range(trials)]
+    worst = max(r["defect"] - r.get("allowance", 0.0) for r in records)
+    return _report(name, trials, worst, tol, seed, params, records)
+
+
 def _held_out_fit(design: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Least squares on the first TRAIN_FRACTION of the rows: (solution,
     training row count, RMS residual on the held-out rows)."""
@@ -113,40 +124,30 @@ def check_quasi_linearity(
 
     `base` pins the odd-polynomial strategy to one element (useful for states
     supported on a particular abelian subspace)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     rng = rng_from(seed)
-    records = []
-    max_excess = -np.inf
-    for t in range(trials):
+
+    def trial():
         pair = commuting_pair(space, strategy, rng, base=base)
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
         combo = c1 * pair.a + c2 * pair.b
         va, ea = zeta.with_error(pair.a)
         vb, eb = zeta.with_error(pair.b)
         vc, ec = zeta.with_error(combo)
-        defect = abs(vc - c1 * va - c2 * vb)
-        allowance = QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec)
-        excess = defect - allowance
-        max_excess = max(max_excess, excess)
-        records.append(
-            {
-                "trial": t,
-                "defect": defect,
-                "allowance": allowance,
-                "c1": c1,
-                "c2": c2,
-                "commutator_norm": pair.commutator_norm,
-            }
-        )
-    return _report(
+        return {
+            "defect": abs(vc - c1 * va - c2 * vb),
+            "allowance": QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec),
+            "c1": c1,
+            "c2": c2,
+            "commutator_norm": pair.commutator_norm,
+        }
+
+    return _trial_check(
         f"quasi-linearity[{zeta.provenance}/{CommutingStrategy(strategy).value}]",
         trials,
-        max_excess,
         tol,
         seed,
         {"bar_multiplier": QLIN_BAR_MULTIPLIER, "n": space.n},
-        records,
+        trial,
     )
 
 
@@ -160,26 +161,22 @@ def check_ad_invariance(
     """|zeta(g A g^{-1}) - zeta(A)| over random symplectic g and random A,
     within ADINV_BAR_MULTIPLIER summed error bars plus tol."""
     rng = rng_from(seed)
-    records = []
-    max_excess = -np.inf
-    for t in range(trials):
+
+    def trial():
         A = random_sp_element(space, 1.0, rng)
         g = random_symplectic_group_element(space, 0.6, rng)
         conj = project_skew_symplectic(space, g @ A.mat @ omega_adjoint(g))
         va, ea = zeta.with_error(A)
         vc, ec = zeta.with_error(conj)
-        defect = abs(vc - va)
-        allowance = ADINV_BAR_MULTIPLIER * (ea + ec)
-        max_excess = max(max_excess, defect - allowance)
-        records.append({"trial": t, "defect": defect, "allowance": allowance})
-    return _report(
+        return {"defect": abs(vc - va), "allowance": ADINV_BAR_MULTIPLIER * (ea + ec)}
+
+    return _trial_check(
         f"ad-invariance[{zeta.provenance}]",
         trials,
-        max_excess,
         tol,
         seed,
         {"bar_multiplier": ADINV_BAR_MULTIPLIER, "n": space.n},
-        records,
+        trial,
     )
 
 
@@ -393,15 +390,13 @@ def check_isotropic_linearity(
     if space.n < 2:
         raise ValueError("need n >= 2 for non-trivial isotropic pairs")
     rng = rng_from(seed)
-    records = []
-    max_defect = 0.0
-    for t in range(trials):
+
+    def trial():
         eta1, eta2 = isotropic_pair(space, rng)
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
-        defect = abs(phi(c1 * eta1 + c2 * eta2) - c1 * phi(eta1) - c2 * phi(eta2))
-        max_defect = max(max_defect, defect)
-        records.append({"trial": t, "defect": defect})
-    return _report("isotropic-linearity", trials, max_defect, tol, seed, None, records)
+        return {"defect": abs(phi(c1 * eta1 + c2 * eta2) - c1 * phi(eta1) - c2 * phi(eta2))}
+
+    return _trial_check("isotropic-linearity", trials, tol, seed, None, trial)
 
 
 def _cone_sample(space, rng):

@@ -54,17 +54,18 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write-temp-then-rename so partially written files never appear."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Write-temp-then-rename so partially written files never appear; a
+    failure is reported against `path`, never the temporary file."""
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)) or ".", prefix=".tmp-", text=True
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise

@@ -140,13 +140,26 @@ def nilpotent_jordan_sp(space: SymplecticSpace) -> SpElement:
     if skew_defect(A) > 1e-12:
         raise AssertionError("nilpotent constructor left the algebra")
     el = SpElement(space, A)
-    P = np.eye(d)
-    for k in range(1, d + 1):
-        P = P @ A
-        rank = int(np.sum(np.linalg.svd(P, compute_uv=False) > 1e-10))
-        if rank != d - k:
-            raise AssertionError(f"rank(A^{k}) = {rank}, expected {d - k}")
+    _single_block_odd_powers(el)
     return el
+
+
+def _single_block_odd_powers(A: SpElement) -> list[np.ndarray]:
+    """A, A^3, ..., A^{2n-1}, once A is checked to be one nilpotent Jordan
+    block: A^{2n} = 0 and A^{2n-1} has rank one."""
+    n = A.space.n
+    P = np.eye(A.space.dim)
+    odd = []
+    for k in range(1, 2 * n + 1):
+        P = P @ A.mat
+        if k % 2:
+            odd.append(P)
+    if np.abs(P).max() > 1e-8 * max(1.0, np.linalg.norm(A.mat) ** (2 * n)):
+        raise ValueError("A^(2n) != 0: not a nilpotent single block")
+    sv = np.linalg.svd(odd[-1], compute_uv=False)
+    if not (sv[0] > 1e-10 and (len(sv) < 2 or sv[1] <= 1e-8 * sv[0])):
+        raise ValueError("A^(2n-1) is not rank one: not a single Jordan block")
+    return odd
 
 
 @dataclass(frozen=True)
@@ -162,8 +175,7 @@ class DiscontinuousQS:
 
     A: SpElement
     c: float
-    powers: np.ndarray = field(repr=False)       # (n, d*d) stacked vec(A^{2i-1})
-    extract_row: np.ndarray = field(repr=False)  # first row of the pseudo-inverse
+    powers: np.ndarray = field(repr=False)  # (n, d*d) stacked vec(A^{2i-1})
     bound_constant: float
 
     def coefficients(self, x: SpElement) -> tuple[np.ndarray, float]:
@@ -190,33 +202,15 @@ def discontinuous_qs(A: SpElement, c: float) -> QuasiState:
     The power basis A, A^3, ..., A^{2n-1} must be well-conditioned (Gram
     condition below 1e12), otherwise the element is rejected.
     """
-    space = A.space
-    n = space.n
-    d = space.dim
-    # verify the Jordan-block profile of the provided A
-    P = np.eye(d)
-    mats = []
-    for k in range(1, d + 1):
-        P = P @ A.mat
-        if k % 2 == 1 and k <= 2 * n - 1:
-            mats.append(P.copy())
-    if np.abs(P).max() > 1e-8 * max(1.0, np.linalg.norm(A.mat) ** (2 * n)):
-        raise ValueError("A^(2n) != 0: not a nilpotent single block")
-    sv = np.linalg.svd(mats[-1], compute_uv=False)
-    if not (sv[0] > 1e-10 and (len(sv) < 2 or sv[1] <= 1e-8 * sv[0])):
-        raise ValueError("A^(2n-1) is not rank one: not a single Jordan block")
-
-    powers = np.stack([M.reshape(-1) for M in mats])
+    powers = np.stack([M.reshape(-1) for M in _single_block_odd_powers(A)])
     gram = powers @ powers.T
     cond = np.linalg.cond(gram)
     if cond > GRAM_COND_MAX:
         raise ValueError(f"odd-power Gram condition {cond:.3e} exceeds {GRAM_COND_MAX:.1e}")
-    pinv = np.linalg.pinv(powers.T)
-    extract_row = pinv[0]
-    bound = abs(c) * float(np.linalg.norm(extract_row))
+    # alpha reads the first row of the pseudo-inverse
+    bound = abs(c) * float(np.linalg.norm(np.linalg.pinv(powers.T)[0]))
 
-    dq = DiscontinuousQS(A=A, c=float(c), powers=powers,
-                         extract_row=extract_row, bound_constant=bound)
+    dq = DiscontinuousQS(A=A, c=float(c), powers=powers, bound_constant=bound)
     return QuasiState(
         evaluate=dq.evaluate,
         eval_tolerance=1e-9,

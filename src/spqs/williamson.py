@@ -4,6 +4,7 @@ commuting Y/Z representation."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ ROUNDTRIP_TOL = 1e-6
 COMMUTE_TOL = 1e-8
 SEMISIMPLE_PARAM_RANGE = (0.3, 2.0)  # block parameters drawn by random_semisimple
 SEMISIMPLE_FRAME_SCALE = 0.4         # scale of its random symplectic frame
+BLOCK_KINDS = ("real", "imag", "quad")  # normal-form block kinds, in block order
 
 
 class NonSemisimpleError(RuntimeError):
@@ -73,26 +75,41 @@ class SpectrumReport:
     _vectors: np.ndarray = field(repr=False, default=None)
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of `values` grouped by proximity (1-d single-linkage)."""
-    if len(values) == 0:
+def _cluster(keys: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Indices of the real or complex `keys` grouped by single linkage along
+    their (real, imag) lexicographic order."""
+    if len(keys) == 0:
         return []
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= tol:
+    groups = []
+    order = np.lexsort((keys.imag, keys.real))
+    for k, idx in enumerate(order):
+        if k and abs(keys[idx] - keys[order[k - 1]]) <= tol:
             groups[-1].append(idx)
         else:
             groups.append([idx])
     return [np.asarray(g) for g in groups]
 
 
+def _match_clusters(keys_a, idx_a, keys_b, idx_b, tol: float, what: str):
+    """Pair the clusters of keys_a with those of keys_b in lexicographic order:
+    one (idx_a entries, idx_b entries) per cluster.  The cluster sizes must
+    match and the paired keys agree within 10 tol."""
+    keys_a, keys_b = np.asarray(keys_a), np.asarray(keys_b)
+    ca, cb = _cluster(keys_a, tol), _cluster(keys_b, tol)
+    if len(ca) != len(cb) or any(len(x) != len(y) for x, y in zip(ca, cb)):
+        raise ClassificationError(f"unmatched {what} eigenvalue clusters")
+    if any(np.abs(keys_a[x] - keys_b[y]).max() > 10 * tol for x, y in zip(ca, cb)):
+        raise ClassificationError(f"{what} eigenvalues do not pair up")
+    return [(np.asarray(idx_a)[x], np.asarray(idx_b)[y]) for x, y in zip(ca, cb)]
+
+
 def classify_eigenstructure(B: SpElement) -> SpectrumReport:
     """Group the spectrum into real pairs, imaginary pairs, quadruples and
-    zeros; flag semi-simplicity via the eigenvector condition number."""
-    M = B.mat
-    space = B.space
-    lam, V = np.linalg.eig(M)
+    zeros; flag semi-simplicity via the eigenvector condition number.
+
+    A non-semi-simple input is not grouped (its pair tuples are empty): no
+    decomposition accepts it, and its clusters need not pair up."""
+    lam, V = np.linalg.eig(B.mat)
     scale = max(1.0, float(np.abs(lam).max()))
     ztol = AXIS_BAND * (1.0 + scale)
     ctol = CLUSTER_TOL * (1.0 + scale)
@@ -101,7 +118,7 @@ def classify_eigenstructure(B: SpElement) -> SpectrumReport:
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     semi_simple = bool(cond <= EIGVEC_COND_MAX)
 
-    zero_idx, real_pos, real_neg, imag_pos, quad = [], [], [], [], []
+    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner = [], [], [], [], [], []
     for i, z in enumerate(lam):
         band = AXIS_BAND * (1.0 + abs(z))
         on_real = abs(z.imag) <= band
@@ -117,68 +134,30 @@ def classify_eigenstructure(B: SpElement) -> SpectrumReport:
         elif on_imag:
             if z.imag > 0:
                 imag_pos.append(i)
-        else:
-            if z.real < 0 and z.imag > 0:
-                quad.append(i)
+        elif z.imag > 0:
+            (quad if z.real < 0 else quad_partner).append(i)
+    if not semi_simple:
+        return SpectrumReport(B.space, lam, (), (), (), len(zero_idx), False, cond)
 
     groups = []
-
-    def _match_clusters(keys_a, idx_a, keys_b, idx_b, what):
-        ca = _cluster(keys_a, ctol)
-        cb = _cluster(keys_b, ctol)
-        if len(ca) != len(cb) or any(len(x) != len(y) for x, y in zip(ca, cb)):
-            raise ClassificationError(f"unmatched {what} eigenvalue clusters")
-        return [
-            (np.asarray(idx_a)[x], np.asarray(idx_b)[y]) for x, y in zip(ca, cb)
-        ]
-
     if real_pos or real_neg:
         for pos, neg in _match_clusters(
-            np.array([lam[i].real for i in real_pos]),
-            real_pos,
-            np.array([-lam[i].real for i in real_neg]),
-            real_neg,
-            "real-pair",
+            lam[real_pos].real, real_pos, -lam[real_neg].real, real_neg, ctol, "real-pair"
         ):
             a = float(np.mean(lam[pos].real))
             groups.append(_EigGroup("real", tuple(pos), tuple(neg), a, 0.0))
-
-    for cl in _cluster(np.array([lam[i].imag for i in imag_pos]), ctol):
-        idx = tuple(np.asarray(imag_pos)[cl])
-        b = float(np.mean(lam[list(idx)].imag))
-        groups.append(_EigGroup("imag", idx, (), 0.0, b))
-
-    if quad:
-        # pair lambda = -a+ib with +a+ib among the remaining eigenvalues
-        partner_pool = [
-            i
-            for i, z in enumerate(lam)
-            if z.real > AXIS_BAND * (1 + abs(z)) and z.imag > AXIS_BAND * (1 + abs(z))
-        ]
-        keys = np.array([complex(-lam[i].real, lam[i].imag) for i in quad])
-        pkeys = np.array([lam[i] for i in partner_pool])
-        order_q = np.lexsort((keys.imag, keys.real))
-        order_p = np.lexsort((pkeys.imag, pkeys.real))
-        if len(order_q) != len(order_p):
-            raise ClassificationError("unmatched quadruple eigenvalues")
-        qs = np.asarray(quad)[order_q]
-        ps = np.asarray(partner_pool)[order_p]
-        if np.abs(keys[order_q] - pkeys[order_p]).max(initial=0.0) > 10 * ctol:
-            raise ClassificationError("quadruple eigenvalues do not pair up")
-        i = 0
-        while i < len(qs):
-            j = i + 1
-            while j < len(qs) and abs(keys[order_q][j] - keys[order_q][i]) <= ctol:
-                j += 1
-            grp = qs[i:j]
-            par = ps[i:j]
-            a = float(np.mean(-lam[grp].real))
-            b = float(np.mean(lam[grp].imag))
+    for cl in _cluster(lam[imag_pos].imag, ctol):
+        idx = np.asarray(imag_pos)[cl]
+        groups.append(_EigGroup("imag", tuple(idx), (), 0.0, float(np.mean(lam[idx].imag))))
+    if quad or quad_partner:  # pair lambda = -a+ib with +a+ib
+        for grp, par in _match_clusters(
+            -lam[quad].conj(), quad, lam[quad_partner], quad_partner, ctol, "quadruple"
+        ):
+            a, b = float(np.mean(-lam[grp].real)), float(np.mean(lam[grp].imag))
             groups.append(_EigGroup("quad", tuple(grp), tuple(par), a, b))
-            i = j
 
     return SpectrumReport(
-        space=space,
+        space=B.space,
         eigenvalues=lam,
         real_pairs=tuple((g.a, len(g.indices)) for g in groups if g.kind == "real"),
         imag_pairs=tuple((g.b, len(g.indices)) for g in groups if g.kind == "imag"),
@@ -235,6 +214,47 @@ class WilliamsonBlock:
     b: float
     planes: tuple
 
+    @property
+    def label(self) -> str:
+        """The block's name and parameters, as `spqs decompose` prints them."""
+        if self.kind == "real":
+            return f"real_pair a={self.a!r}"
+        if self.kind == "imag":
+            return f"imag_pair b={self.b!r}"
+        return f"quadruple a={self.a!r} b={self.b!r}"
+
+    def matrix(self) -> np.ndarray:
+        """The block on the coordinates (e_p for p in planes, then f_p)."""
+        a, b = self.a, self.b
+        if self.kind == "real":
+            return np.array([[-a, 0.0], [0.0, a]])
+        if self.kind == "imag":
+            return np.array([[0.0, b], [-b, 0.0]])
+        return np.array(
+            [[-a, b, 0.0, 0.0], [-b, -a, 0.0, 0.0], [0.0, 0.0, a, b], [0.0, 0.0, -b, a]]
+        )
+
+    def yz_terms(self, space: SymplecticSpace, frames) -> list[tuple[float, RankOneDescriptor]]:
+        """Commuting rank-one terms summing to the block, given the (e, f)
+        frame of each of its planes: a * Z for a real block, b * Y for an
+        imaginary one; a quadruple on planes (k, l) contributes a Z on each
+        plane and two opposite-sign Y terms on the sqrt(2)-normalized mixed
+        vectors."""
+        Y, Z = RankOneKind.Y, RankOneKind.Z
+        if self.kind == "quad":
+            (ek, fk), (el, fl) = frames
+            r2 = np.sqrt(2.0)
+            return [
+                (self.a, RankOneDescriptor(space, Z, ek, fk)),
+                (self.a, RankOneDescriptor(space, Z, el, fl)),
+                (-self.b, RankOneDescriptor(space, Y, (el - fk) / r2, (ek + fl) / r2)),
+                (self.b, RankOneDescriptor(space, Y, (ek - fl) / r2, (el + fk) / r2)),
+            ]
+        ((e, f),) = frames
+        if self.kind == "real":
+            return [(self.a, RankOneDescriptor(space, Z, e, f))]
+        return [(self.b, RankOneDescriptor(space, Y, e, f))]
+
 
 @dataclass(frozen=True)
 class WilliamsonDecomposition:
@@ -247,24 +267,8 @@ class WilliamsonDecomposition:
         n = self.space.n
         D = np.zeros((2 * n, 2 * n))
         for blk in self.blocks:
-            if blk.kind == "real":
-                (k,) = blk.planes
-                D[k, k] = -blk.a
-                D[n + k, n + k] = blk.a
-            elif blk.kind == "imag":
-                (k,) = blk.planes
-                D[k, n + k] = blk.b
-                D[n + k, k] = -blk.b
-            else:
-                k, l = blk.planes
-                a, b = blk.a, blk.b
-                idx = [k, l, n + k, n + l]
-                Q = np.array(
-                    [[-a, b, 0, 0], [-b, -a, 0, 0], [0, 0, a, b], [0, 0, -b, a]]
-                )
-                for r, ri in enumerate(idx):
-                    for c, ci in enumerate(idx):
-                        D[ri, ci] += Q[r, c]
+            idx = np.array([*blk.planes, *(n + p for p in blk.planes)])
+            D[idx[:, None], idx] = blk.matrix()
         return D
 
     def frame_vectors(self, plane: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,6 +354,18 @@ def _planes_zero(space, B) -> list[tuple[np.ndarray, np.ndarray]]:
     return planes
 
 
+def _group_blocks(space, B, V, g) -> list[tuple[str, float, float, list]]:
+    """(kind, a, b, [(e, f) per plane]) for each block of one eigenvalue group;
+    kernel planes enter as real blocks with a = 0."""
+    if g.kind == "real":
+        return [("real", g.a, 0.0, [ef]) for ef in _planes_real(space, V, g)]
+    if g.kind == "imag":
+        return [("imag", 0.0, beta, [(e, f)]) for beta, e, f in _planes_imag(space, V, g)]
+    if g.kind == "quad":
+        return [("quad", g.a, g.b, list(frames)) for frames in _planes_quad(space, V, g)]
+    return [("real", 0.0, 0.0, [ef]) for ef in _planes_zero(space, B)]
+
+
 def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
     """Symplectic frame S and typed blocks with B = S D S^{-1}.
 
@@ -360,27 +376,13 @@ def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
     report = classify_eigenstructure(B)
     _require_semisimple(report)
     space = B.space
-    V = report._vectors
 
     entries = []  # (sort_key, orig_index, kind, a, b, [(e, f), ...])
     for g in report._groups:
-        orig = min(g.indices) if g.indices else 0
-        if g.kind == "real":
-            for e, f in _planes_real(space, V, g):
-                entries.append(((0, abs(g.a), 0.0), orig, "real", g.a, 0.0, [(e, f)]))
-        elif g.kind == "imag":
-            for beta, e, f in _planes_imag(space, V, g):
-                entries.append(((1, abs(beta), 0.0), orig, "imag", 0.0, beta, [(e, f)]))
-        elif g.kind == "quad":
-            for (ek, fk), (el, fl) in _planes_quad(space, V, g):
-                entries.append(
-                    ((2, g.a, g.b), orig, "quad", g.a, g.b, [(ek, fk), (el, fl)])
-                )
-        else:  # zero planes enter as real blocks with a = 0
-            for e, f in _planes_zero(space, B):
-                entries.append(((0, 0.0, 0.0), orig, "real", 0.0, 0.0, [(e, f)]))
-
-    entries.sort(key=lambda t: (t[0], t[1]))
+        for kind, a, b, frames in _group_blocks(space, B, report._vectors, g):
+            sort_key = (BLOCK_KINDS.index(kind), abs(a), abs(b))
+            entries.append((sort_key, min(g.indices), kind, a, b, frames))
+    entries.sort(key=lambda t: t[:2])
 
     n = space.n
     S = np.zeros((2 * n, 2 * n))
@@ -407,88 +409,51 @@ def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
     return dec
 
 
+def _commutes(X: np.ndarray, Y: np.ndarray) -> bool:
+    tol = COMMUTE_TOL * max(1.0, np.abs(X).max() * np.abs(Y).max())
+    return np.abs(X @ Y - Y @ X).max() <= tol
+
+
 def yz_decomposition(
     B: SpElement, decomposition: WilliamsonDecomposition | None = None
 ) -> list[tuple[float, RankOneDescriptor]]:
-    """Pairwise commuting rank-one terms summing to B.
-
-    real block -> a * Z on its plane; imaginary block -> b * Y; a quadruple on
-    planes (k, l) contributes a Z on each plane and two opposite-sign Y terms
-    on the sqrt(2)-normalized mixed vectors.
-    """
+    """Pairwise commuting rank-one terms summing to B, block by block (see
+    WilliamsonBlock.yz_terms)."""
     dec = decomposition or williamson_decompose(B)
-    space = dec.space
     terms: list[tuple[float, RankOneDescriptor]] = []
-    block_of = []  # block index per term, for the commutation checks
-    for bi, blk in enumerate(dec.blocks):
-        if blk.kind == "real":
-            e, f = dec.frame_vectors(blk.planes[0])
-            terms.append((blk.a, RankOneDescriptor(space, RankOneKind.Z, e, f)))
-            block_of.append(bi)
-        elif blk.kind == "imag":
-            e, f = dec.frame_vectors(blk.planes[0])
-            terms.append((blk.b, RankOneDescriptor(space, RankOneKind.Y, e, f)))
-            block_of.append(bi)
-        else:
-            k, l = blk.planes
-            ek, fk = dec.frame_vectors(k)
-            el, fl = dec.frame_vectors(l)
-            r2 = np.sqrt(2.0)
-            terms.append((blk.a, RankOneDescriptor(space, RankOneKind.Z, ek, fk)))
-            terms.append((blk.a, RankOneDescriptor(space, RankOneKind.Z, el, fl)))
-            terms.append(
-                (-blk.b, RankOneDescriptor(space, RankOneKind.Y, (el - fk) / r2, (ek + fl) / r2))
-            )
-            terms.append(
-                (blk.b, RankOneDescriptor(space, RankOneKind.Y, (ek - fl) / r2, (el + fk) / r2))
-            )
-            block_of.extend([bi] * 4)
-
+    realized = []  # per block: [(term index, term matrix)]
     total = np.zeros_like(B.mat)
-    mats = []
-    for c, desc in terms:
-        M = realize(desc).mat
-        mats.append(M)
-        total = total + c * M
+    for blk in dec.blocks:
+        realized.append([])
+        for c, desc in blk.yz_terms(dec.space, [dec.frame_vectors(p) for p in blk.planes]):
+            M = realize(desc).mat
+            total = total + c * M
+            realized[-1].append((len(terms), M))
+            terms.append((c, desc))
     resid = np.abs(total - B.mat).max()
     if resid > ROUNDTRIP_TOL * max(1.0, np.abs(B.mat).max()):
         raise NormalizationError(f"term sum residual {resid:.3e}")
 
-    def _comm(X, Y):
-        return np.abs(X @ Y - Y @ X).max()
-
-    def _tol(X, Y):
-        return COMMUTE_TOL * max(1.0, np.abs(X).max() * np.abs(Y).max())
-
-    # Terms of distinct blocks commute outright.  Inside a quadruple group the
-    # four terms only satisfy the three relations: the Z-sum commutes with the
+    # Terms of distinct blocks commute outright.  Inside a quadruple the four
+    # terms only satisfy the three relations: the Z-sum commutes with the
     # signed Y-combination, the two Z's commute, and the two Y's commute.
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if block_of[i] == block_of[j]:
-                continue
-            if _comm(mats[i], mats[j]) > _tol(mats[i], mats[j]):
+    for first, second in itertools.combinations(realized, 2):
+        for (i, X), (j, Y) in itertools.product(first, second):
+            if not _commutes(X, Y):
                 raise NormalizationError(f"terms {i}, {j} fail to commute")
-    start = 0
-    for bi, blk in enumerate(dec.blocks):
-        count = 4 if blk.kind == "quad" else 1
+    for bi, (blk, mats) in enumerate(zip(dec.blocks, realized)):
         if blk.kind == "quad":
-            z1, z2, y1, y2 = mats[start : start + 4]
-            zsum = blk.a * (z1 + z2)
-            ycomb = blk.b * (y2 - y1)
-            for lhs, rhs in ((zsum, ycomb), (z1, z2), (y1, y2)):
-                if _comm(lhs, rhs) > _tol(lhs, rhs):
-                    raise NormalizationError(
-                        f"quadruple relations fail on block {bi}"
-                    )
-        start += count
+            (_, z1), (_, z2), (_, y1), (_, y2) = mats
+            relations = ((blk.a * (z1 + z2), blk.b * (y2 - y1)), (z1, z2), (y1, y2))
+            if not all(_commutes(lhs, rhs) for lhs, rhs in relations):
+                raise NormalizationError(f"quadruple relations fail on block {bi}")
     return terms
 
 
 def random_semisimple(
     space: SymplecticSpace,
     seed,
-    kinds: tuple = ("real", "imag", "quad"),
+    kinds: tuple = BLOCK_KINDS,
 ) -> tuple[SpElement, list[WilliamsonBlock]]:
     """Random semi-simple element with known block content: draw typed blocks
     with parameters in SEMISIMPLE_PARAM_RANGE, then conjugate by a random

@@ -7,8 +7,14 @@ import pytest
 
 from spqs.cli import build_parser, main
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
+from spqs.maslov import MaslovLimitConfig
 from spqs.quasistates import maslov_qs
-from spqs.symplectic import SymplecticSpace
+from spqs.symplectic import (
+    SymplecticSpace,
+    omega_adjoint,
+    project_skew_symplectic,
+    random_symplectic_group_element,
+)
 from spqs.williamson import ClassificationError, random_semisimple
 
 
@@ -162,6 +168,19 @@ class TestEval:
             assert err.startswith("error: cannot write"), argv
         assert not missing.exists()
 
+    def test_out_naming_a_directory_exits_4(self, rotation_file, tmp_path, capsys):
+        target = tmp_path / "outdir"
+        target.mkdir()
+        for argv in (
+            ["verify", "--suite", "isotropic", "--trials", "2", "--out", str(target)],
+            ["trace", rotation_file, "--t-max", "1", "--out", str(target)],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 4, argv
+            assert err == f"error: cannot write {target}: Is a directory\n", argv
+        assert sorted(os.listdir(tmp_path)) == ["outdir", "rot.txt"]
+        assert os.listdir(target) == []
+
 
 def _count_classifications(monkeypatch, replacement=None):
     """Rebind classify_eigenstructure in every spqs module that binds it;
@@ -233,6 +252,24 @@ class TestAutoDispatch:
         _count_classifications(monkeypatch, ambiguous)
         assert run_cli(["eval", rotation_file, "--method", "auto"], capsys)[0] == 5
         assert run_cli(["eval", rotation_file, "--method", "spectral"], capsys)[0] == 4
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_semisimple_inputs_take_the_limit_route(self, n, tmp_path, capsys):
+        # a conjugated real Jordan block: its eigenvector condition is above
+        # EIGVEC_COND_MAX, and its eigenvalue clusters do not pair up
+        space = SymplecticSpace(n)
+        M = np.eye(n) + np.eye(n, k=1)
+        D = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), -M.T]])
+        g = random_symplectic_group_element(space, 0.5, 1)
+        B = project_skew_symplectic(space, g @ D @ omega_adjoint(g))
+        value, bar = maslov_qs(MaslovLimitConfig(t_max=200.0)).with_error(B)
+        assert abs(value) <= bar + 1e-2
+        p = str(tmp_path / "jordan.txt")
+        write_matrix(p, B.mat)
+        code, out, _ = run_cli(["eval", p, "--t-max", "200"], capsys)
+        assert code == 0
+        assert "method: limit" in out
+        assert run_cli(["decompose", p, "--out", str(tmp_path)], capsys)[0] == 5
 
 
 class TestDecompose:

@@ -12,10 +12,12 @@ from spqs.symplectic import (
     z_element,
 )
 from spqs.williamson import (
+    ClassificationError,
     NonSemisimpleError,
     WilliamsonBlock,
     WilliamsonDecomposition,
     classify_eigenstructure,
+    _match_clusters,
     random_semisimple,
     williamson_decompose,
     yz_decomposition,
@@ -60,6 +62,29 @@ class TestClassify:
         a, b, mult = rep.quadruples[0]
         assert a == pytest.approx(blocks[0].a, abs=1e-8)
         assert b == pytest.approx(blocks[0].b, abs=1e-8)
+
+
+class TestMatchClusters:
+    TOL = 1e-7
+
+    def test_pairs_clusters_in_lexicographic_order(self):
+        keys_a, keys_b = [2.0, 1.0, 1.0 + 1e-9], [1.0, 2.0, 1.0]
+        pairs = _match_clusters(keys_a, [10, 11, 12], keys_b, [20, 21, 22], self.TOL, "real-pair")
+        assert [(list(a), list(b)) for a, b in pairs] == [([11, 12], [20, 22]), ([10], [21])]
+
+    @pytest.mark.parametrize("what", ["real-pair", "quadruple"])
+    def test_unequal_cluster_sizes_are_unmatched(self, what):
+        with pytest.raises(ClassificationError, match=f"unmatched {what} eigenvalue clusters"):
+            _match_clusters([1.0, 1.0], [0, 1], [1.0, 2.0], [2, 3], self.TOL, what)
+
+    @pytest.mark.parametrize(
+        "what, key", [("real-pair", 1.0), ("quadruple", -0.5 + 1.0j)]
+    )
+    def test_keys_apart_do_not_pair_up(self, what, key):
+        far = key + 20 * self.TOL
+        with pytest.raises(ClassificationError, match=f"{what} eigenvalues do not pair up"):
+            _match_clusters([key], [0], [far], [1], self.TOL, what)
+        assert len(_match_clusters([key], [0], [key + 5 * self.TOL], [1], self.TOL, what)) == 1
 
 
 class TestDecompose:
@@ -112,6 +137,38 @@ class TestDecompose:
     def test_non_semisimple_rejected(self):
         with pytest.raises(NonSemisimpleError):
             williamson_decompose(nilpotent_jordan_sp(sp2))
+
+    # (kind, a, b, planes) that williamson_decompose returns on block-diagonal
+    # inputs: kinds sort real < imag < quad, then by |parameter|; the b and -b
+    # imaginary blocks tie and come in orientation-pairing order, -b first
+    @pytest.mark.parametrize(
+        "n, blocks, expected",
+        [
+            (3, [("real", 1.5, 0.0, (0,)), ("imag", 0.0, 0.8, (1,)), ("imag", 0.0, -0.8, (2,))],
+             [("real", 1.5, 0.0, (0,)), ("imag", 0.0, -0.8, (1,)), ("imag", 0.0, 0.8, (2,))]),
+            (3, [("imag", 0.0, -0.8, (0,)), ("real", 1.0, 0.0, (1,)), ("real", 1.0, 0.0, (2,))],
+             [("real", 1.0, 0.0, (0,)), ("real", 1.0, 0.0, (1,)), ("imag", 0.0, -0.8, (2,))]),
+            (4, [("quad", 1.5, 0.4, (0, 1)), ("quad", 0.7, 1.2, (2, 3))],
+             [("quad", 0.7, 1.2, (0, 1)), ("quad", 1.5, 0.4, (2, 3))]),
+            (4, [("imag", 0.0, 0.8, (0,)), ("quad", 0.7, 1.2, (1, 2)), ("real", 0.0, 0.0, (3,))],
+             [("real", 0.0, 0.0, (0,)), ("imag", 0.0, 0.8, (1,)), ("quad", 0.7, 1.2, (2, 3))]),
+        ],
+    )
+    def test_block_list_on_block_diagonal_inputs(self, n, blocks, expected):
+        space = SymplecticSpace(n)
+        blocks = tuple(WilliamsonBlock(*blk) for blk in blocks)
+        D = WilliamsonDecomposition(space, np.eye(2 * n), blocks).assemble()
+        dec = williamson_decompose(SpElement(space, D))
+        got = [(b.kind, b.a, b.b, b.planes) for b in dec.blocks]
+        assert [(k, p) for k, _, _, p in got] == [(k, p) for k, _, _, p in expected]
+        assert [(a, b) for _, a, b, _ in got] == [
+            (pytest.approx(a, abs=1e-12), pytest.approx(b, abs=1e-12)) for _, a, b, _ in expected
+        ]
+
+    def test_block_labels(self):
+        assert WilliamsonBlock("real", 1.5, 0.0, (0,)).label == "real_pair a=1.5"
+        assert WilliamsonBlock("imag", 0.0, -0.8, (1,)).label == "imag_pair b=-0.8"
+        assert WilliamsonBlock("quad", 0.7, 1.2, (0, 1)).label == "quadruple a=0.7 b=1.2"
 
     def test_deterministic_block_order(self):
         B, _ = random_semisimple(sp3, 77)
