@@ -4,7 +4,7 @@ traces.
 
 Exit codes: 0 success, 1 suite failure, 2 matrix parse failure or argparse
 usage error, 3 input not skew-symplectic or not finite, 4 bad numeric option,
-unmet method precondition, no finite result (overflow, unresolved phase gaps)
+unmet method precondition, no finite result (overflow, singular path step)
 or unwritable output, 5 non-semisimple input.
 """
 
@@ -71,7 +71,7 @@ def _load_element(path: str) -> SpElement:
 
 
 def cmd_eval(args) -> int:
-    cfg = MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
+    cfg = MaslovLimitConfig(t_max=args.t_max)
     B = _load_element(args.matrix_file)
     method = args.method
     if method == "dim2":
@@ -221,7 +221,7 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
 def cmd_verify(args) -> int:
     if args.n < 1 or args.trials < 1 or not 0 < args.tol < np.inf:
         raise ValueError("need --n >= 1, --trials >= 1 and 0 < --tol < inf")
-    cfg = MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
+    cfg = MaslovLimitConfig(t_max=args.t_max)
     if args.suite in ("gleason", "rank-one", "main-theorem", "all") and args.n < 3:
         print("error: hypothesis n >= 3 not met for the requested suite", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = MaslovLimitConfig(t_max=args.t_max, dt=args.dt)
+    cfg = MaslovLimitConfig(t_max=args.t_max)
     B = _load_element(args.matrix_file)
     t, theta = phase_trace(B, cfg)
     lines = ["t,theta,theta_over_t"]
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for parser in (pe, pv, pt):
         parser.add_argument("--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max)
-        parser.add_argument("--dt", type=float, default=MaslovLimitConfig.dt)
     for parser in (pd, pv, pt):
         parser.add_argument("--out", help="output path")
     return p

@@ -5,6 +5,7 @@ the one `auto` dispatch between the first two, for the library and the CLI."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,29 +15,30 @@ from .kernels import complex_blocks
 from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
 from .williamson import SpectrumReport, classify_eigenstructure, krein_parameters
 
-GAP_REFINE = 0.5 * np.pi  # halve the step when a per-step phase gap exceeds this
-MAX_REFINEMENTS = 6  # halvings of dt before the sweep gives up
+DT_FLOOR = 0.05  # the derived step never goes below this
+STEP_NORM = 20.0  # above the floor, the derived step keeps ||dt*B||_2 <= this
 METHODS = ("auto", "limit", "spectral")
 
 
 class MaslovLimitError(RuntimeError):
-    """The path evaluation failed (undersampled after refinement, or overflow)."""
+    """The path evaluation failed: expm(dt*B) overflowed, or a step was
+    numerically singular (a stiff input with a large ||dt*B||_2)."""
 
 
 @dataclass(frozen=True)
 class MaslovLimitConfig:
-    """Path horizon and sampling for the asymptotic evaluator.
+    """Path horizon of the asymptotic evaluator.
 
     The estimate converges like O(1/t) (bounded defect), so accuracy is set by
-    t_max; dt only needs to keep per-step phase gaps under pi/2.
+    t_max alone: every per-step phase increment is exact, and the step is
+    worked out from the input (`_step_count`).
     """
 
     t_max: float = 2000.0
-    dt: float = 0.05
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.t_max < np.inf:
-            raise ValueError("need 0 < dt <= t_max < inf")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError("need 0 < t_max < inf")
 
 
 @dataclass(frozen=True)
@@ -50,89 +52,114 @@ class MaslovEstimate:
             raise ValueError("error_bar must be non-negative")
 
 
-def _phase_path(Bs: np.ndarray, t_max: float, dt: float):
+def _step_count(t_max: float, norm: float) -> int:
+    """Even number of steps over [0, t_max] for inputs of spectral norm up to
+    `norm`: dt = t_max / steps is at most 1 and keeps ||dt*B||_2 <= STEP_NORM,
+    but is never below DT_FLOOR."""
+    cap = max(2, round(t_max / DT_FLOOR))
+    cap += cap % 2
+    want = t_max * max(1.0, norm / STEP_NORM)
+    return cap if want >= cap else 2 * math.ceil(want / 2)
+
+
+def _step_blocks(E: np.ndarray):
+    """(Ec, Ea, conj Ec, conj Ea, L = Ec^-1 Ea) of a stack of steps E."""
+    Ec, Ea = complex_blocks(E)
+    return Ec, Ea, Ec.conj(), Ea.conj(), np.linalg.solve(Ec, Ea)
+
+
+def _increment(step, theta_E: np.ndarray, N: np.ndarray):
+    """Apply the step E (`_step_blocks`) to states with ratio N; returns the
+    exact phase increment and the next ratio.
+
+    One step multiplies det Zc by det(Ec + Ea N) = det Ec det(I + L N).  Along
+    the step both L and N stay in the open unit ball, so every eigenvalue of
+    I + L N keeps a positive real part and the principal arguments sum to the
+    continuous change of the second factor; theta_E is that of the first.
+    """
+    Ec, Ea, Ecc, Eac, L = step
+    eta = np.angle(np.linalg.eigvals(L @ N + np.eye(N.shape[-1]))).sum(axis=-1)
+    return theta_E + eta, (Ecc @ N + Eac) @ np.linalg.inv(Ec + Ea @ N)
+
+
+def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
+    """theta_E: the continuous change of arg det Ec(s) over s in [0, dt].
+
+    At s = dt / 2^k with s ||B||_2 <= 1/2, ||Ec(s) - I|| <= e^(1/2) - 1 < 1 on
+    the whole interval, so the principal arguments of eig(Ec(s)) are the lift.
+    Each of the k doublings adds the increment of the second half, which
+    starts from conj(Ea) Ec^-1, the ratio of E(s) itself.
+    """
+    k = math.ceil(math.log2(max(1.0, 2.0 * dt * norm)))
+    E = scipy.linalg.expm(Bs * (dt / 2**k))
+    theta = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
+    for _ in range(k):
+        step = _step_blocks(E)
+        theta = theta + _increment(step, theta, step[3] @ np.linalg.inv(step[0]))[0]
+        E = E @ E
+    return theta
+
+
+def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     """Lifted phase theta(t_k) of det of the complexified unitary polar factor
-    of exp(t_k B), for a stack Bs of shape (m, 2n, 2n).
+    of exp(t_k B) on an even grid of [0, t_max], for a stack Bs of shape
+    (m, 2n, 2n); returns theta of shape (m, steps + 1).
 
     The path advances by repeated multiplication with expm(dt*B), carried in
     the complex-linear / anti-linear block representation: the ratio
-    N = conj(Za) Zc^{-1} of the accumulated product stays in the unit ball for
-    symplectic paths, and one step multiplies det Zc by det(Ec + Ea N).  The
-    complex-linear part factors as (positive Hermitian) x (unitary), so these
-    determinant phases are exactly the phases of the unitary polar factor; no
-    entry of the state ever grows with t.
-
-    Returns (theta array (m, steps+1), max per-step gap).
+    N = conj(Za) Zc^{-1} of the accumulated product stays in the unit ball, so
+    no entry of the state grows with t.  The complex-linear part factors as
+    (positive Hermitian) x (unitary), so the phases of det Zc are those of the
+    unitary polar factor.  `_increment` adds their exact change over each step
+    (the universal-cover cocycle of Sp(2n, R)), so dt does not set the value.
     """
     m, d, _ = Bs.shape
-    n = d // 2
-    steps = max(2, int(round(t_max / dt)))
-    steps += steps % 2  # keep the half-horizon on the grid
+    norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
+    steps = _step_count(t_max, norm)
+    dt = t_max / steps
     E = scipy.linalg.expm(dt * Bs)
     if not np.all(np.isfinite(E)):
         raise MaslovLimitError("expm(dt*B) overflowed; rescale the input")
-    Ec, Ea = complex_blocks(E)
-    Ecc, Eac = Ec.conj(), Ea.conj()
-    N = np.zeros((m, n, n), dtype=complex)
-    increments = np.empty((m, steps))
-    for k in range(steps):
-        T = Ec + Ea @ N
-        increments[:, k] = np.angle(np.linalg.det(T))
-        N = (Ecc @ N + Eac) @ np.linalg.inv(T)
-    # Each increment lies in (-pi, pi], so their running sum is the continuous
-    # lift; the caller's gap check is the undersampling guard.
+    N = np.zeros((m, d // 2, d // 2), dtype=complex)
     theta = np.zeros((m, steps + 1))
-    np.cumsum(increments, axis=1, out=theta[:, 1:])
-    return theta, float(np.abs(increments).max(initial=0.0))
-
-
-def _estimate_from_path(theta: np.ndarray, dt: float) -> MaslovEstimate:
-    steps = theta.shape[0] - 1
-    horizon = steps * dt
-    est_full = theta[-1] / horizon
-    est_half = theta[steps // 2] / (0.5 * horizon)
-    return MaslovEstimate(
-        value=float(est_full),
-        error_bar=float(abs(est_full - est_half)),
-        samples_used=steps + 1,
-    )
-
-
-def _refined_path(Bs: np.ndarray, cfg: MaslovLimitConfig | None) -> tuple[np.ndarray, float]:
-    """Sweep the stack Bs, halving dt until every per-step phase gap is under
-    GAP_REFINE; returns (theta array (m, steps+1), the dt that succeeded)."""
-    cfg = cfg or MaslovLimitConfig()
-    dt = cfg.dt
-    for _ in range(MAX_REFINEMENTS + 1):
-        theta, gap = _phase_path(Bs, cfg.t_max, dt)
-        if gap < GAP_REFINE:
-            return theta, dt
-        dt *= 0.5
-    raise MaslovLimitError(f"phase gaps still {gap:.3f} after {MAX_REFINEMENTS} refinements")
+    try:
+        step, theta_E = _step_blocks(E), _step_phase(Bs, dt, norm)
+        for k in range(steps):
+            theta[:, k + 1], N = _increment(step, theta_E, N)
+    except np.linalg.LinAlgError:
+        raise MaslovLimitError(
+            f"singular path step at ||dt*B||_2 = {dt * norm:.3g}; rescale the input"
+        ) from None
+    return np.cumsum(theta, axis=1)
 
 
 def maslov_limit_batch(
-    elements: list[SpElement], cfg: MaslovLimitConfig | None = None
+    elements: list[SpElement], cfg: MaslovLimitConfig = MaslovLimitConfig()
 ) -> list[MaslovEstimate]:
     """Asymptotic evaluation of a batch sharing one config (one path sweep)."""
     if not elements:
         return []
-    theta, dt = _refined_path(np.stack([b.mat for b in elements]), cfg)
-    return [_estimate_from_path(theta[i], dt) for i in range(len(elements))]
+    T = cfg.t_max
+    theta = _phase_path(np.stack([b.mat for b in elements]), T)
+    full, half = theta[:, -1] / T, theta[:, theta.shape[1] // 2] / (0.5 * T)
+    return [
+        MaslovEstimate(float(v), float(abs(v - h)), theta.shape[1])
+        for v, h in zip(full, half)
+    ]
 
 
-def maslov_limit(B: SpElement, cfg: MaslovLimitConfig | None = None) -> MaslovEstimate:
+def maslov_limit(B: SpElement, cfg: MaslovLimitConfig = MaslovLimitConfig()) -> MaslovEstimate:
     """Average winding of the unitary polar factor of exp(tB) up to cfg.t_max."""
     return maslov_limit_batch([B], cfg)[0]
 
 
 def phase_trace(
-    B: SpElement, cfg: MaslovLimitConfig | None = None
+    B: SpElement, cfg: MaslovLimitConfig = MaslovLimitConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """(t_k, theta(t_k)) along the path: the convergence data behind the
     limit.  theta(t_k)/t_k tends to the quasi-state value."""
-    theta, dt = _refined_path(B.mat[None], cfg)
-    return dt * np.arange(theta.shape[1]), theta[0]
+    theta = _phase_path(B.mat[None], cfg.t_max)[0]
+    return np.linspace(0.0, cfg.t_max, len(theta)), theta
 
 
 def maslov_dim2(a: float, b: float, c: float) -> float:

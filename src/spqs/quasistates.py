@@ -60,14 +60,13 @@ def linear_qs(N: np.ndarray) -> QuasiState:
     )
 
 
-def maslov_qs(cfg: MaslovLimitConfig | None = None, method: str = "auto") -> QuasiState:
+def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig(), method: str = "auto") -> QuasiState:
     """The Maslov quasi-state.
 
     method 'auto' evaluates semi-simple inputs spectrally (cheap, exact to
     classification tolerance) and falls back to the asymptotic path evaluator
     otherwise; 'limit' and 'spectral' force one route.
     """
-    cfg = cfg or MaslovLimitConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 

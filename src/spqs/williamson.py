@@ -307,7 +307,7 @@ def _planes_imag(space, V, g):
         raise NormalizationError("degenerate orientation pairing")
     out = []
     for j in range(len(mu)):
-        w = (W @ T[:, j]) / np.sqrt(abs(mu[j]))
+        w = (W @ np.conj(T[:, j])) / np.sqrt(abs(mu[j]))
         u, v = w.real, w.imag
         if mu[j] > 0:
             out.append((g.b, u, v))

@@ -44,7 +44,7 @@ from spqs.symplectic import (
 )
 from spqs.williamson import random_semisimple, williamson_decompose, yz_decomposition
 
-FULL = MaslovLimitConfig(t_max=2000.0, dt=0.05)
+FULL = MaslovLimitConfig(t_max=2000.0)
 
 
 def report_line(k, ok, detail):

@@ -121,15 +121,19 @@ class TestEval:
         nil.write_text("dim 2\n0 1\n0 0\n")
         assert run_cli(["eval", str(nil), "--method", "spectral"], capsys)[0] == 4
 
-        # a non-finite horizon or step is an option error, not an uncaught overflow
+        # a non-finite horizon is an option error, not an uncaught overflow
         for argv in (
             ["eval", str(nil), "--method", "limit", "--t-max", "inf"],
-            ["eval", str(nil), "--method", "limit", "--dt", "nan"],
             ["trace", str(nil), "--t-max", "inf", "--out", str(tmp_path / "inf.csv")],
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 4, argv
             assert err.startswith("error:"), argv
+        # the step is worked out from the input: --dt is no option
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(nil), "--method", "limit", "--dt", "nan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt nan" in capsys.readouterr().err
 
         allnan = tmp_path / "allnan.txt"
         allnan.write_text("dim 2\nnan nan\nnan nan\n")
@@ -154,6 +158,17 @@ class TestEval:
             assert code == 4, argv
             assert err.startswith("error:"), argv
             assert "value:" not in out
+
+        # a stiff input (hyperbolic 800 plus a rotation, conjugated) whose path
+        # step is numerically singular: a limit-route error, not numpy's
+        D = np.zeros((4, 4))
+        D[0, 0], D[2, 2], D[1, 3], D[3, 1] = -800.0, 800.0, 1.0, -1.0
+        g = random_symplectic_group_element(SymplecticSpace(2), 0.5, 0)
+        stiff = str(tmp_path / "stiff.txt")
+        write_matrix(stiff, g @ D @ omega_adjoint(g))
+        code, _, err = run_cli(["eval", stiff, "--method", "limit", "--t-max", "200"], capsys)
+        assert code == 4
+        assert err.startswith("error: singular path step at ||dt*B||_2 = ")
 
     def test_unwritable_output_exits_4(self, rotation_file, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -209,10 +224,10 @@ class TestSubcommandOptions:
         "--format": "comma-separated", "--negative-control": None,
     }
     READS = {
-        "eval": {"--method", "--t-max", "--dt"},
+        "eval": {"--method", "--t-max"},
         "decompose": {"--out"},
-        "verify": set(OPTIONS) - {"--method"},
-        "trace": {"--t-max", "--dt", "--out"},
+        "verify": set(OPTIONS) - {"--method", "--dt"},
+        "trace": {"--t-max", "--out"},
     }
 
     def test_only_read_options_are_accepted(self, rotation_file, capsys):
@@ -376,7 +391,9 @@ class TestTrace:
         out = str(tmp_path / "tr.csv")
         run_cli(["trace", rotation_file, "--t-max", "30", "--out", out], capsys)
         lines = open(out).read().splitlines()
-        tail = [float(ln.split(",")[2]) for ln in lines[-100:]]
+        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+        tail = [ratio for t, _, ratio in rows if t >= 25.0]
+        assert len(tail) >= 5
         assert max(abs(v - 1.0) for v in tail) < 1e-6
 
 

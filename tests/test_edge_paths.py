@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from spqs.cli import main
-from spqs.maslov import (
-    MAX_REFINEMENTS,
-    MaslovLimitConfig,
-    MaslovLimitError,
-    maslov_limit,
+from spqs.maslov import MaslovLimitConfig, MaslovLimitError, maslov_limit
+from spqs.symplectic import (
+    SpElement,
+    SymplecticSpace,
+    omega_adjoint,
+    random_symplectic_group_element,
 )
-from spqs.symplectic import SpElement, SymplecticSpace
 from spqs.williamson import (
     WilliamsonBlock,
     WilliamsonDecomposition,
@@ -23,16 +23,16 @@ sp2 = SymplecticSpace(2)
 
 class TestLimitConfig:
     def test_validation(self):
-        assert [f.name for f in dataclasses.fields(MaslovLimitConfig)] == ["t_max", "dt"]
+        assert [f.name for f in dataclasses.fields(MaslovLimitConfig)] == ["t_max"]
         with pytest.raises(ValueError):
             MaslovLimitConfig(t_max=-1.0)
-        with pytest.raises(ValueError):
-            MaslovLimitConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            MaslovLimitConfig(t_max=1.0, dt=2.0)
-        for bad in ({"t_max": np.inf}, {"t_max": np.nan}, {"dt": np.nan}):
+        for bad in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
-                MaslovLimitConfig(**bad)
+                MaslovLimitConfig(t_max=bad)
+
+
+def rotation(rate):
+    return SpElement(sp1, np.array([[0.0, rate], [-rate, 0.0]]))
 
 
 class TestLimitErrorPaths:
@@ -40,44 +40,59 @@ class TestLimitErrorPaths:
     def test_overflow_reported(self):
         B = SpElement(sp1, np.diag([1e5, -1e5]))
         with pytest.raises(MaslovLimitError, match="overflow"):
-            maslov_limit(B, MaslovLimitConfig(t_max=10.0, dt=0.05))
+            maslov_limit(B, MaslovLimitConfig(t_max=10.0))
 
     def test_fast_rotation_triggers_refinement(self):
-        # per-step phase gap 40 * 0.05 = 2 rad exceeds pi/2; the step is
-        # halved automatically and the value still converges
-        B = SpElement(sp1, np.array([[0.0, 40.0], [-40.0, 0.0]]))
-        est = maslov_limit(B, MaslovLimitConfig(t_max=100.0, dt=0.05))
+        # 2 rad per 0.05 step: over the pi/2 gap at which the step-halving
+        # sweep this evaluator replaced refined
+        est = maslov_limit(rotation(40.0), MaslovLimitConfig(t_max=100.0))
         assert abs(est.value - (-40.0)) <= est.error_bar + 1e-3
 
     def test_refinement_budget_exhausted(self):
-        # r * dt_k = (2 pi / 3) 2^(6-k) is 2 pi / 3 mod 2 pi at every halving
-        # k = 0..MAX_REFINEMENTS, so no refinement brings the gap under pi/2
-        assert MAX_REFINEMENTS == 6
+        # r * 0.05 / 2^k is 2 pi / 3 mod 2 pi for k = 0..6, which exhausted
+        # the step-halving sweep this evaluator replaced
         rate = (2.0 * np.pi / 3.0) * 2.0**6 / 0.05
-        B = SpElement(sp1, np.array([[0.0, rate], [-rate, 0.0]]))
-        with pytest.raises(MaslovLimitError, match="still 2.094 after 6 refinements"):
-            maslov_limit(B, MaslovLimitConfig(t_max=10.0, dt=0.05))
+        est = maslov_limit(rotation(rate), MaslovLimitConfig(t_max=10.0))
+        assert abs(est.value - (-rate)) <= est.error_bar + 1e-6
 
     def test_step_aliasing_near_pi_refines(self):
-        # rotation rate pi/dt aliases the per-step increment onto +-pi, which
-        # must be treated as undersampling, not an error
+        # rate pi / 0.05 puts a per-step phase of a 0.05 grid onto +-pi
         rate = np.pi / 0.05
-        B = SpElement(sp1, np.array([[0.0, rate], [-rate, 0.0]]))
-        est = maslov_limit(B, MaslovLimitConfig(t_max=50.0, dt=0.05))
+        est = maslov_limit(rotation(rate), MaslovLimitConfig(t_max=50.0))
         assert abs(est.value - (-rate)) <= est.error_bar + 1e-2
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: a whole turn per step aliases to a zero phase gap, "
-        "which the a posteriori gap check cannot see",
-    )
     def test_whole_turn_per_step_aliases(self):
-        # rate 2 pi / dt turns exp(dt B) into the identity: every per-step
-        # increment reads 0, so the sweep returns ~0 +- 0 instead of -rate
+        # rate 2 pi / 0.05 makes exp(0.05 B) the identity, whose mod-2 pi
+        # phase increment reads 0
         rate = 2.0 * np.pi / 0.05
-        B = SpElement(sp1, np.array([[0.0, rate], [-rate, 0.0]]))
-        est = maslov_limit(B, MaslovLimitConfig(t_max=50.0, dt=0.05))
+        est = maslov_limit(rotation(rate), MaslovLimitConfig(t_max=50.0))
         assert abs(est.value - (-rate)) <= est.error_bar + 1e-2
+
+    def test_step_is_derived_from_the_input(self):
+        # dt = 1 up to ||B||_2 = 20, then ||dt B||_2 = 20, and never more
+        # steps than t_max / 0.05
+        for rate, steps in ((0.5, 100), (40.0, 200), (1e4, 2000)):
+            est = maslov_limit(rotation(rate), MaslovLimitConfig(t_max=100.0))
+            assert est.samples_used == steps + 1
+            assert abs(est.value - (-rate)) <= est.error_bar + 1e-6 * rate
+
+    @staticmethod
+    def stiff(h, seed):
+        # g (hyperbolic h on plane 0, rotation 1 on plane 1) g^-1; value -1
+        D = np.zeros((4, 4))
+        D[0, 0], D[2, 2], D[1, 3], D[3, 1] = -h, h, 1.0, -1.0
+        g = random_symplectic_group_element(sp2, 0.5, seed)
+        return SpElement(sp2, g @ D @ omega_adjoint(g))
+
+    def test_stiff_input_at_the_largest_derived_step(self):
+        # ||B||_2 = 355, so the derived step sits at ||dt B||_2 = 20
+        est = maslov_limit(self.stiff(150.0, 1), MaslovLimitConfig(t_max=200.0))
+        assert abs(est.value - (-1.0)) <= est.error_bar + 1e-2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_singular_step_reported(self, seed):
+        with pytest.raises(MaslovLimitError, match=r"singular path step at \|\|dt\*B\|\|_2"):
+            maslov_limit(self.stiff(800.0, seed), MaslovLimitConfig(t_max=200.0))
 
 
 class TestClassificationBands:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from spqs.maslov import MaslovLimitConfig, maslov_limit
+from spqs.maslov import MaslovLimitConfig, maslov_limit, maslov_spectral
 from spqs.quasistates import linear_qs, maslov_qs, nilpotent_jordan_sp
 from spqs.symplectic import (
     SpElement,
     SymplecticSpace,
     omega_adjoint,
+    random_symplectic_group_element,
     realize,
     y_element,
     z_element,
@@ -115,6 +116,24 @@ class TestDecompose:
                 dec.S @ dec.assemble() @ omega_adjoint(dec.S) - B.mat
             ).max()
             assert resid <= 1e-6 * max(1.0, np.abs(B.mat).max())
+
+    # imaginary blocks of equal |b| share one eigenvalue group, whose pairing
+    # is diagonalized by a complex combination once the frame is not orthogonal
+    @pytest.mark.parametrize("bs", [(0.8, 0.8), (0.8, -0.8), (1.1, 1.1, 0.5), (1.1, -1.1, 0.5)])
+    def test_round_trip_repeated_imaginary(self, bs):
+        space = SymplecticSpace(len(bs))
+        blocks = tuple(WilliamsonBlock("imag", 0.0, b, (p,)) for p, b in enumerate(bs))
+        D = WilliamsonDecomposition(space, np.eye(2 * space.n), blocks).assemble()
+        O = space.omega_matrix
+        for seed in range(10):
+            g = random_symplectic_group_element(space, 0.5, seed)
+            B = SpElement(space, g @ D @ omega_adjoint(g))
+            dec = williamson_decompose(B)
+            assert block_multiset(dec.blocks) == block_multiset(blocks)
+            assert np.abs(dec.S.T @ O @ dec.S - O).max() <= 1e-8
+            resid = np.abs(dec.S @ dec.assemble() @ omega_adjoint(dec.S) - B.mat).max()
+            assert resid <= 1e-6 * max(1.0, np.abs(B.mat).max())
+            assert maslov_spectral(B) == pytest.approx(-sum(bs), abs=1e-8)
 
     def test_kernel_plane(self):
         B = z_element(sp2, sp2.basis_e(0), sp2.basis_f(0))
