@@ -103,6 +103,16 @@ def _match_clusters(keys_a, idx_a, keys_b, idx_b, tol: float, what: str):
     return [(np.asarray(idx_a)[x], np.asarray(idx_b)[y]) for x, y in zip(ca, cb)]
 
 
+def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(condition number, semi-simple flag) of each eigenvector matrix in the
+    stack V: the ratio of its extreme singular values (inf when singular),
+    and whether that is at most EIGVEC_COND_MAX."""
+    sv = np.linalg.svd(V, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = np.where(sv[..., -1] > 0, sv[..., 0] / sv[..., -1], np.inf)
+    return cond, cond <= EIGVEC_COND_MAX
+
+
 def classify_eigenstructure(B: SpElement) -> SpectrumReport:
     """Group the spectrum into real pairs, imaginary pairs, quadruples and
     zeros; flag semi-simplicity via the eigenvector condition number.
@@ -114,9 +124,8 @@ def classify_eigenstructure(B: SpElement) -> SpectrumReport:
     ztol = AXIS_BAND * (1.0 + scale)
     ctol = CLUSTER_TOL * (1.0 + scale)
 
-    sv = np.linalg.svd(V, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    semi_simple = bool(cond <= EIGVEC_COND_MAX)
+    cond, semi_simple = eigvec_condition(V)
+    cond, semi_simple = float(cond), bool(semi_simple)
 
     zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner = [], [], [], [], [], []
     for i, z in enumerate(lam):

@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spqs.cli import main
 from spqs.maslov import MaslovLimitConfig, MaslovLimitError, maslov_limit
+from spqs.quasistates import nilpotent_jordan_sp
 from spqs.symplectic import (
     SpElement,
     SymplecticSpace,
@@ -69,12 +71,26 @@ class TestLimitErrorPaths:
         assert abs(est.value - (-rate)) <= est.error_bar + 1e-2
 
     def test_step_is_derived_from_the_input(self):
-        # dt = 1 up to ||B||_2 = 20, then ||dt B||_2 = 20, and never more
-        # steps than t_max / 0.05
-        for rate, steps in ((0.5, 100), (40.0, 200), (1e4, 2000)):
-            est = maslov_limit(rotation(rate), MaslovLimitConfig(t_max=100.0))
-            assert est.samples_used == steps + 1
+        # the base grid has dt = 1 up to ||B||_2 = 20, then ||dt B||_2 = 20,
+        # and never more steps than t_max / 0.05; a semi-simple input then
+        # doubles the step while the step count stays a multiple of 4 and
+        # ||exp(dt B)||_2 <= e^16
+        cfg = MaslovLimitConfig(t_max=100.0)
+        for rate, samples in ((0.5, 51), (40.0, 51), (1e4, 251)):
+            est = maslov_limit(rotation(rate), cfg)
+            assert est.samples_used == samples
             assert abs(est.value - (-rate)) <= est.error_bar + 1e-6 * rate
+        # a Jordan chain keeps the base grid
+        for n in (1, 2, 3):
+            est = maslov_limit(nilpotent_jordan_sp(SymplecticSpace(n)), cfg)
+            assert est.samples_used == 101
+            assert abs(est.value) <= est.error_bar + 1e-2
+        # at ||dt B||_2 = 20, ||exp(2 dt B)||_2 would pass e^16
+        B = self.stiff(150.0, 1)
+        est = maslov_limit(B, MaslovLimitConfig(t_max=200.0))
+        dt = 200.0 / (est.samples_used - 1)
+        assert dt * np.linalg.norm(B.mat, 2) == pytest.approx(20.0, rel=1e-2)
+        assert np.linalg.norm(scipy.linalg.expm(2 * dt * B.mat), 2) > np.exp(16.0)
 
     @staticmethod
     def stiff(h, seed):

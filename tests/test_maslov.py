@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spqs.kernels import sample_polar_path
 from spqs.maslov import (
     MaslovLimitConfig,
+    MaslovLimitError,
+    _increment,
+    _step_blocks,
+    _step_count,
+    _step_phase,
     maslov_dim2,
     maslov_limit,
     maslov_limit_batch,
@@ -18,7 +26,11 @@ from spqs.symplectic import (
     SpElement,
     SymplecticSpace,
     omega,
+    omega_adjoint,
+    project_skew_symplectic,
     random_sp_element,
+    random_symplectic_group_element,
+    rng_from,
     y_element,
     z_element,
 )
@@ -193,3 +205,104 @@ class TestTrace:
         est = maslov_limit(B, cfg)
         assert theta[-1] / t[-1] == pytest.approx(est.value, abs=1e-12)
         assert np.all(np.diff(t) > 0)
+
+
+def base_grid_limit(els, t_max):
+    """(values, bars, samples) of the sweep on the `_step_count` grid, with
+    no step doubling: the reference for the coarsened sweep."""
+    Bs = np.stack([b.mat for b in els])
+    m, d, _ = Bs.shape
+    norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
+    steps = _step_count(t_max, norm)
+    dt = t_max / steps
+    step, theta_E = _step_blocks(scipy.linalg.expm(dt * Bs)), _step_phase(Bs, dt, norm)
+    N = np.zeros((m, d // 2, d // 2), dtype=complex)
+    theta = np.zeros((m, steps + 1))
+    for k in range(steps):
+        theta[:, k + 1], N = _increment(step, theta_E, N)
+    theta = np.cumsum(theta, axis=1)
+    full, half = theta[:, -1] / t_max, theta[:, steps // 2] / (0.5 * t_max)
+    return full, np.abs(full - half), steps + 1
+
+
+def criteria_populations():
+    """The criteria 01-03 populations (n = 1..4), by name."""
+    rng = rng_from(0)
+    closed = [sp2_element(*rng.uniform(-2.0, 2.0, 3)) for _ in range(200)]
+    yield "closed form n=1", closed
+    for n in (1, 2, 3):
+        space, rng = SymplecticSpace(n), rng_from(100 + n)
+        gens = []
+        for _ in range(100):
+            xi, eta = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+            gens += [y_element(space, xi, eta), z_element(space, xi, eta)]
+        yield f"Y/Z n={n}", gens
+    for n in (2, 3, 4):
+        rng = rng_from(200 + n)
+        space = SymplecticSpace(n)
+        yield f"semi-simple n={n}", [random_semisimple(space, rng)[0] for _ in range(100)]
+
+
+def conjugated_jordan(n):
+    """A real Jordan block with eigenvalue 1 and its mirror, in a random
+    symplectic frame: not semi-simple."""
+    space = SymplecticSpace(n)
+    M = np.eye(n) + np.eye(n, k=1)
+    D = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), -M.T]])
+    g = random_symplectic_group_element(space, 0.5, 1)
+    return project_skew_symplectic(space, g @ D @ omega_adjoint(g))
+
+
+class TestCoarseGrid:
+    FULL = MaslovLimitConfig(t_max=2000.0)
+
+    def test_matches_the_base_grid_on_the_criteria_populations(self):
+        pick = rng_from(11)
+        coarsened = 0
+        for name, population in criteria_populations():
+            els = [population[i] for i in pick.choice(len(population), 8, replace=False)]
+            values, bars, samples = base_grid_limit(els, self.FULL.t_max)
+            ests = maslov_limit_batch(els, self.FULL)
+            got = [e.value for e in ests], [e.error_bar for e in ests]
+            np.testing.assert_allclose(got, (values, bars), rtol=0, atol=1e-10, err_msg=name)
+            assert ests[0].samples_used <= samples, name
+            coarsened += ests[0].samples_used < samples
+        assert coarsened >= 5
+
+    @pytest.mark.parametrize(
+        "B",
+        [nilpotent_jordan_sp(SymplecticSpace(n)) for n in (2, 3, 4)]
+        + [conjugated_jordan(n) for n in (2, 3)],
+        ids=["nilpotent n=2", "nilpotent n=3", "nilpotent n=4", "jordan n=2", "jordan n=3"],
+    )
+    def test_non_semisimple_inputs_keep_the_base_grid(self, B):
+        cfg = MaslovLimitConfig(t_max=200.0)
+        values, bars, samples = base_grid_limit([B], cfg.t_max)
+        est = maslov_limit(B, cfg)
+        assert (est.value, est.error_bar, est.samples_used) == (values[0], bars[0], samples)
+
+
+class TestRobustness:
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+        log_eps=st.one_of(st.none(), st.floats(-12.0, -1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_value_or_limit_error(self, n, seed, log_scale, log_eps):
+        # a random semi-simple element (log_eps None) or a Jordan chain plus
+        # a random perturbation of size 10^log_eps, scaled by 10^log_scale
+        space = SymplecticSpace(n)
+        if log_eps is None:
+            M = random_semisimple(space, seed)[0].mat
+        else:
+            eps = 10.0**log_eps * random_sp_element(space, 1.0, seed).mat
+            M = nilpotent_jordan_sp(space).mat + eps
+        B = SpElement(space, 10.0**log_scale * M)
+        try:
+            est = maslov_limit(B, MaslovLimitConfig(t_max=50.0))
+        except MaslovLimitError:
+            return
+        assert np.isfinite(est.value) and np.isfinite(est.error_bar)
