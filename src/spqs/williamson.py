@@ -108,8 +108,8 @@ def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack V: the ratio of its extreme singular values (inf when singular),
     and whether that is at most EIGVEC_COND_MAX."""
     sv = np.linalg.svd(V, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        cond = np.where(sv[..., -1] > 0, sv[..., 0] / sv[..., -1], np.inf)
+    big, small = sv[..., 0], sv[..., -1]
+    cond = np.divide(big, small, out=np.full(small.shape, np.inf), where=small > 0)
     return cond, cond <= EIGVEC_COND_MAX
 
 
