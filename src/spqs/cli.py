@@ -11,6 +11,7 @@ or unwritable output, 5 non-semisimple input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -266,8 +267,12 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes only the options it reads."""
+    """Each subcommand takes only the options it reads.
+
+    Built once per process: every `main` call shares this parser, so callers
+    must not mutate it."""
     p = argparse.ArgumentParser(
         prog="spqs",
         description="Quasi-state computations on the skew-symplectic matrix algebra",
@@ -307,8 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for parser in (pe, pv, pt):
         parser.add_argument("--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max)
-    for parser in (pd, pv, pt):
-        parser.add_argument("--out", help="output path")
+    for parser, what in (
+        (pd, "directory for <stem>_frame.txt"),
+        (pv, "report file"),
+        (pt, "trace CSV file"),
+    ):
+        parser.add_argument("--out", help=what)
     return p
 
 

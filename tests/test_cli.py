@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -403,6 +404,67 @@ class TestEnvVarOutDir:
         code, stdout, _ = run_cli(["trace", rotation_file, "--t-max", "10"], capsys)
         assert code == 0
         assert os.path.exists(os.path.join(str(tmp_path), "rot_trace.csv"))
+
+
+class TestInProcessCalls:
+    """`main` reuses one parser per process; consecutive calls stay independent."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_construct_no_parser(self, rotation_file, monkeypatch, capsys):
+        argv = ["eval", rotation_file, "--method", "dim2"]
+        assert run_cli(argv, capsys)[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(3):
+            assert run_cli(argv, capsys)[0] == 0
+        assert built == []
+
+    def test_method_does_not_carry_over(self, tmp_path, capsys):
+        B, _ = random_semisimple(SymplecticSpace(2), 4)
+        p = str(tmp_path / "b.txt")
+        write_matrix(p, B.mat)
+        code, out, _ = run_cli(["eval", p, "--method", "limit"], capsys)
+        assert code == 0
+        assert "method: limit" in out
+        code, out, _ = run_cli(["eval", p], capsys)
+        assert code == 0
+        assert "method: spectral" in out
+
+    def test_flag_does_not_carry_over(self, tmp_path, capsys):
+        argv = ["verify", "--suite", "isotropic", "--n", "3", "--trials", "10",
+                "--seed", "1", "--out", str(tmp_path / "r.txt")]
+        assert run_cli(argv + ["--negative-control"], capsys)[0] == 1
+        assert run_cli(argv, capsys)[0] == 0
+
+    def test_usage_error_then_valid_call(self, rotation_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", rotation_file, "--method", "nonsense"])
+        assert exc.value.code == 2
+        assert run_cli(["eval", rotation_file, "--method", "dim2"], capsys)[0] == 0
+
+    def test_help_twice(self, capsys):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--help"])
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("usage: spqs eval")
+
+    def test_decompose_out_is_a_directory(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--help"])
+        assert exc.value.code == 0
+        assert "directory" in capsys.readouterr().out
 
 
 class TestConsoleScript:
