@@ -32,6 +32,7 @@ from .symplectic import (
     SpElement,
     SymplecticSpace,
     omega_adjoint,
+    rng_from,
     standard_complex_structure,
 )
 from .williamson import (
@@ -122,9 +123,7 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
     space = SymplecticSpace(args.n)
     seed = args.seed
     mq = maslov_qs(cfg)
-    rng_n = np.random.Generator(np.random.Philox(seed + 1))
-    Nmat = rng_n.standard_normal((space.dim, space.dim))
-    lin = linear_qs(Nmat)
+    lin = linear_qs(rng_from(seed + 1).standard_normal((space.dim, space.dim)))
     reports = []
 
     def qlin():
@@ -176,7 +175,7 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
         reports.append(harness.fit_rank_one_trace(mq, emb, args.trials, args.tol, seed))
 
     def isotropic():
-        rng = np.random.Generator(np.random.Philox(seed + 3))
+        rng = rng_from(seed + 3)
         cov = rng.standard_normal(space.dim)
         reports.append(
             harness.check_isotropic_linearity(
@@ -220,8 +219,8 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1 or args.trials < 1 or not 0 < args.tol < np.inf:
-        raise ValueError("need --n >= 1, --trials >= 1 and 0 < --tol < inf")
+    if args.n < 1 or args.trials < 1 or args.seed < 0 or not 0 < args.tol < np.inf:
+        raise ValueError("need --n >= 1, --trials >= 1, --seed >= 0 and 0 < --tol < inf")
     cfg = MaslovLimitConfig(t_max=args.t_max)
     if args.suite in ("gleason", "rank-one", "main-theorem", "all") and args.n < 3:
         print("error: hypothesis n >= 3 not met for the requested suite", file=sys.stderr)

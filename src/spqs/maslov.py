@@ -6,6 +6,7 @@ the one `auto` dispatch between the first two, for the library and the CLI."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,12 @@ class MaslovLimitConfig:
     t_max: float = 2000.0
 
     def __post_init__(self):
-        if not 0 < self.t_max < np.inf:
-            raise ValueError("need 0 < t_max < inf")
+        # t_max / 2 stays a normal float (a subnormal step loses the phase:
+        # t_max = 1e-323 read 0 on a unit rotation), and the step cap
+        # t_max / DT_FLOOR of `_step_count` stays finite
+        lo, hi = 2 * sys.float_info.min, sys.float_info.max * DT_FLOOR
+        if not lo <= self.t_max <= hi:
+            raise ValueError(f"need {lo!r} <= t_max <= {hi!r}")
 
 
 @dataclass(frozen=True)

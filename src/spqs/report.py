@@ -1,6 +1,5 @@
-"""Serialization of verification reports: an indented key/value text tree
-(stable keys, floats at full precision, lossless round trip) and a flat
-comma-separated form."""
+"""Writers for verification reports: an indented key/value text tree (stable
+keys, floats at full precision) and a flat comma-separated form."""
 
 from __future__ import annotations
 
@@ -64,103 +63,6 @@ def report_to_text(report: VerificationReport) -> str:
 
 def reports_to_text(reports: list[VerificationReport]) -> str:
     return "\n---\n".join(report_to_text(r) for r in reports)
-
-
-def _parse_scalar(tok: str):
-    if tok == "true":
-        return True
-    if tok == "false":
-        return False
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        return tok
-
-
-def _parse_block(lines, i, depth):
-    """Parse the mapping starting at line i with the given indent depth."""
-    result = {}
-    n = len(lines)
-    while i < n:
-        raw = lines[i]
-        if not raw.strip():
-            i += 1
-            continue
-        ind = (len(raw) - len(raw.lstrip())) // len(_INDENT)
-        if ind < depth:
-            break
-        text = raw.strip()
-        if text.startswith("- "):
-            break
-        key, _, rest = text.partition(":")
-        rest = rest.strip()
-        if rest.startswith("!matrix"):
-            parts = rest.split()
-            r, c = int(parts[1]), int(parts[2])
-            rows = []
-            for k in range(r):
-                rows.append([float(x) for x in lines[i + 1 + k].split()])
-            result[key] = np.asarray(rows).reshape(r, c)
-            i += 1 + r
-        elif rest:
-            result[key] = _parse_scalar(rest)
-            i += 1
-        else:
-            # nested mapping or list
-            j = i + 1
-            if j < n and lines[j].strip().startswith("-"):
-                items, j = _parse_list(lines, j, depth + 1)
-                result[key] = items
-                i = j
-            else:
-                sub, j = _parse_block(lines, j, depth + 1)
-                result[key] = sub
-                i = j
-    return result, i
-
-
-def _parse_list(lines, i, depth):
-    items = []
-    n = len(lines)
-    while i < n:
-        raw = lines[i]
-        if not raw.strip():
-            i += 1
-            continue
-        ind = (len(raw) - len(raw.lstrip())) // len(_INDENT)
-        text = raw.strip()
-        if ind != depth or not text.startswith("-"):
-            break
-        payload = text[1:].strip()
-        if payload:
-            items.append(_parse_scalar(payload))
-            i += 1
-        else:
-            sub, i = _parse_block(lines, i + 1, depth + 1)
-            items.append(sub)
-    return items, i
-
-
-def report_from_text(text: str) -> VerificationReport:
-    data, _ = _parse_block(text.splitlines(), 0, 0)
-    return VerificationReport(
-        check_name=data["check_name"],
-        trials=data["trials"],
-        max_defect=data["max_defect"],
-        tolerance_used=data["tolerance_used"],
-        passed=data["pass"],
-        seed=data["seed"],
-        fitted_parameters=data.get("fitted_parameters"),
-        per_trial_records=tuple(data.get("per_trial_records", ())),
-    )
-
-
-def reports_from_text(text: str) -> list[VerificationReport]:
-    return [report_from_text(part) for part in text.split("\n---\n") if part.strip()]
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:

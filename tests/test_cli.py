@@ -122,10 +122,18 @@ class TestEval:
         nil.write_text("dim 2\n0 1\n0 0\n")
         assert run_cli(["eval", str(nil), "--method", "spectral"], capsys)[0] == 4
 
-        # a non-finite horizon is an option error, not an uncaught overflow
+        # a horizon whose step cap overflows (inf, 1e308) or whose half step
+        # underflows (5e-324) is an option error, not an uncaught traceback
         for argv in (
-            ["eval", str(nil), "--method", "limit", "--t-max", "inf"],
-            ["trace", str(nil), "--t-max", "inf", "--out", str(tmp_path / "inf.csv")],
+            *(
+                ["eval", str(nil), "--method", method, "--t-max", t_max]
+                for t_max in ("inf", "1e308", "5e-324")
+                for method in ("limit", "auto")
+            ),
+            *(
+                ["trace", str(nil), "--t-max", t_max, "--out", str(tmp_path / "t.csv")]
+                for t_max in ("inf", "1e308", "5e-324")
+            ),
         ):
             code, out, err = run_cli(argv, capsys)
             assert code == 4, argv
@@ -356,10 +364,12 @@ class TestVerify:
             ["verify", "--suite", "isotropic", "--tol", "nan", "--out", out],
             ["verify", "--suite", "quasi-linearity", "--negative-control",
              "--tol", "inf", "--out", out],
+            ["verify", "--suite", "isotropic", "--seed", "-1", "--out", out],
         ):
             code, _, err = run_cli(argv, capsys)
             assert code == 4, argv
             assert err.startswith("error:"), argv
+        assert "--seed >= 0" in err  # named, not numpy's bare seed message
         assert not os.path.exists(out)
 
     def test_small_n_precondition(self, capsys):

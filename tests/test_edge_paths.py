@@ -28,7 +28,7 @@ class TestLimitConfig:
         assert [f.name for f in dataclasses.fields(MaslovLimitConfig)] == ["t_max"]
         with pytest.raises(ValueError):
             MaslovLimitConfig(t_max=-1.0)
-        for bad in (0.0, np.inf, np.nan):
+        for bad in (0.0, 5e-324, 1e308, np.inf, np.nan):
             with pytest.raises(ValueError):
                 MaslovLimitConfig(t_max=bad)
 

@@ -1,50 +1,112 @@
 import numpy as np
 
-from spqs.harness import check_quasi_linearity, fit_main_theorem
-from spqs.quasistates import linear_qs, maslov_qs
-from spqs.report import (
-    report_from_text,
-    report_to_text,
-    reports_from_text,
-    reports_to_csv,
-    reports_to_text,
-)
+from spqs.harness import VerificationReport, check_quasi_linearity
+from spqs.quasistates import maslov_qs
+from spqs.report import report_to_text, reports_to_csv, reports_to_text
 from spqs.symplectic import SymplecticSpace
 
 sp2 = SymplecticSpace(2)
-sp3 = SymplecticSpace(3)
 
 
-def test_round_trip_with_records():
-    r = check_quasi_linearity(maslov_qs(), sp2, "common-frame", 8, 1e-2, 5)
-    text = report_to_text(r)
-    back = report_from_text(text)
-    assert back.check_name == r.check_name
-    assert back.trials == r.trials
-    assert back.max_defect == r.max_defect  # bit-exact float round trip
-    assert back.tolerance_used == r.tolerance_used
-    assert back.passed == r.passed
-    assert back.seed == r.seed
-    assert len(back.per_trial_records) == len(r.per_trial_records)
-    for a, b in zip(back.per_trial_records, r.per_trial_records):
-        assert a == b
+def _hand_reports():
+    """Two reports built by hand: no numerics behind them, so the expected
+    text is the same on every BLAS."""
+    r1 = VerificationReport(
+        check_name='fit[a,b] "x"',
+        trials=2,
+        max_defect=1 / 3,
+        tolerance_used=0.1,
+        passed=False,
+        seed=7,
+        fitted_parameters={
+            "c_fit": 1e-300,
+            "converged": True,
+            "weights": [0.5, 2],
+            "inner": {"C": np.array([[1.0, -0.5], [0.1, 2.0]]), "rank": np.int64(3)},
+        },
+        per_trial_records=(
+            {"trial": 0, "defect": 0.1, "ok": True},
+            {"trial": 1, "defect": 1 / 3, "ok": False, "M": np.eye(2)},
+        ),
+    )
+    r2 = VerificationReport("ad-invariance", 1, 1e-300, 0.1, True, 0)
+    return r1, r2
 
 
-def test_round_trip_with_matrix_parameters():
-    rng = np.random.Generator(np.random.Philox(1))
-    r = fit_main_theorem(linear_qs(rng.standard_normal((6, 6))), sp3, 1e-8, 2)
-    text = report_to_text(r)
-    back = report_from_text(text)
-    np.testing.assert_array_equal(back.fitted_parameters["C"], r.fitted_parameters["C"])
-    assert back.fitted_parameters["c_fit"] == r.fitted_parameters["c_fit"]
+R1_TEXT = """\
+check_name: fit[a,b] "x"
+trials: 2
+max_defect: 0.3333333333333333
+tolerance_used: 0.1
+pass: false
+seed: 7
+fitted_parameters:
+  c_fit: 1e-300
+  converged: true
+  weights:
+    - 0.5
+    - 2
+  inner:
+    C: !matrix 2 2
+      1.0 -0.5
+      0.1 2.0
+    rank: 3
+per_trial_records:
+  -
+    trial: 0
+    defect: 0.1
+    ok: true
+  -
+    trial: 1
+    defect: 0.3333333333333333
+    ok: false
+    M: !matrix 2 2
+      1.0 0.0
+      0.0 1.0
+"""
+
+R2_TEXT = """\
+check_name: ad-invariance
+trials: 1
+max_defect: 1e-300
+tolerance_used: 0.1
+pass: true
+seed: 0
+"""
+
+CSV = '''\
+check_name,record,field,value
+"fit[a,b] ""x""",summary,trials,2
+"fit[a,b] ""x""",summary,max_defect,0.3333333333333333
+"fit[a,b] ""x""",summary,tolerance_used,0.1
+"fit[a,b] ""x""",summary,seed,7
+"fit[a,b] ""x""",summary,pass,false
+"fit[a,b] ""x""",0,trial,0
+"fit[a,b] ""x""",0,defect,0.1
+"fit[a,b] ""x""",0,ok,true
+"fit[a,b] ""x""",1,trial,1
+"fit[a,b] ""x""",1,defect,0.3333333333333333
+"fit[a,b] ""x""",1,ok,false
+ad-invariance,summary,trials,1
+ad-invariance,summary,max_defect,1e-300
+ad-invariance,summary,tolerance_used,0.1
+ad-invariance,summary,seed,0
+ad-invariance,summary,pass,true
+'''
 
 
-def test_multi_report_stream():
-    r1 = check_quasi_linearity(maslov_qs(), sp2, "common-frame", 4, 1e-2, 1)
-    r2 = check_quasi_linearity(maslov_qs(), sp2, "odd-polynomial", 4, 1e-2, 1)
-    text = reports_to_text([r1, r2])
-    back = reports_from_text(text)
-    assert [b.check_name for b in back] == [r1.check_name, r2.check_name]
+def test_text_golden():
+    r1, r2 = _hand_reports()
+    assert report_to_text(r1) == R1_TEXT
+    assert report_to_text(r2) == R2_TEXT
+
+
+def test_text_stream_golden():
+    assert reports_to_text(list(_hand_reports())) == R1_TEXT + "\n---\n" + R2_TEXT
+
+
+def test_csv_golden():
+    assert reports_to_csv(list(_hand_reports())) == CSV
 
 
 def test_serialization_is_deterministic():
