@@ -3,7 +3,6 @@ computed by independent methods, constructors for the known quasi-state
 families, and property-based verification of their defining identities."""
 
 from .harness import (
-    FGEvaluator,
     GlEmbedding,
     VerificationReport,
     check_ad_invariance,

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import harness, report as reportmod
 from .maslov import (
+    METHODS,
     MaslovLimitConfig,
     MaslovLimitError,
-    maslov_dim2,
     maslov_evaluate,
     phase_trace,
 )
@@ -34,6 +34,7 @@ from .symplectic import (
     omega_adjoint,
     rng_from,
     standard_complex_structure,
+    z_element,
 )
 from .williamson import (
     ClassificationError,
@@ -75,21 +76,13 @@ def _load_element(path: str) -> SpElement:
 def cmd_eval(args) -> int:
     cfg = MaslovLimitConfig(t_max=args.t_max)
     B = _load_element(args.matrix_file)
-    method = args.method
-    if method == "dim2":
-        if B.space.n != 1:
-            print("error: dim2 closed form needs a 2x2 input", file=sys.stderr)
-            return EXIT_PRECONDITION
-        value = maslov_dim2(B.mat[0, 0], B.mat[0, 1], B.mat[1, 0])
-        error_bar = 0.0
-    else:
-        try:
-            value, error_bar, method = maslov_evaluate(B, cfg, method)
-        except (NonSemisimpleError, ClassificationError) as exc:
-            if method == "auto":
-                raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+    try:
+        value, error_bar, method = maslov_evaluate(B, cfg, args.method)
+    except (NonSemisimpleError, ClassificationError) as exc:
+        if args.method == "auto":
+            raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     if not (np.isfinite(value) and np.isfinite(error_bar)):
         print(f"error: non-finite value {value!r} or error bar {error_bar!r}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -182,11 +175,10 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
                 lambda v: float(cov @ v), space, args.trials, 1e-10, seed
             )
         )
-        fg = harness.FGEvaluator(mq, space)
         xi = rng.standard_normal(space.dim)
         reports.append(
             harness.check_isotropic_linearity(
-                lambda v: fg.G(xi, v), space, args.trials, args.tol, seed
+                lambda v: mq(z_element(space, xi, v)), space, args.trials, args.tol, seed
             )
         )
         if args.negative_control:
@@ -280,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate the Maslov quasi-state")
     pe.add_argument("matrix_file")
-    pe.add_argument("--method", choices=["limit", "spectral", "dim2", "auto"], default="auto")
+    pe.add_argument("--method", choices=METHODS, default="auto")
     pe.set_defaults(func=cmd_eval)
 
     pd = sub.add_parser("decompose", help="normal-form blocks")

@@ -94,21 +94,6 @@ def _held_out_fit(design: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int
     return sol, cut, float(np.sqrt(np.mean(np.square(design[cut:] @ sol - vals[cut:]))))
 
 
-@dataclass(frozen=True)
-class FGEvaluator:
-    """F(xi, eta) = zeta(Y_{xi,eta}) and G(xi, eta) = zeta(Z_{xi,eta}); the two
-    structure functions every fit below probes."""
-
-    quasi_state: QuasiState
-    space: SymplecticSpace
-
-    def F(self, xi: np.ndarray, eta: np.ndarray) -> float:
-        return self.quasi_state(y_element(self.space, xi, eta))
-
-    def G(self, xi: np.ndarray, eta: np.ndarray) -> float:
-        return self.quasi_state(z_element(self.space, xi, eta))
-
-
 def check_quasi_linearity(
     zeta: QuasiState,
     space: SymplecticSpace,
@@ -130,9 +115,9 @@ def check_quasi_linearity(
         pair = commuting_pair(space, strategy, rng, base=base)
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
         combo = c1 * pair.a + c2 * pair.b
-        va, ea = zeta.with_error(pair.a)
-        vb, eb = zeta.with_error(pair.b)
-        vc, ec = zeta.with_error(combo)
+        va, ea = zeta.evaluate_with_error(pair.a)
+        vb, eb = zeta.evaluate_with_error(pair.b)
+        vc, ec = zeta.evaluate_with_error(combo)
         return {
             "defect": abs(vc - c1 * va - c2 * vb),
             "allowance": QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec),
@@ -166,8 +151,8 @@ def check_ad_invariance(
         A = random_sp_element(space, 1.0, rng)
         g = random_symplectic_group_element(space, 0.6, rng)
         conj = project_skew_symplectic(space, g @ A.mat @ omega_adjoint(g))
-        va, ea = zeta.with_error(A)
-        vc, ec = zeta.with_error(conj)
+        va, ea = zeta.evaluate_with_error(A)
+        vc, ec = zeta.evaluate_with_error(conj)
         return {"defect": abs(vc - va), "allowance": ADINV_BAR_MULTIPLIER * (ea + ec)}
 
     return _trial_check(
@@ -413,7 +398,8 @@ def fit_main_theorem(
     tol: float,
     seed: int = 0,
 ) -> VerificationReport:
-    """Three-stage decomposition fit.
+    """Three-stage decomposition fit of the structure functions
+    F(xi, eta) = zeta(Y_{xi,eta}) and G(xi, eta) = zeta(Z_{xi,eta}).
 
     Stage 1 fits F(xi + i eta) = omega(C xi, xi) + omega(C eta, eta) +
     c |omega(xi, eta)| over C in the algebra and scalar c, on cone-restricted
@@ -429,7 +415,6 @@ def fit_main_theorem(
     if space.n < 3:
         caveat = "n < 3: outside the rigidity range, proceeding anyway"
     rng = rng_from(seed)
-    fg = FGEvaluator(zeta, space)
     base = sp_basis(space)
     unknowns = len(base) + 1
     m = SAMPLES_PER_UNKNOWN * unknowns
@@ -442,7 +427,7 @@ def fit_main_theorem(
         for j, A in enumerate(base):
             rows[i, j] = (A @ xi) @ O @ xi + (A @ eta) @ O @ eta
         rows[i, -1] = abs(omega(space, xi, eta))
-        vals[i] = fg.F(xi, eta)
+        vals[i] = zeta(y_element(space, xi, eta))
     sol, _, stage1 = _held_out_fit(rows, vals)
     C = sum(ck * Ak for ck, Ak in zip(sol[:-1], base))
     c_fit = float(sol[-1])
@@ -451,7 +436,7 @@ def fit_main_theorem(
     errs2 = []
     for _ in range(m2):
         xi, eta = rng.standard_normal((2, space.dim))
-        errs2.append(fg.G(xi, eta) - 2.0 * float((C @ xi) @ O @ eta))
+        errs2.append(zeta(z_element(space, xi, eta)) - 2.0 * float((C @ xi) @ O @ eta))
     stage2 = float(np.sqrt(np.mean(np.square(errs2))))
 
     errs3 = []
@@ -496,9 +481,9 @@ def frobenius_pseudo_state(space: SymplecticSpace) -> QuasiState:
     """
     return QuasiState(
         evaluate=lambda x: float(np.linalg.norm(x.mat)),
-        eval_tolerance=1e-12,
         continuous=True,
         provenance="negative-control",
+        evaluate_with_error=lambda x: (float(np.linalg.norm(x.mat)), 1e-12),
     )
 
 

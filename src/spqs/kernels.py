@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .symplectic import SymplecticSpace
 
@@ -32,6 +31,8 @@ def expm(A: np.ndarray) -> np.ndarray:
     The halving residual is a cheap a-posteriori accuracy certificate; its
     failure signals an overflow-grade norm rather than being clamped silently.
     """
+    import scipy.linalg  # deferred: `import spqs` does not need it
+
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got {A.shape}")

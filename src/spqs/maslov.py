@@ -1,7 +1,7 @@
 """The Maslov quasi-state on the skew-symplectic algebra, computed three ways:
 the defining asymptotic limit along t -> exp(tB), a spectral formula through
 the block normal form, and the closed form on sp(2, R).  `maslov_evaluate` is
-the one `auto` dispatch between the first two, for the library and the CLI."""
+the one dispatch between them, for the library and the CLI."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import complex_blocks
 from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
@@ -24,12 +23,14 @@ from .williamson import (
 DT_FLOOR = 0.05  # the derived step never goes below this
 STEP_NORM = 20.0  # above the floor, the derived step keeps ||dt*B||_2 <= this
 GROWTH_MAX = 16.0  # a doubled step keeps ||expm(dt*B)||_2 <= e^this
-METHODS = ("auto", "limit", "spectral")
+MAX_STEPS = 10**6  # largest base grid a sweep takes on (the default horizon needs <= 40000)
+METHODS = ("limit", "spectral", "dim2", "auto")
 
 
 class MaslovLimitError(RuntimeError):
-    """The path evaluation failed: expm(dt*B) overflowed, or a step was
-    numerically singular (a stiff input with a large ||dt*B||_2)."""
+    """The path evaluation failed: the horizon needs more than MAX_STEPS
+    steps, expm(dt*B) overflowed, or a step was numerically singular (a stiff
+    input with a large ||dt*B||_2)."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
     the whole interval, so the principal arguments of eig(Ec(s)) are the lift;
     k doublings take it to dt.
     """
+    import scipy.linalg  # deferred: the spectral route never needs it
+
     k = math.ceil(math.log2(max(1.0, 2.0 * dt * norm)))
     E = scipy.linalg.expm(Bs * (dt / 2**k))
     theta = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
@@ -158,9 +161,13 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     the grid starts at `_step_count` steps and `_coarsen` doubles its step
     where the batch allows.
     """
+    import scipy.linalg  # deferred: the spectral route never needs it
+
     m, d, _ = Bs.shape
     norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
     steps = _step_count(t_max, norm)
+    if steps > MAX_STEPS:
+        raise MaslovLimitError(f"t_max = {t_max!r} needs {steps} path steps, more than {MAX_STEPS}")
     dt = t_max / steps
     E = scipy.linalg.expm(dt * Bs)
     if not np.all(np.isfinite(E)):
@@ -245,24 +252,24 @@ def maslov_spectral(B: SpElement, report: SpectrumReport | None = None) -> float
     return -float(sum(krein_parameters(B, report))) + 0.0
 
 
-def spectral_error_estimate(B: SpElement) -> float:
-    """Crude bound on the spectral evaluation error (eigensolve roundoff)."""
-    return 1e-8 * (1.0 + B.norm())
-
-
 def maslov_evaluate(
     B: SpElement, cfg: MaslovLimitConfig, method: str = "auto"
 ) -> tuple[float, float, str]:
-    """(value, error bar, route taken) by one of 'limit', 'spectral' or
-    'auto'.  'auto' classifies B once: semi-simple inputs go the spectral
-    route with that classification, the rest go the limit route."""
+    """(value, error bar, route taken) by one of METHODS.  'dim2' is the
+    closed form on 2x2 inputs, with a zero bar.  'auto' classifies B once:
+    semi-simple inputs go the spectral route with that classification, the
+    rest go the limit route."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "dim2":
+        if B.space.n != 1:
+            raise ValueError("dim2 closed form needs a 2x2 input")
+        return maslov_dim2(B.mat[0, 0], B.mat[0, 1], B.mat[1, 0]), 0.0, method
     report = None
     if method == "auto":
         report = classify_eigenstructure(B)
         method = "spectral" if report.semi_simple else "limit"
-    if method == "spectral":
-        return maslov_spectral(B, report), spectral_error_estimate(B), method
+    if method == "spectral":  # the bar is a crude bound on the eigensolve roundoff
+        return maslov_spectral(B, report), 1e-8 * (1.0 + B.norm()), method
     est = maslov_limit(B, cfg)
     return est.value, est.error_bar, method

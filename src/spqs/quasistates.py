@@ -5,11 +5,11 @@ nilpotent single-block element."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .maslov import METHODS, MaslovLimitConfig, maslov_evaluate
+from .maslov import MaslovLimitConfig, maslov_evaluate
 from .symplectic import SpElement, SymplecticSpace, rng_from, skew_defect
 
 MEMBERSHIP_RTOL = 1e-8    # relative residual for odd-power subspace membership
@@ -21,24 +21,18 @@ ODDNESS_SAMPLES = 32      # seeded antipodal pairs checked by dim2_homogeneous_q
 class QuasiState:
     """Evaluator zeta with metadata.
 
-    evaluate_with_error returns (value, error bound) per call; eval_tolerance
-    is the constructor-level guarantee used when no per-call bound exists.
+    evaluate_with_error returns (value, error bar), the bar the checkers spend
+    as their allowance; evaluate returns the value alone.
     """
 
     evaluate: Callable[[SpElement], float]
-    eval_tolerance: float
     continuous: bool
     provenance: str
-    evaluate_with_error: Optional[Callable[[SpElement], tuple[float, float]]] = None
+    evaluate_with_error: Callable[[SpElement], tuple[float, float]]
     source: object = field(default=None, repr=False)
 
     def __call__(self, x: SpElement) -> float:
         return self.evaluate(x)
-
-    def with_error(self, x: SpElement) -> tuple[float, float]:
-        if self.evaluate_with_error is not None:
-            return self.evaluate_with_error(x)
-        return self.evaluate(x), self.eval_tolerance
 
 
 def linear_qs(N: np.ndarray) -> QuasiState:
@@ -52,7 +46,6 @@ def linear_qs(N: np.ndarray) -> QuasiState:
 
     return QuasiState(
         evaluate=ev,
-        eval_tolerance=1e-12,
         continuous=True,
         provenance="linear",
         evaluate_with_error=lambda x: (ev(x), 1e-14 * (1.0 + x.norm())),
@@ -60,26 +53,15 @@ def linear_qs(N: np.ndarray) -> QuasiState:
     )
 
 
-def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig(), method: str = "auto") -> QuasiState:
-    """The Maslov quasi-state.
-
-    method 'auto' evaluates semi-simple inputs spectrally (cheap, exact to
-    classification tolerance) and falls back to the asymptotic path evaluator
-    otherwise; 'limit' and 'spectral' force one route.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig()) -> QuasiState:
+    """The Maslov quasi-state through the `auto` dispatch of `maslov_evaluate`:
+    semi-simple inputs spectrally, the rest by the asymptotic path evaluator."""
 
     def ev_err(x: SpElement) -> tuple[float, float]:
-        return maslov_evaluate(x, cfg, method)[:2]
-
-    # constructor-level bound: bounded-defect convergence at the configured
-    # horizon, desk scale (covers n <= 8)
-    tol = 16.0 * np.pi / cfg.t_max
+        return maslov_evaluate(x, cfg)[:2]
 
     return QuasiState(
         evaluate=lambda x: ev_err(x)[0],
-        eval_tolerance=tol,
         continuous=True,
         provenance="maslov",
         evaluate_with_error=ev_err,
@@ -115,9 +97,9 @@ def dim2_homogeneous_qs(
 
     return QuasiState(
         evaluate=ev,
-        eval_tolerance=1e-10,
         continuous=True,
         provenance="dim2-homogeneous",
+        evaluate_with_error=lambda x: (ev(x), 1e-10),
         source=f,
     )
 
@@ -212,7 +194,6 @@ def discontinuous_qs(A: SpElement, c: float) -> QuasiState:
     dq = DiscontinuousQS(A=A, c=float(c), powers=powers, bound_constant=bound)
     return QuasiState(
         evaluate=dq.evaluate,
-        eval_tolerance=1e-9,
         continuous=False,
         provenance="discontinuous",
         evaluate_with_error=lambda x: (dq.evaluate(x), 1e-12 * (1.0 + x.norm())),
@@ -228,14 +209,13 @@ def linear_combination(parts: list[tuple[float, QuasiState]]) -> QuasiState:
     def ev_err(x: SpElement) -> tuple[float, float]:
         total, err = 0.0, 0.0
         for coef, qs in parts:
-            v, e = qs.with_error(x)
+            v, e = qs.evaluate_with_error(x)
             total += coef * v
             err += abs(coef) * e
         return total, err
 
     return QuasiState(
         evaluate=lambda x: ev_err(x)[0],
-        eval_tolerance=float(sum(abs(c) * q.eval_tolerance for c, q in parts)),
         continuous=all(q.continuous for _, q in parts),
         provenance="composite",
         evaluate_with_error=ev_err,

@@ -63,8 +63,6 @@ class SpectrumReport:
     a, b > 0; zeros are counted.  semi-simplicity is the eigenvector-condition
     proxy."""
 
-    space: SymplecticSpace
-    eigenvalues: np.ndarray
     real_pairs: tuple          # (a, multiplicity)
     imag_pairs: tuple          # (b, multiplicity)
     quadruples: tuple          # (a, b, multiplicity)
@@ -146,7 +144,7 @@ def classify_eigenstructure(B: SpElement) -> SpectrumReport:
         elif z.imag > 0:
             (quad if z.real < 0 else quad_partner).append(i)
     if not semi_simple:
-        return SpectrumReport(B.space, lam, (), (), (), len(zero_idx), False, cond)
+        return SpectrumReport((), (), (), len(zero_idx), False, cond)
 
     groups = []
     if real_pos or real_neg:
@@ -166,8 +164,6 @@ def classify_eigenstructure(B: SpElement) -> SpectrumReport:
             groups.append(_EigGroup("quad", tuple(grp), tuple(par), a, b))
 
     return SpectrumReport(
-        space=B.space,
-        eigenvalues=lam,
         real_pairs=tuple((g.a, len(g.indices)) for g in groups if g.kind == "real"),
         imag_pairs=tuple((g.b, len(g.indices)) for g in groups if g.kind == "imag"),
         quadruples=tuple(

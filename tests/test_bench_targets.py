@@ -34,4 +34,4 @@ def test_maslov_qs_fields_the_tracer_replaces():
         qs, evaluate=qs.evaluate, evaluate_with_error=qs.evaluate_with_error
     )
     rot = SpElement(SymplecticSpace(1), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert traced.with_error(rot) == qs.with_error(rot)
+    assert traced.evaluate_with_error(rot) == qs.evaluate_with_error(rot)

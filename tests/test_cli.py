@@ -8,9 +8,10 @@ import pytest
 
 from spqs.cli import build_parser, main
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
-from spqs.maslov import MaslovLimitConfig
+from spqs.maslov import METHODS, MaslovLimitConfig, maslov_evaluate
 from spqs.quasistates import maslov_qs
 from spqs.symplectic import (
+    SpElement,
     SymplecticSpace,
     omega_adjoint,
     project_skew_symplectic,
@@ -116,23 +117,31 @@ class TestEval:
         fourdim.write_text(
             "dim 4\n0 0 1 0\n0 0 0 1\n-1 0 0 0\n0 -1 0 0\n"
         )
-        assert run_cli(["eval", str(fourdim), "--method", "dim2"], capsys)[0] == 4
+        code, _, err = run_cli(["eval", str(fourdim), "--method", "dim2"], capsys)
+        assert code == 4
+        # the CLI reports the library dispatch's own precondition error
+        with pytest.raises(ValueError) as exc:
+            maslov_evaluate(SpElement(SymplecticSpace(2), read_matrix(str(fourdim))),
+                            MaslovLimitConfig(), "dim2")
+        assert err == f"error: {exc.value}\n" == "error: dim2 closed form needs a 2x2 input\n"
 
         nil = tmp_path / "nil.txt"
         nil.write_text("dim 2\n0 1\n0 0\n")
         assert run_cli(["eval", str(nil), "--method", "spectral"], capsys)[0] == 4
 
-        # a horizon whose step cap overflows (inf, 1e308) or whose half step
-        # underflows (5e-324) is an option error, not an uncaught traceback
+        # a horizon whose step cap overflows (inf, 1e308), whose half step
+        # underflows (5e-324) or whose grid exceeds MAX_STEPS (1e12, 1e7) is
+        # an option error, not an uncaught traceback or a sweep of minutes
+        horizons = ("inf", "1e308", "5e-324", "1e12", "1e7")
         for argv in (
             *(
                 ["eval", str(nil), "--method", method, "--t-max", t_max]
-                for t_max in ("inf", "1e308", "5e-324")
+                for t_max in horizons
                 for method in ("limit", "auto")
             ),
             *(
                 ["trace", str(nil), "--t-max", t_max, "--out", str(tmp_path / "t.csv")]
-                for t_max in ("inf", "1e308", "5e-324")
+                for t_max in horizons
             ),
         ):
             code, out, err = run_cli(argv, capsys)
@@ -225,6 +234,11 @@ def _count_classifications(monkeypatch, replacement=None):
 
 
 class TestSubcommandOptions:
+    def test_method_choices_are_the_dispatch_methods(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        (method,) = [a for a in sub.choices["eval"]._actions if "--method" in a.option_strings]
+        assert tuple(method.choices) == METHODS
+
     # every option of the CLI; a value a reader would reject (inf, 0, nan)
     # must still be a usage error where the option is foreign.  None marks a flag
     OPTIONS = {
@@ -262,7 +276,7 @@ class TestAutoDispatch:
         p = str(tmp_path / "b.txt")
         write_matrix(p, B.mat)
         calls = _count_classifications(monkeypatch)
-        maslov_qs().with_error(B)
+        maslov_qs().evaluate_with_error(B)
         assert len(calls) == 1
         code, out, _ = run_cli(["eval", p, "--method", "auto"], capsys)
         assert code == 0
@@ -286,7 +300,7 @@ class TestAutoDispatch:
         D = np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), -M.T]])
         g = random_symplectic_group_element(space, 0.5, 1)
         B = project_skew_symplectic(space, g @ D @ omega_adjoint(g))
-        value, bar = maslov_qs(MaslovLimitConfig(t_max=200.0)).with_error(B)
+        value, bar = maslov_qs(MaslovLimitConfig(t_max=200.0)).evaluate_with_error(B)
         assert abs(value) <= bar + 1e-2
         p = str(tmp_path / "jordan.txt")
         write_matrix(p, B.mat)
@@ -478,6 +492,18 @@ class TestInProcessCalls:
 
 
 class TestConsoleScript:
+    def test_spectral_eval_leaves_scipy_linalg_unloaded(self, rotation_file):
+        # only the limit route and kernels.expm import scipy.linalg, so a
+        # spectral request does not pay its import time
+        code = (
+            "import sys, spqs.cli\n"
+            f"assert spqs.cli.main(['eval', {rotation_file!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["method: spectral", "False"]
+
     def test_installed_entry_point(self, rotation_file):
         proc = subprocess.run(
             [sys.executable, "-m", "spqs.cli", "eval", rotation_file, "--method", "dim2"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spqs.maslov import MaslovLimitConfig, maslov_dim2
+from spqs.maslov import MaslovLimitConfig, maslov_dim2, maslov_evaluate
 from spqs.quasistates import (
     DiscontinuousQS,
     dim2_homogeneous_qs,
@@ -57,25 +57,26 @@ class TestMaslovState:
 
     def test_methods_agree(self):
         B = SpElement(sp1, np.array([[0.4, -1.5], [1.2, -0.4]]))
-        zl = maslov_qs(MaslovLimitConfig(t_max=2000.0), method="limit")
-        zs = maslov_qs(method="spectral")
-        za = maslov_qs(method="auto")
-        vl, el = zl.with_error(B)
-        assert zs(B) == pytest.approx(maslov_dim2(0.4, -1.5, 1.2), abs=1e-9)
-        assert za(B) == pytest.approx(zs(B), abs=1e-9)
-        assert abs(vl - zs(B)) <= el + 1e-3
+        cfg = MaslovLimitConfig(t_max=2000.0)
+        vl, el, _ = maslov_evaluate(B, cfg, "limit")
+        vs, _, _ = maslov_evaluate(B, cfg, "spectral")
+        assert vs == pytest.approx(maslov_dim2(0.4, -1.5, 1.2), abs=1e-9)
+        assert maslov_qs(cfg)(B) == pytest.approx(vs, abs=1e-9)
+        assert abs(vl - vs) <= el + 1e-3
 
     def test_falls_back_to_limit_for_non_semisimple(self):
         zeta = maslov_qs(MaslovLimitConfig(t_max=200.0))
         A = nilpotent_jordan_sp(sp1)
-        value, err = zeta.with_error(A)
+        value, err = zeta.evaluate_with_error(A)
         assert abs(value) <= err + 1e-2
 
     def test_homogeneity_invariant(self):
         zeta = maslov_qs()
         B = SpElement(sp1, np.array([[0.1, -1.0], [1.3, -0.1]]))
+        v, e = zeta.evaluate_with_error(B)
         for s in (-1.0, 2.0):
-            assert zeta(s * B) == pytest.approx(s * zeta(B), abs=2 * zeta.eval_tolerance)
+            vs, es = zeta.evaluate_with_error(s * B)
+            assert abs(vs - s * v) <= es + abs(s) * e
 
 
 class TestDim2Homogeneous:
@@ -210,6 +211,6 @@ class TestComposite:
         mq = maslov_qs()
         comp = linear_combination([(2.0, mq), (-1.0, lin)])
         B, = [random_sp_element(sp2, 0.8, 11)]
-        v, e = comp.with_error(B)
+        v, e = comp.evaluate_with_error(B)
         assert v == pytest.approx(2.0 * mq(B) - lin(B), abs=1e-9)
         assert comp.provenance == "composite"
