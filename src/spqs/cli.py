@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import harness, report as reportmod
+from . import harness, maslov, report as reportmod
 from .maslov import (
     METHODS,
     MaslovLimitConfig,
@@ -77,7 +77,7 @@ def cmd_eval(args) -> int:
     cfg = MaslovLimitConfig(t_max=args.t_max)
     B = _load_element(args.matrix_file)
     try:
-        value, error_bar, method = maslov_evaluate(B, cfg, args.method)
+        ((value, error_bar, method),) = maslov_evaluate([B], cfg, args.method)
     except (NonSemisimpleError, ClassificationError) as exc:
         if args.method == "auto":
             raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
@@ -302,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=cmd_trace)
 
     for parser in (pe, pv, pt):
-        parser.add_argument("--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max)
+        parser.add_argument(
+            "--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max,
+            help=f"limit-route horizon T > 0 (default {MaslovLimitConfig.t_max}); its base grid "
+            f"of T to T/{maslov.DT_FLOOR} steps, by the input norm, must stay within "
+            f"{maslov.MAX_STEPS} steps. A step costs about 40 us for one element, so --t-max "
+            "1e5 takes about 4 s",
+        )
     for parser, what in (
         (pd, "directory for <stem>_frame.txt"),
         (pv, "report file"),

@@ -75,15 +75,20 @@ def _report(name, trials, max_defect, tol, seed, params=None, records=()):
     )
 
 
-def _trial_check(name, trials, tol, seed, params, trial: Callable[[], dict]):
-    """Report over `trials` records {"trial": t, **trial()}: each record has a
+def _values(zeta: QuasiState, xs) -> list[float]:
+    """zeta's value on each element, from one batch call."""
+    return [v for v, _ in zeta.batch(xs)]
+
+
+def _trial_check(name, tol, seed, params, results):
+    """Report over the records {"trial": t, **results[t]}: each result has a
     raw "defect" and may carry an "allowance" (the error-bar multiple it may
     use); max_defect is the largest defect minus allowance."""
-    if trials < 1:
+    if not results:
         raise ValueError("need at least one trial")
-    records = [{"trial": t, **trial()} for t in range(trials)]
+    records = [{"trial": t, **r} for t, r in enumerate(results)]
     worst = max(r["defect"] - r.get("allowance", 0.0) for r in records)
-    return _report(name, trials, worst, tol, seed, params, records)
+    return _report(name, len(records), worst, tol, seed, params, records)
 
 
 def _held_out_fit(design: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -111,28 +116,27 @@ def check_quasi_linearity(
     supported on a particular abelian subspace)."""
     rng = rng_from(seed)
 
-    def trial():
-        pair = commuting_pair(space, strategy, rng, base=base)
-        c1, c2 = rng.uniform(-2.0, 2.0, 2)
-        combo = c1 * pair.a + c2 * pair.b
-        va, ea = zeta.evaluate_with_error(pair.a)
-        vb, eb = zeta.evaluate_with_error(pair.b)
-        vc, ec = zeta.evaluate_with_error(combo)
-        return {
+    draws = [
+        (commuting_pair(space, strategy, rng, base=base), *rng.uniform(-2.0, 2.0, 2))
+        for _ in range(trials)
+    ]
+    evals = iter(zeta.batch([x for p, c1, c2 in draws for x in (p.a, p.b, c1 * p.a + c2 * p.b)]))
+    results = [
+        {
             "defect": abs(vc - c1 * va - c2 * vb),
             "allowance": QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec),
             "c1": c1,
             "c2": c2,
             "commutator_norm": pair.commutator_norm,
         }
-
+        for (pair, c1, c2), (va, ea), (vb, eb), (vc, ec) in zip(draws, evals, evals, evals)
+    ]
     return _trial_check(
         f"quasi-linearity[{zeta.provenance}/{CommutingStrategy(strategy).value}]",
-        trials,
         tol,
         seed,
         {"bar_multiplier": QLIN_BAR_MULTIPLIER, "n": space.n},
-        trial,
+        results,
     )
 
 
@@ -147,21 +151,22 @@ def check_ad_invariance(
     within ADINV_BAR_MULTIPLIER summed error bars plus tol."""
     rng = rng_from(seed)
 
-    def trial():
+    def draw():
         A = random_sp_element(space, 1.0, rng)
         g = random_symplectic_group_element(space, 0.6, rng)
-        conj = project_skew_symplectic(space, g @ A.mat @ omega_adjoint(g))
-        va, ea = zeta.evaluate_with_error(A)
-        vc, ec = zeta.evaluate_with_error(conj)
-        return {"defect": abs(vc - va), "allowance": ADINV_BAR_MULTIPLIER * (ea + ec)}
+        return A, project_skew_symplectic(space, g @ A.mat @ omega_adjoint(g))
 
+    evals = iter(zeta.batch([x for _ in range(trials) for x in draw()]))
+    results = [
+        {"defect": abs(vc - va), "allowance": ADINV_BAR_MULTIPLIER * (ea + ec)}
+        for (va, ea), (vc, ec) in zip(evals, evals)
+    ]
     return _trial_check(
         f"ad-invariance[{zeta.provenance}]",
-        trials,
         tol,
         seed,
         {"bar_multiplier": ADINV_BAR_MULTIPLIER, "n": space.n},
-        trial,
+        results,
     )
 
 
@@ -223,19 +228,20 @@ def fit_gleason_on_unitary(
     if not zeta.continuous:
         raise ValueError("the trace-form fit applies to continuous-flagged states")
     basis = unitary_subalgebra_basis(space, J)
-    y = np.array([zeta(A) for A in basis])
+    y = np.array(_values(zeta, basis))
     design = np.stack([A.mat.T.reshape(-1) for A in basis])
     h, *_ = np.linalg.lstsq(design, y, rcond=None)
     H = h.reshape(space.dim, space.dim)
 
     rng = rng_from(seed)
+    tests = [
+        SpElement(space, sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis)))
+        for _ in range(GLEASON_TEST_SAMPLES)
+    ]
     errs = []
     oracle_dev = 0.0
     records = []
-    for t in range(GLEASON_TEST_SAMPLES):
-        coef = rng.standard_normal(len(basis))
-        A = SpElement(space, sum(c * b.mat for c, b in zip(coef, basis)))
-        actual = zeta(A)
+    for t, (A, actual) in enumerate(zip(tests, _values(zeta, tests))):
         pred = float(np.trace(H @ A.mat))
         errs.append(actual - pred)
         rec = {"trial": t, "actual": actual, "predicted": pred}
@@ -332,15 +338,15 @@ def fit_rank_one_trace(
         raise ValueError("the rank-one fit applies to continuous-flagged states")
     rng = rng_from(seed)
     m = max(trials, SAMPLES_PER_UNKNOWN * n * n)
-    xs, ys, vals = [], [], []
-    while len(vals) < m:
+    xs, ys = [], []
+    while len(xs) < m:
         xi = rng.standard_normal(n)
         eta = rng.standard_normal(n)
         if abs(xi @ eta) < CONE_MARGIN * np.linalg.norm(xi) * np.linalg.norm(eta):
             continue
         xs.append(xi)
         ys.append(eta)
-        vals.append(zeta(embedding.rank_one(xi, eta)))
+    vals = _values(zeta, [embedding.rank_one(xi, eta) for xi, eta in zip(xs, ys)])
     design = np.stack([np.outer(e, x).reshape(-1) for x, e in zip(xs, ys)])
     sol, cut, residual = _held_out_fit(design, np.asarray(vals))
     N = sol.reshape(n, n)
@@ -381,7 +387,7 @@ def check_isotropic_linearity(
         c1, c2 = rng.uniform(-2.0, 2.0, 2)
         return {"defect": abs(phi(c1 * eta1 + c2 * eta2) - c1 * phi(eta1) - c2 * phi(eta2))}
 
-    return _trial_check("isotropic-linearity", trials, tol, seed, None, trial)
+    return _trial_check("isotropic-linearity", tol, seed, None, [trial() for _ in range(trials)])
 
 
 def _cone_sample(space, rng):
@@ -421,32 +427,33 @@ def fit_main_theorem(
     O = space.omega_matrix
 
     rows = np.empty((m, unknowns))
-    vals = np.empty(m)
+    ys = []
     for i in range(m):
         xi, eta = _cone_sample(space, rng)
         for j, A in enumerate(base):
             rows[i, j] = (A @ xi) @ O @ xi + (A @ eta) @ O @ eta
         rows[i, -1] = abs(omega(space, xi, eta))
-        vals[i] = zeta(y_element(space, xi, eta))
-    sol, _, stage1 = _held_out_fit(rows, vals)
+        ys.append(y_element(space, xi, eta))
+    sol, _, stage1 = _held_out_fit(rows, np.array(_values(zeta, ys)))
     C = sum(ck * Ak for ck, Ak in zip(sol[:-1], base))
     c_fit = float(sol[-1])
 
-    m2 = max(40, 2 * space.dim)
-    errs2 = []
-    for _ in range(m2):
-        xi, eta = rng.standard_normal((2, space.dim))
-        errs2.append(zeta(z_element(space, xi, eta)) - 2.0 * float((C @ xi) @ O @ eta))
+    pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
+    vals2 = _values(zeta, [z_element(space, xi, eta) for xi, eta in pairs2])
+    errs2 = [v - 2.0 * float((C @ xi) @ O @ eta) for v, (xi, eta) in zip(vals2, pairs2)]
     stage2 = float(np.sqrt(np.mean(np.square(errs2))))
 
+    Bs = [random_semisimple(space, rng)[0] for _ in range(STAGE3_SAMPLES)]
+    terms = [yz_decomposition(B) for B in Bs]
+    samples3 = [x for B, ts in zip(Bs, terms) for x in (*(realize(d) for _, d in ts), B)]
+    vals3 = iter(_values(zeta, samples3))
     errs3 = []
     yz_dev = 0.0
-    for _ in range(STAGE3_SAMPLES):
-        B, _ = random_semisimple(space, rng)
-        via_terms = sum(coef * zeta(realize(d)) for coef, d in yz_decomposition(B))
-        direct = zeta(B)
+    for B, ts, spectral in zip(Bs, terms, maslov_spectral(Bs)):
+        via_terms = sum(coef * next(vals3) for coef, _ in ts)
+        direct = next(vals3)
         yz_dev = max(yz_dev, abs(direct - via_terms))
-        pred = float(np.trace(-C @ B.mat)) - c_fit * maslov_spectral(B)
+        pred = float(np.trace(-C @ B.mat)) - c_fit * spectral
         errs3.append(via_terms - pred)
     stage3 = float(np.sqrt(np.mean(np.square(errs3))))
 
@@ -464,7 +471,7 @@ def fit_main_theorem(
         params["caveat"] = caveat
     return _report(
         f"main-theorem[{zeta.provenance}]",
-        m + m2 + STAGE3_SAMPLES,
+        m + len(pairs2) + STAGE3_SAMPLES,
         worst,
         tol,
         seed,

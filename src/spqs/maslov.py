@@ -13,12 +13,7 @@ import numpy as np
 
 from .kernels import complex_blocks
 from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
-from .williamson import (
-    SpectrumReport,
-    classify_eigenstructure,
-    eigvec_condition,
-    krein_parameters,
-)
+from .williamson import classify_eigenstructure, eigvec_condition, krein_parameters
 
 DT_FLOOR = 0.05  # the derived step never goes below this
 STEP_NORM = 20.0  # above the floor, the derived step keeps ||dt*B||_2 <= this
@@ -240,36 +235,47 @@ def maslov_on_descriptor(desc: RankOneDescriptor) -> float:
     return 0.0
 
 
-def maslov_spectral(B: SpElement, report: SpectrumReport | None = None) -> float:
+def maslov_spectral(B: SpElement | list[SpElement], report=None):
     """Spectral evaluation: each purely imaginary eigenvalue pair contributes
     minus its oriented block parameter; real pairs, quadruples and the kernel
     contribute nothing.
 
     Requires a numerically semi-simple input; otherwise `krein_parameters`
     raises NonSemisimpleError and only the path evaluator applies.  `report`
-    is B's classification when the caller already has it.
-    """
-    return -float(sum(krein_parameters(B, report))) + 0.0
+    is B's classification when the caller already has it.  Given a list of
+    elements of one dimension (and their reports), returns their values."""
+    betas = krein_parameters(B, report)
+    if isinstance(B, SpElement):
+        return -float(sum(betas)) + 0.0
+    return [-float(sum(b)) + 0.0 for b in betas]
 
 
 def maslov_evaluate(
-    B: SpElement, cfg: MaslovLimitConfig, method: str = "auto"
-) -> tuple[float, float, str]:
-    """(value, error bar, route taken) by one of METHODS.  'dim2' is the
-    closed form on 2x2 inputs, with a zero bar.  'auto' classifies B once:
-    semi-simple inputs go the spectral route with that classification, the
-    rest go the limit route."""
+    Bs: list[SpElement], cfg: MaslovLimitConfig, method: str = "auto"
+) -> list[tuple[float, float, str]]:
+    """(value, error bar, route taken) of each element by one of METHODS.
+    'dim2' is the closed form on 2x2 inputs, with a zero bar.  'auto'
+    classifies each element once: semi-simple inputs go the spectral route,
+    which takes the elements of each dimension as one stack, and each of the
+    rest its own limit-route sweep.  A failing element makes the batch raise
+    the exception it raises alone."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "dim2":
-        if B.space.n != 1:
+        if any(B.space.n != 1 for B in Bs):
             raise ValueError("dim2 closed form needs a 2x2 input")
-        return maslov_dim2(B.mat[0, 0], B.mat[0, 1], B.mat[1, 0]), 0.0, method
-    report = None
-    if method == "auto":
-        report = classify_eigenstructure(B)
-        method = "spectral" if report.semi_simple else "limit"
-    if method == "spectral":  # the bar is a crude bound on the eigensolve roundoff
-        return maslov_spectral(B, report), 1e-8 * (1.0 + B.norm()), method
-    est = maslov_limit(B, cfg)
-    return est.value, est.error_bar, method
+        return [(maslov_dim2(B.mat[0, 0], B.mat[0, 1], B.mat[1, 0]), 0.0, method) for B in Bs]
+    spectral = {}  # position in Bs -> value
+    for dim in dict.fromkeys(B.space.dim for B in Bs) if method != "limit" else ():
+        idx = [k for k, B in enumerate(Bs) if B.space.dim == dim]
+        reports = classify_eigenstructure([Bs[k] for k in idx])
+        take = [(k, r) for k, r in zip(idx, reports) if r.semi_simple or method == "spectral"]
+        if take:
+            ks, reps = zip(*take)
+            spectral.update(zip(ks, maslov_spectral([Bs[k] for k in ks], reps)))
+    limit = {k: maslov_limit(B, cfg) for k, B in enumerate(Bs) if k not in spectral}
+    return [  # the spectral bar is a crude bound on the eigensolve roundoff
+        (spectral[k], 1e-8 * (1.0 + B.norm()), "spectral") if k in spectral
+        else (limit[k].value, limit[k].error_bar, "limit")
+        for k, B in enumerate(Bs)
+    ]

@@ -22,7 +22,8 @@ class QuasiState:
     """Evaluator zeta with metadata.
 
     evaluate_with_error returns (value, error bar), the bar the checkers spend
-    as their allowance; evaluate returns the value alone.
+    as their allowance; evaluate returns the value alone.  evaluate_batch,
+    if given, returns the (value, error bar) pairs of a list at once.
     """
 
     evaluate: Callable[[SpElement], float]
@@ -30,9 +31,16 @@ class QuasiState:
     provenance: str
     evaluate_with_error: Callable[[SpElement], tuple[float, float]]
     source: object = field(default=None, repr=False)
+    evaluate_batch: Callable[[list[SpElement]], list] | None = field(default=None, repr=False)
 
     def __call__(self, x: SpElement) -> float:
         return self.evaluate(x)
+
+    def batch(self, xs: list[SpElement]) -> list[tuple[float, float]]:
+        """(value, error bar) of each element, one at a time if no evaluate_batch."""
+        if self.evaluate_batch:
+            return self.evaluate_batch(xs)
+        return [self.evaluate_with_error(x) for x in xs]
 
 
 def linear_qs(N: np.ndarray) -> QuasiState:
@@ -54,18 +62,19 @@ def linear_qs(N: np.ndarray) -> QuasiState:
 
 
 def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig()) -> QuasiState:
-    """The Maslov quasi-state through the `auto` dispatch of `maslov_evaluate`:
-    semi-simple inputs spectrally, the rest by the asymptotic path evaluator."""
+    """The Maslov quasi-state through the `auto` dispatch of `maslov_evaluate`, one
+    stack per batch call: semi-simple inputs spectrally, the rest by the path evaluator."""
 
-    def ev_err(x: SpElement) -> tuple[float, float]:
-        return maslov_evaluate(x, cfg)[:2]
+    def batch(xs: list[SpElement]) -> list[tuple[float, float]]:
+        return [r[:2] for r in maslov_evaluate(xs, cfg)]
 
     return QuasiState(
-        evaluate=lambda x: ev_err(x)[0],
+        evaluate=lambda x: batch([x])[0][0],
         continuous=True,
         provenance="maslov",
-        evaluate_with_error=ev_err,
+        evaluate_with_error=lambda x: batch([x])[0],
         source=cfg,
+        evaluate_batch=batch,
     )
 
 
@@ -202,22 +211,22 @@ def discontinuous_qs(A: SpElement, c: float) -> QuasiState:
 
 
 def linear_combination(parts: list[tuple[float, QuasiState]]) -> QuasiState:
-    """c_1 zeta_1 + ... + c_k zeta_k as one composite quasi-state."""
+    """c_1 zeta_1 + ... + c_k zeta_k as one composite quasi-state, which sums
+    the batch calls of its parts."""
     if not parts:
         raise ValueError("need at least one component")
 
-    def ev_err(x: SpElement) -> tuple[float, float]:
-        total, err = 0.0, 0.0
+    def batch(xs: list[SpElement]) -> list[tuple[float, float]]:
+        sums = [(0.0, 0.0)] * len(xs)
         for coef, qs in parts:
-            v, e = qs.evaluate_with_error(x)
-            total += coef * v
-            err += abs(coef) * e
-        return total, err
+            sums = [(t + coef * v, e + abs(coef) * b) for (t, e), (v, b) in zip(sums, qs.batch(xs))]
+        return sums
 
     return QuasiState(
-        evaluate=lambda x: ev_err(x)[0],
+        evaluate=lambda x: batch([x])[0][0],
         continuous=all(q.continuous for _, q in parts),
         provenance="composite",
-        evaluate_with_error=ev_err,
+        evaluate_with_error=lambda x: batch([x])[0],
         source=tuple(parts),
+        evaluate_batch=batch,
     )

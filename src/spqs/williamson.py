@@ -38,7 +38,7 @@ class NonSemisimpleError(RuntimeError):
 
 
 class ClassificationError(RuntimeError):
-    """An eigenvalue sits inside the classification band of both axes."""
+    """The real or quadruple eigenvalue clusters do not pair up."""
 
 
 class NormalizationError(RuntimeError):
@@ -73,32 +73,33 @@ class SpectrumReport:
     _vectors: np.ndarray = field(repr=False, default=None)
 
 
-def _cluster(keys: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of the real or complex `keys` grouped by single linkage along
+def _cluster(keys: list, tol: float) -> list[list[int]]:
+    """Positions of the real or complex `keys` grouped by single linkage along
     their (real, imag) lexicographic order."""
-    if len(keys) == 0:
-        return []
     groups = []
-    order = np.lexsort((keys.imag, keys.real))
-    for k, idx in enumerate(order):
-        if k and abs(keys[idx] - keys[order[k - 1]]) <= tol:
-            groups[-1].append(idx)
+    for i in sorted(range(len(keys)), key=lambda i: (keys[i].real, keys[i].imag)):
+        if groups and abs(keys[i] - keys[groups[-1][-1]]) <= tol:
+            groups[-1].append(i)
         else:
-            groups.append([idx])
-    return [np.asarray(g) for g in groups]
+            groups.append([i])
+    return groups
 
 
 def _match_clusters(keys_a, idx_a, keys_b, idx_b, tol: float, what: str):
     """Pair the clusters of keys_a with those of keys_b in lexicographic order:
     one (idx_a entries, idx_b entries) per cluster.  The cluster sizes must
     match and the paired keys agree within 10 tol."""
-    keys_a, keys_b = np.asarray(keys_a), np.asarray(keys_b)
     ca, cb = _cluster(keys_a, tol), _cluster(keys_b, tol)
     if len(ca) != len(cb) or any(len(x) != len(y) for x, y in zip(ca, cb)):
         raise ClassificationError(f"unmatched {what} eigenvalue clusters")
-    if any(np.abs(keys_a[x] - keys_b[y]).max() > 10 * tol for x, y in zip(ca, cb)):
+    if any(abs(keys_a[i] - keys_b[j]) > 10 * tol for x, y in zip(ca, cb) for i, j in zip(x, y)):
         raise ClassificationError(f"{what} eigenvalues do not pair up")
-    return [(np.asarray(idx_a)[x], np.asarray(idx_b)[y]) for x, y in zip(ca, cb)]
+    return [([idx_a[i] for i in x], [idx_b[j] for j in y]) for x, y in zip(ca, cb)]
+
+
+def _mean(xs: list[float]) -> float:
+    """np.mean of the floats xs (a lone value is its own mean)."""
+    return xs[0] if len(xs) == 1 else float(np.mean(xs))
 
 
 def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,67 +112,67 @@ def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cond, cond <= EIGVEC_COND_MAX
 
 
-def classify_eigenstructure(B: SpElement) -> SpectrumReport:
+def classify_eigenstructure(B: SpElement | list[SpElement]):
     """Group the spectrum into real pairs, imaginary pairs, quadruples and
     zeros; flag semi-simplicity via the eigenvector condition number.
 
     A non-semi-simple input is not grouped (its pair tuples are empty): no
-    decomposition accepts it, and its clusters need not pair up."""
-    lam, V = np.linalg.eig(B.mat)
-    scale = max(1.0, float(np.abs(lam).max()))
-    ztol = AXIS_BAND * (1.0 + scale)
-    ctol = CLUSTER_TOL * (1.0 + scale)
-
+    decomposition accepts it, and its clusters need not pair up.  Given a list
+    of elements of one dimension, returns their reports from one stacked
+    eigensolve."""
+    single = isinstance(B, SpElement)
+    lam, V = np.linalg.eig(np.stack([B.mat] if single else [b.mat for b in B]))
     cond, semi_simple = eigvec_condition(V)
-    cond, semi_simple = float(cond), bool(semi_simple)
+    re, im = lam.real, lam.imag
+    mod = np.hypot(re, im)  # the modulus of Python's abs(complex)
+    band = AXIS_BAND * (1.0 + mod)
+    scale = np.maximum(1.0, mod.max(axis=-1))
+    kind = _KIND_OF_BITS[8 * (abs(im) <= band) + 4 * (abs(re) <= band) + 2 * (im > 0) + (re > 0)]
+    kind[mod <= AXIS_BAND * (1.0 + scale)[:, None]] = _ZERO
+    reports = [_classify_one(*row) for row in zip(lam, V, cond, semi_simple, scale, kind)]
+    return reports[0] if single else reports
 
-    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner = [], [], [], [], [], []
-    for i, z in enumerate(lam):
-        band = AXIS_BAND * (1.0 + abs(z))
-        on_real = abs(z.imag) <= band
-        on_imag = abs(z.real) <= band
-        if abs(z) <= ztol:
-            zero_idx.append(i)
-        elif on_real and on_imag:
-            raise ClassificationError(
-                f"eigenvalue {z:.3e} lies in the classification band of both axes"
-            )
-        elif on_real:
-            (real_pos if z.real > 0 else real_neg).append(i)
-        elif on_imag:
-            if z.imag > 0:
-                imag_pos.append(i)
-        elif z.imag > 0:
-            (quad if z.real < 0 else quad_partner).append(i)
+
+# eigenvalue kinds (zero, real with Re > 0 or < 0, imaginary with Im > 0, -a+ib
+# and +a+ib with a, b > 0, the rest) by bits: 8 in the real-axis band, 4 in the
+# imaginary-axis band, 2 Im > 0, 1 Re > 0.  In both bands |lambda| <= 2^(1/2)
+# AXIS_BAND (1 + |lambda|) < 2 AXIS_BAND, which is within the zero tolerance.
+_ZERO, _REAL_POS, _REAL_NEG, _IMAG, _QUAD, _QUAD_PARTNER, _SKIP = range(7)
+_KIND_OF_BITS = np.array([_SKIP, _SKIP, _QUAD, _QUAD_PARTNER, _SKIP, _SKIP, _IMAG, _IMAG]
+                         + [_REAL_NEG, _REAL_POS] * 2 + [_ZERO] * 4)
+
+
+def _classify_one(lam, V, cond, semi_simple, scale, kind) -> SpectrumReport:
+    """One element's report from its row of the stacked classification."""
+    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner, _ = at = [[] for _ in range(7)]
+    for i, k in enumerate(kind.tolist()):
+        at[k].append(i)
     if not semi_simple:
-        return SpectrumReport((), (), (), len(zero_idx), False, cond)
+        return SpectrumReport((), (), (), len(zero_idx), False, float(cond))
+    ctol = float(CLUSTER_TOL * (1.0 + scale))
+    z = lam.tolist()
 
     groups = []
     if real_pos or real_neg:
-        for pos, neg in _match_clusters(
-            lam[real_pos].real, real_pos, -lam[real_neg].real, real_neg, ctol, "real-pair"
-        ):
-            a = float(np.mean(lam[pos].real))
-            groups.append(_EigGroup("real", tuple(pos), tuple(neg), a, 0.0))
-    for cl in _cluster(lam[imag_pos].imag, ctol):
-        idx = np.asarray(imag_pos)[cl]
-        groups.append(_EigGroup("imag", tuple(idx), (), 0.0, float(np.mean(lam[idx].imag))))
+        pos, neg = [z[i].real for i in real_pos], [-z[i].real for i in real_neg]
+        for p, q in _match_clusters(pos, real_pos, neg, real_neg, ctol, "real-pair"):
+            groups.append(_EigGroup("real", tuple(p), tuple(q), _mean([z[i].real for i in p]), 0.0))
+    for cl in _cluster([z[i].imag for i in imag_pos], ctol):
+        idx = [imag_pos[i] for i in cl]
+        groups.append(_EigGroup("imag", tuple(idx), (), 0.0, _mean([z[i].imag for i in idx])))
     if quad or quad_partner:  # pair lambda = -a+ib with +a+ib
-        for grp, par in _match_clusters(
-            -lam[quad].conj(), quad, lam[quad_partner], quad_partner, ctol, "quadruple"
-        ):
-            a, b = float(np.mean(-lam[grp].real)), float(np.mean(lam[grp].imag))
+        keys, partners = [-z[i].conjugate() for i in quad], [z[i] for i in quad_partner]
+        for grp, par in _match_clusters(keys, quad, partners, quad_partner, ctol, "quadruple"):
+            a, b = _mean([-z[i].real for i in grp]), _mean([z[i].imag for i in grp])
             groups.append(_EigGroup("quad", tuple(grp), tuple(par), a, b))
 
     return SpectrumReport(
         real_pairs=tuple((g.a, len(g.indices)) for g in groups if g.kind == "real"),
         imag_pairs=tuple((g.b, len(g.indices)) for g in groups if g.kind == "imag"),
-        quadruples=tuple(
-            (g.a, g.b, len(g.indices)) for g in groups if g.kind == "quad"
-        ),
+        quadruples=tuple((g.a, g.b, len(g.indices)) for g in groups if g.kind == "quad"),
         zero_multiplicity=len(zero_idx),
-        semi_simple=semi_simple,
-        eigvec_cond=cond,
+        semi_simple=True,
+        eigvec_cond=float(cond),
         _groups=tuple(groups) + (
             (_EigGroup("zero", tuple(zero_idx), (), 0.0, 0.0),) if zero_idx else ()
         ),
@@ -194,18 +195,37 @@ def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndar
     return X.T @ (space.omega_matrix @ Y)
 
 
-def krein_parameters(B: SpElement, report: SpectrumReport | None = None) -> list[float]:
+def krein_parameters(B: SpElement | list[SpElement], report=None):
     """Signed imaginary-pair parameters (one per invariant plane): +b when the
     normalized plane carries the positively oriented block, -b otherwise.
-    Raises NonSemisimpleError on a non-semi-simple input."""
-    report = report or classify_eigenstructure(B)
-    _require_semisimple(report)
-    return [
-        beta
-        for g in report._groups
-        if g.kind == "imag"
-        for beta, _, _ in _planes_imag(B.space, report._vectors, g)
-    ]
+    Raises NonSemisimpleError on a non-semi-simple input.
+
+    Given a list of elements of one dimension (and their reports), returns
+    their lists: one einsum orients every simple imaginary eigenvalue w by the
+    sign of (i/2) omega(w, conj w); clusters of several go through
+    _planes_imag."""
+    single = isinstance(B, SpElement)
+    Bs = [B] if single else B
+    reports = classify_eigenstructure(Bs) if report is None else [report] if single else report
+    for rep in reports:
+        _require_semisimple(rep)
+    imag = [[g for g in rep._groups if g.kind == "imag"] for rep in reports]
+    W = np.array([rep._vectors[:, g.indices[0]] for rep, gs in zip(reports, imag) for g in gs
+                  if len(g.indices) == 1])
+    positive = iter(())
+    if len(W):
+        mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
+        if (np.abs(mu) <= 1e-10).any():  # _planes_imag's bound on a 1 x 1 pairing
+            raise NormalizationError("degenerate orientation pairing")
+        positive = iter(mu > 0)
+    out = [[] for _ in Bs]
+    for b, rep, gs, betas in zip(Bs, reports, imag, out):
+        for g in gs:
+            if len(g.indices) == 1:
+                betas.append(g.b if next(positive) else -g.b)
+            else:
+                betas += [beta for beta, _, _ in _planes_imag(b.space, rep._vectors, g)]
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -121,7 +122,7 @@ class TestEval:
         assert code == 4
         # the CLI reports the library dispatch's own precondition error
         with pytest.raises(ValueError) as exc:
-            maslov_evaluate(SpElement(SymplecticSpace(2), read_matrix(str(fourdim))),
+            maslov_evaluate([SpElement(SymplecticSpace(2), read_matrix(str(fourdim)))],
                             MaslovLimitConfig(), "dim2")
         assert err == f"error: {exc.value}\n" == "error: dim2 closed form needs a 2x2 input\n"
 
@@ -268,6 +269,16 @@ class TestSubcommandOptions:
                     main(argv)
                 assert exc.value.code == 2, argv
                 assert "unrecognized arguments" in capsys.readouterr().err
+        # where --t-max is read, its help names the accepted range and the
+        # sweep's cost
+        for command in (c for c, reads in self.READS.items() if "--t-max" in reads):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert "--t-max T_MAX limit-route horizon T > 0 (default 2000.0)" in text
+            assert "T to T/0.05 steps" in text and "within 1000000 steps" in text
+            assert "A step costs about 40 us for one element" in text
+            assert "--t-max 1e5 takes about 4 s" in text
 
 
 class TestAutoDispatch:
@@ -360,6 +371,30 @@ class TestVerify:
             )
             assert code == 0
         assert open(a).read() == open(b).read()
+
+    def test_batched_evaluation_leaves_the_reports_unchanged(self, tmp_path, monkeypatch, capsys):
+        # the suite's Maslov state evaluates each check's samples as one
+        # stack; the same state without its batch call evaluates them one by one
+        import spqs.cli
+
+        def reports(tag):
+            paths = []
+            for fmt, ext in (("structured-text", "txt"), ("comma-separated", "csv")):
+                paths.append(str(tmp_path / f"{tag}.{ext}"))
+                code, _, _ = run_cli(
+                    ["verify", "--suite", "all", "--n", "3", "--seed", "0",
+                     "--format", fmt, "--out", paths[-1]],
+                    capsys,
+                )
+                assert code == 0
+            return [open(p, "rb").read() for p in paths]
+
+        stacked = reports("stacked")
+        monkeypatch.setattr(
+            spqs.cli, "maslov_qs",
+            lambda cfg: dataclasses.replace(maslov_qs(cfg), evaluate_batch=None),
+        )
+        assert reports("one-by-one") == stacked
 
     def test_csv_format(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")

@@ -13,6 +13,7 @@ from spqs.maslov import (
     _step_count,
     _step_phase,
     maslov_dim2,
+    maslov_evaluate,
     maslov_limit,
     maslov_limit_batch,
     maslov_on_descriptor,
@@ -34,7 +35,13 @@ from spqs.symplectic import (
     y_element,
     z_element,
 )
-from spqs.williamson import NonSemisimpleError, random_semisimple
+from spqs.williamson import (
+    NonSemisimpleError,
+    WilliamsonBlock,
+    WilliamsonDecomposition,
+    classify_eigenstructure,
+    random_semisimple,
+)
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -195,6 +202,68 @@ class TestSpectral:
     def test_nilpotent_rejected(self):
         with pytest.raises(NonSemisimpleError):
             maslov_spectral(nilpotent_jordan_sp(sp2))
+
+
+def krein_collision() -> SpElement:
+    """Two imaginary blocks of equal |b| and opposite orientation, conjugated:
+    one imaginary eigenvalue cluster of multiplicity 2."""
+    blocks = (WilliamsonBlock("imag", 0.0, 0.8, (0,)), WilliamsonBlock("imag", 0.0, -0.8, (1,)))
+    D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
+    g = random_symplectic_group_element(sp2, 0.5, 3)
+    return SpElement(sp2, g @ D @ omega_adjoint(g))
+
+
+class TestStackedEvaluation:
+    NIL, COLLISION = 6, 13  # positions in mixed_stack
+
+    def mixed_stack(self):
+        """Semi-simple elements at n = 1..4 with an exactly nilpotent input
+        among them, then the Krein collision and Y, Z elements at n = 2, 3."""
+        rng = rng_from(21)
+        els = [random_semisimple(SymplecticSpace(n), rng)[0] for n in (1, 2, 3, 4) for _ in range(3)]
+        els.insert(self.NIL, nilpotent_jordan_sp(sp2))
+        els.append(krein_collision())
+        for space in (sp2, sp3):
+            xi, eta = rng.standard_normal((2, space.dim))
+            els += [y_element(space, xi, eta), z_element(space, xi, eta)]
+        return els
+
+    def test_stack_matches_one_at_a_time_bitwise(self):
+        els = self.mixed_stack()
+        stacked = maslov_evaluate(els, SHORT)
+        assert stacked == [maslov_evaluate([B], SHORT)[0] for B in els]
+        # the collision is one cluster of two opposite planes (value 0)
+        ((_, mult),) = classify_eigenstructure(els[self.COLLISION]).imag_pairs
+        assert mult == 2
+        assert stacked[self.COLLISION][0] == pytest.approx(0.0, abs=1e-9)
+        # auto sent only the nilpotent input to the limit route, with the
+        # sweep it gets alone
+        est = maslov_limit(els[self.NIL], SHORT)
+        assert stacked[self.NIL] == (est.value, est.error_bar, "limit")
+        assert [route for _, _, route in stacked].count("limit") == 1
+
+    def test_empty_stack(self):
+        assert maslov_evaluate([], SHORT) == []
+
+    OK = [random_semisimple(sp2, seed)[0] for seed in range(3)]
+
+    @pytest.mark.parametrize(
+        "ok, bad, method, t_max, error",
+        [
+            (OK, nilpotent_jordan_sp(sp2), "spectral", 400.0, NonSemisimpleError),
+            # 1e7 puts the nilpotent input's sweep over MAX_STEPS
+            (OK, nilpotent_jordan_sp(sp2), "auto", 1e7, MaslovLimitError),
+            ([sp2_element(0.0, -1.0, 1.0)], random_semisimple(sp2, 4)[0], "dim2", 400.0, ValueError),
+        ],
+        ids=["spectral", "auto", "dim2"],
+    )
+    def test_a_failing_element_fails_the_stack(self, ok, bad, method, t_max, error):
+        cfg = MaslovLimitConfig(t_max=t_max)
+        with pytest.raises(error) as alone:
+            maslov_evaluate([bad], cfg, method)
+        with pytest.raises(error) as stacked:
+            maslov_evaluate([*ok, bad, *ok], cfg, method)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestTrace:

@@ -58,8 +58,8 @@ class TestMaslovState:
     def test_methods_agree(self):
         B = SpElement(sp1, np.array([[0.4, -1.5], [1.2, -0.4]]))
         cfg = MaslovLimitConfig(t_max=2000.0)
-        vl, el, _ = maslov_evaluate(B, cfg, "limit")
-        vs, _, _ = maslov_evaluate(B, cfg, "spectral")
+        ((vl, el, _),) = maslov_evaluate([B], cfg, "limit")
+        ((vs, _, _),) = maslov_evaluate([B], cfg, "spectral")
         assert vs == pytest.approx(maslov_dim2(0.4, -1.5, 1.2), abs=1e-9)
         assert maslov_qs(cfg)(B) == pytest.approx(vs, abs=1e-9)
         assert abs(vl - vs) <= el + 1e-3
