@@ -49,6 +49,7 @@ from .symplectic import (
     CompatibleComplexStructure,
     RankOneDescriptor,
     RankOneKind,
+    SamplingError,
     SpElement,
     SymplecticSpace,
     commuting_pair,

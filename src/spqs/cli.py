@@ -4,8 +4,9 @@ traces.
 
 Exit codes: 0 success, 1 suite failure, 2 matrix parse failure or argparse
 usage error, 3 input not skew-symplectic or not finite, 4 bad numeric option,
-unmet method precondition, no finite result (overflow, singular path step)
-or unwritable output, 5 non-semisimple input.
+unmet method precondition, no finite result (overflow, singular path step),
+unwritable output or a verify sampler failing on the drawn seed, 5
+non-semisimple input.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .maslov import (
 from .matrixio import MatrixParseError, atomic_write, read_matrix, write_matrix
 from .quasistates import discontinuous_qs, linear_qs, linear_combination, maslov_qs, nilpotent_jordan_sp
 from .symplectic import (
+    SamplingError,
     SkewSymplecticityError,
     SpElement,
     SymplecticSpace,
@@ -120,30 +122,18 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
     reports = []
 
     def qlin():
-        for strat in ("common-frame", "odd-polynomial"):
-            reports.append(
-                harness.check_quasi_linearity(lin, space, strat, args.trials, 1e-10, seed)
-            )
-            reports.append(
-                harness.check_quasi_linearity(mq, space, strat, args.trials, args.tol, seed)
-            )
         A = nilpotent_jordan_sp(space)
-        dq = discontinuous_qs(A, 1.0)
-        reports.append(
-            harness.check_quasi_linearity(
-                dq, space, "odd-polynomial", args.trials, 1e-9, seed, base=A
-            )
-        )
+        calls = [
+            ([(lin, 1e-10), (mq, args.tol)], "common-frame", None),
+            ([(lin, 1e-10), (mq, args.tol)], "odd-polynomial", None),
+            ([(discontinuous_qs(A, 1.0), 1e-9)], "odd-polynomial", A),
+        ]
         if args.negative_control:
-            reports.append(
-                harness.check_quasi_linearity(
-                    harness.frobenius_pseudo_state(space),
-                    space,
-                    "common-frame",
-                    args.trials,
-                    args.tol,
-                    seed,
-                )
+            control = harness.frobenius_pseudo_state(space)
+            calls.append(([(control, args.tol)], "common-frame", None))
+        for states, strat, base in calls:
+            reports.extend(
+                harness.check_quasi_linearity(states, space, strat, args.trials, seed, base=base)
             )
 
     def adinv():
@@ -170,29 +160,19 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
     def isotropic():
         rng = rng_from(seed + 3)
         cov = rng.standard_normal(space.dim)
-        reports.append(
-            harness.check_isotropic_linearity(
-                lambda v: float(cov @ v), space, args.trials, 1e-10, seed
-            )
-        )
         xi = rng.standard_normal(space.dim)
-        reports.append(
-            harness.check_isotropic_linearity(
-                lambda v: mq(z_element(space, xi, v)), space, args.trials, args.tol, seed
-            )
-        )
+        phis = [
+            (lambda vs: [float(cov @ v) for v in vs], 1e-10),
+            (lambda vs: [v for v, _ in mq.batch([z_element(space, xi, v) for v in vs])], args.tol),
+        ]
         if args.negative_control:
-            reports.append(
-                harness.check_isotropic_linearity(
-                    lambda v: float(np.linalg.norm(v)), space, args.trials, args.tol, seed
-                )
-            )
+            phis.append((lambda vs: [float(np.linalg.norm(v)) for v in vs], args.tol))
+        for phi, tol in phis:
+            reports.append(harness.check_isotropic_linearity(phi, space, args.trials, tol, seed))
 
     def maintheorem():
-        reports.append(harness.fit_main_theorem(lin, space, args.tol, seed))
-        reports.append(harness.fit_main_theorem(mq, space, args.tol, seed))
         composite = linear_combination([(2.0, mq), (1.0, lin)])
-        reports.append(harness.fit_main_theorem(composite, space, args.tol, seed))
+        reports.extend(harness.fit_main_theorem([lin, mq, composite], space, args.tol, seed))
 
     steps = {
         "quasi-linearity": qlin,
@@ -217,7 +197,11 @@ def cmd_verify(args) -> int:
     if args.suite in ("gleason", "rank-one", "main-theorem", "all") and args.n < 3:
         print("error: hypothesis n >= 3 not met for the requested suite", file=sys.stderr)
         return EXIT_PRECONDITION
-    reports = _suite_reports(args, cfg)
+    try:
+        reports = _suite_reports(args, cfg)
+    except SamplingError as exc:
+        print(f"error: sampling failed at --seed {args.seed}: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     if args.format == "comma-separated":
         text = reportmod.reports_to_csv(reports)
         default_name = f"verify_{args.suite}.csv"

@@ -15,6 +15,7 @@ from .quasistates import QuasiState
 from .symplectic import (
     CommutingStrategy,
     CompatibleComplexStructure,
+    SamplingError,
     SpElement,
     SymplecticSpace,
     commuting_pair,
@@ -100,17 +101,17 @@ def _held_out_fit(design: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, int
 
 
 def check_quasi_linearity(
-    zeta: QuasiState,
+    states: list[tuple[QuasiState, float]],
     space: SymplecticSpace,
     strategy: CommutingStrategy | str,
     trials: int,
-    tol: float,
     seed: int,
     base: Optional[SpElement] = None,
-) -> VerificationReport:
-    """Draw certified commuting pairs and random scalars in [-2, 2]; the
-    defect |zeta(c1 A + c2 B) - c1 zeta(A) - c2 zeta(B)| must stay within
-    QLIN_BAR_MULTIPLIER times the summed per-evaluation error bars, plus tol.
+) -> list[VerificationReport]:
+    """Draw certified commuting pairs and random scalars in [-2, 2] once; for
+    each (zeta, tol) in `states` the defect |zeta(c1 A + c2 B) - c1 zeta(A) -
+    c2 zeta(B)| must stay within QLIN_BAR_MULTIPLIER times the summed
+    per-evaluation error bars, plus tol.  One report per state, in order.
 
     `base` pins the odd-polynomial strategy to one element (useful for states
     supported on a particular abelian subspace)."""
@@ -120,24 +121,29 @@ def check_quasi_linearity(
         (commuting_pair(space, strategy, rng, base=base), *rng.uniform(-2.0, 2.0, 2))
         for _ in range(trials)
     ]
-    evals = iter(zeta.batch([x for p, c1, c2 in draws for x in (p.a, p.b, c1 * p.a + c2 * p.b)]))
-    results = [
-        {
-            "defect": abs(vc - c1 * va - c2 * vb),
-            "allowance": QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec),
-            "c1": c1,
-            "c2": c2,
-            "commutator_norm": pair.commutator_norm,
-        }
-        for (pair, c1, c2), (va, ea), (vb, eb), (vc, ec) in zip(draws, evals, evals, evals)
-    ]
-    return _trial_check(
-        f"quasi-linearity[{zeta.provenance}/{CommutingStrategy(strategy).value}]",
-        tol,
-        seed,
-        {"bar_multiplier": QLIN_BAR_MULTIPLIER, "n": space.n},
-        results,
-    )
+    xs = [x for p, c1, c2 in draws for x in (p.a, p.b, c1 * p.a + c2 * p.b)]
+
+    def check(zeta, tol):
+        evals = iter(zeta.batch(xs))
+        results = [
+            {
+                "defect": abs(vc - c1 * va - c2 * vb),
+                "allowance": QLIN_BAR_MULTIPLIER * (abs(c1) * ea + abs(c2) * eb + ec),
+                "c1": c1,
+                "c2": c2,
+                "commutator_norm": pair.commutator_norm,
+            }
+            for (pair, c1, c2), (va, ea), (vb, eb), (vc, ec) in zip(draws, evals, evals, evals)
+        ]
+        return _trial_check(
+            f"quasi-linearity[{zeta.provenance}/{CommutingStrategy(strategy).value}]",
+            tol,
+            seed,
+            {"bar_multiplier": QLIN_BAR_MULTIPLIER, "n": space.n},
+            results,
+        )
+
+    return [check(zeta, tol) for zeta, tol in states]
 
 
 def check_ad_invariance(
@@ -198,7 +204,7 @@ def unitary_subalgebra_basis(
     tol = max(rows.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
     null_dim = rows.shape[0] - int(np.sum(s > tol))
     if null_dim != space.n**2:
-        raise RuntimeError(
+        raise SamplingError(
             f"unitary subalgebra dimension {null_dim}, expected {space.n ** 2}"
         )
     coeffs = Vt[-null_dim:]
@@ -304,7 +310,7 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
     n = space.n
     g = random_symplectic_group_element(space, 0.5, rng)
     if np.linalg.cond(g) > 1e6:
-        raise RuntimeError("transversality failure; re-draw with another seed")
+        raise SamplingError("transversality failure; re-draw with another seed")
     defect = 0.0
     for _ in range(20):
         M1 = rng.standard_normal((n, n))
@@ -313,7 +319,7 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
         a, b = _gl_inject(space, g, M1).mat, _gl_inject(space, g, M2).mat
         defect = max(defect, float(np.abs(lhs - (a @ b - b @ a)).max()))
     if defect > 1e-9 * (1.0 + np.linalg.cond(g) ** 2):
-        raise RuntimeError(f"bracket preservation defect {defect:.3e}")
+        raise SamplingError(f"bracket preservation defect {defect:.3e}")
     return GlEmbedding(space=space, g=g, bracket_defect=defect)
 
 
@@ -371,23 +377,27 @@ def isotropic_pair(space: SymplecticSpace, rng) -> tuple[np.ndarray, np.ndarray]
 
 
 def check_isotropic_linearity(
-    phi: Callable[[np.ndarray], float],
+    phi: Callable[[list[np.ndarray]], list[float]],
     space: SymplecticSpace,
     trials: int,
     tol: float,
     seed: int = 0,
 ) -> VerificationReport:
-    """Additivity of phi along omega-orthogonal pairs with random scalars."""
+    """Additivity of phi along omega-orthogonal pairs with random scalars.
+
+    All trials are drawn first; phi then takes the list of every trial's
+    vectors (c1 eta1 + c2 eta2, eta1, eta2) in one call and returns their
+    values in order."""
     if space.n < 2:
         raise ValueError("need n >= 2 for non-trivial isotropic pairs")
     rng = rng_from(seed)
-
-    def trial():
-        eta1, eta2 = isotropic_pair(space, rng)
-        c1, c2 = rng.uniform(-2.0, 2.0, 2)
-        return {"defect": abs(phi(c1 * eta1 + c2 * eta2) - c1 * phi(eta1) - c2 * phi(eta2))}
-
-    return _trial_check("isotropic-linearity", tol, seed, None, [trial() for _ in range(trials)])
+    draws = [(*isotropic_pair(space, rng), *rng.uniform(-2.0, 2.0, 2)) for _ in range(trials)]
+    vals = iter(phi([v for e1, e2, c1, c2 in draws for v in (c1 * e1 + c2 * e2, e1, e2)]))
+    results = [
+        {"defect": abs(v12 - c1 * v1 - c2 * v2)}
+        for (_, _, c1, c2), v12, v1, v2 in zip(draws, vals, vals, vals)
+    ]
+    return _trial_check("isotropic-linearity", tol, seed, None, results)
 
 
 def _cone_sample(space, rng):
@@ -398,14 +408,28 @@ def _cone_sample(space, rng):
             return xi, eta
 
 
+def _stage1_rows(space: SymplecticSpace, xis: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Stage-1 design rows of the stacked cone samples: (A xi) Omega xi +
+    (A eta) Omega eta for each algebra basis element A, then |omega(xi, eta)|."""
+    base = np.stack(sp_basis(space))
+
+    def quadratic(X):
+        return np.einsum("ija,ia->ij", np.einsum("jab,ib->ija", base, X) @ space.omega_matrix, X)
+
+    last = [abs(omega(space, xi, eta)) for xi, eta in zip(xis, etas)]
+    return np.column_stack([quadratic(xis) + quadratic(etas), last])
+
+
 def fit_main_theorem(
-    zeta: QuasiState,
+    zetas: list[QuasiState],
     space: SymplecticSpace,
     tol: float,
     seed: int = 0,
-) -> VerificationReport:
+) -> list[VerificationReport]:
     """Three-stage decomposition fit of the structure functions
-    F(xi, eta) = zeta(Y_{xi,eta}) and G(xi, eta) = zeta(Z_{xi,eta}).
+    F(xi, eta) = zeta(Y_{xi,eta}) and G(xi, eta) = zeta(Z_{xi,eta}), one
+    report per state of `zetas`, in order.  The samples are drawn once and
+    every state is fitted on them.
 
     Stage 1 fits F(xi + i eta) = omega(C xi, xi) + omega(C eta, eta) +
     c |omega(xi, eta)| over C in the algebra and scalar c, on cone-restricted
@@ -415,68 +439,64 @@ def fit_main_theorem(
     zeta(B) = tr(-C B) + (-c) zeta_M(B); the fitted c is minus the coefficient
     of the Maslov state in zeta = tr(N .) + c0 zeta_M (both are reported).
     """
-    if not zeta.continuous:
+    if not all(zeta.continuous for zeta in zetas):
         raise ValueError("the decomposition fit applies to continuous-flagged states")
-    caveat = None
-    if space.n < 3:
-        caveat = "n < 3: outside the rigidity range, proceeding anyway"
     rng = rng_from(seed)
     base = sp_basis(space)
-    unknowns = len(base) + 1
-    m = SAMPLES_PER_UNKNOWN * unknowns
+    m = SAMPLES_PER_UNKNOWN * (len(base) + 1)
     O = space.omega_matrix
 
-    rows = np.empty((m, unknowns))
-    ys = []
-    for i in range(m):
-        xi, eta = _cone_sample(space, rng)
-        for j, A in enumerate(base):
-            rows[i, j] = (A @ xi) @ O @ xi + (A @ eta) @ O @ eta
-        rows[i, -1] = abs(omega(space, xi, eta))
-        ys.append(y_element(space, xi, eta))
-    sol, _, stage1 = _held_out_fit(rows, np.array(_values(zeta, ys)))
-    C = sum(ck * Ak for ck, Ak in zip(sol[:-1], base))
-    c_fit = float(sol[-1])
-
+    cone = [_cone_sample(space, rng) for _ in range(m)]
+    rows = _stage1_rows(space, *(np.array(v) for v in zip(*cone)))
+    ys = [y_element(space, xi, eta) for xi, eta in cone]
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
-    vals2 = _values(zeta, [z_element(space, xi, eta) for xi, eta in pairs2])
-    errs2 = [v - 2.0 * float((C @ xi) @ O @ eta) for v, (xi, eta) in zip(vals2, pairs2)]
-    stage2 = float(np.sqrt(np.mean(np.square(errs2))))
-
+    zs = [z_element(space, xi, eta) for xi, eta in pairs2]
     Bs = [random_semisimple(space, rng)[0] for _ in range(STAGE3_SAMPLES)]
     terms = [yz_decomposition(B) for B in Bs]
     samples3 = [x for B, ts in zip(Bs, terms) for x in (*(realize(d) for _, d in ts), B)]
-    vals3 = iter(_values(zeta, samples3))
-    errs3 = []
-    yz_dev = 0.0
-    for B, ts, spectral in zip(Bs, terms, maslov_spectral(Bs)):
-        via_terms = sum(coef * next(vals3) for coef, _ in ts)
-        direct = next(vals3)
-        yz_dev = max(yz_dev, abs(direct - via_terms))
-        pred = float(np.trace(-C @ B.mat)) - c_fit * spectral
-        errs3.append(via_terms - pred)
-    stage3 = float(np.sqrt(np.mean(np.square(errs3))))
+    spectral = maslov_spectral(Bs)
 
-    worst = max(stage1, stage2, stage3)
-    params = {
-        "C": C,
-        "c_fit": c_fit,
-        "maslov_coefficient": -c_fit,
-        "stage1_residual": stage1,
-        "stage2_residual": stage2,
-        "stage3_residual": stage3,
-        "yz_consistency_dev": yz_dev,
-    }
-    if caveat:
-        params["caveat"] = caveat
-    return _report(
-        f"main-theorem[{zeta.provenance}]",
-        m + len(pairs2) + STAGE3_SAMPLES,
-        worst,
-        tol,
-        seed,
-        params,
-    )
+    def fit(zeta):
+        sol, _, stage1 = _held_out_fit(rows, np.array(_values(zeta, ys)))
+        C = sum(ck * Ak for ck, Ak in zip(sol[:-1], base))
+        c_fit = float(sol[-1])
+
+        vals2 = _values(zeta, zs)
+        errs2 = [v - 2.0 * float((C @ xi) @ O @ eta) for v, (xi, eta) in zip(vals2, pairs2)]
+        stage2 = float(np.sqrt(np.mean(np.square(errs2))))
+
+        vals3 = iter(_values(zeta, samples3))
+        errs3 = []
+        yz_dev = 0.0
+        for B, ts, zeta_m in zip(Bs, terms, spectral):
+            via_terms = sum(coef * next(vals3) for coef, _ in ts)
+            direct = next(vals3)
+            yz_dev = max(yz_dev, abs(direct - via_terms))
+            pred = float(np.trace(-C @ B.mat)) - c_fit * zeta_m
+            errs3.append(via_terms - pred)
+        stage3 = float(np.sqrt(np.mean(np.square(errs3))))
+
+        params = {
+            "C": C,
+            "c_fit": c_fit,
+            "maslov_coefficient": -c_fit,
+            "stage1_residual": stage1,
+            "stage2_residual": stage2,
+            "stage3_residual": stage3,
+            "yz_consistency_dev": yz_dev,
+        }
+        if space.n < 3:
+            params["caveat"] = "n < 3: outside the rigidity range, proceeding anyway"
+        return _report(
+            f"main-theorem[{zeta.provenance}]",
+            m + len(pairs2) + STAGE3_SAMPLES,
+            max(stage1, stage2, stage3),
+            tol,
+            seed,
+            params,
+        )
+
+    return [fit(zeta) for zeta in zetas]
 
 
 def frobenius_pseudo_state(space: SymplecticSpace) -> QuasiState:

@@ -29,6 +29,10 @@ class SymplecticDefectError(RuntimeError):
     """A generated group element failed the g^T Omega g = Omega check."""
 
 
+class SamplingError(RuntimeError):
+    """A seeded draw failed its certificate; another seed may succeed."""
+
+
 def rng_from(seed: SeedLike) -> np.random.Generator:
     """Counter-based generator; a fixed integer seed gives the same stream on
     every platform."""
@@ -358,7 +362,7 @@ def commuting_pair(
     cnorm = pa.commutator_norm(pb)
     bound = COMMUTATOR_TOL * (1.0 + pa.norm()) * (1.0 + pb.norm())
     if cnorm > bound:
-        raise RuntimeError(
+        raise SamplingError(
             f"commutator defect {cnorm:.3e} exceeds certificate bound {bound:.3e}"
         )
     return CommutingPair(pa, pb, strategy, cnorm)

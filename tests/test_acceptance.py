@@ -129,25 +129,24 @@ def test_criterion_04_quasi_linearity_suite():
     for n in (1, 2, 3):
         sp = SymplecticSpace(n)
         for strat in ("common-frame", "odd-polynomial"):
-            r = check_quasi_linearity(mq, sp, strat, 50, 0.0, 300 + n)
+            (r,) = check_quasi_linearity([(mq, 0.0)], sp, strat, 50, 300 + n)
             ok &= r.passed
             details.append(f"maslov n={n} {strat}: excess {r.max_defect:.1e}")
-    r = check_quasi_linearity(lin, SymplecticSpace(3), "common-frame", 50, 1e-10, 310)
+    (r,) = check_quasi_linearity([(lin, 1e-10)], SymplecticSpace(3), "common-frame", 50, 310)
     ok &= r.passed
     details.append(f"linear: defect {r.max_defect:.1e}")
     A = nilpotent_jordan_sp(SymplecticSpace(2))
     dq = discontinuous_qs(A, 1.0)
-    r = check_quasi_linearity(
-        dq, SymplecticSpace(2), "odd-polynomial", 50, 1e-9, 311, base=A
+    (r,) = check_quasi_linearity(
+        [(dq, 1e-9)], SymplecticSpace(2), "odd-polynomial", 50, 311, base=A
     )
     ok &= r.passed
     details.append(f"discontinuous: defect {r.max_defect:.1e}")
-    r = check_quasi_linearity(
-        frobenius_pseudo_state(SymplecticSpace(2)),
+    (r,) = check_quasi_linearity(
+        [(frobenius_pseudo_state(SymplecticSpace(2)), 1e-6)],
         SymplecticSpace(2),
         "common-frame",
         50,
-        1e-6,
         312,
     )
     ok &= not r.passed
@@ -209,7 +208,7 @@ def test_criterion_08_main_theorem_recovery():
     details = []
     for i, c0 in enumerate((-2.0, -1.0, 0.0, 1.0, 2.0)):
         zeta = linear_combination([(c0, mq), (1.0, lin)])
-        r = fit_main_theorem(zeta, sp, 1e-2, 700 + i)
+        (r,) = fit_main_theorem([zeta], sp, 1e-2, 700 + i)
         c_rec = r.fitted_parameters["maslov_coefficient"]
         s3 = r.fitted_parameters["stage3_residual"]
         ok &= abs(c_rec - c0) <= 1e-2 and s3 <= 1e-2 and r.passed
@@ -226,7 +225,7 @@ def test_criterion_09_discontinuous_family():
         sp = SymplecticSpace(n)
         A = nilpotent_jordan_sp(sp)
         zeta = discontinuous_qs(A, 1.0)
-        r = check_quasi_linearity(zeta, sp, "odd-polynomial", 50, 1e-9, 800 + n, base=A)
+        (r,) = check_quasi_linearity([(zeta, 1e-9)], sp, "odd-polynomial", 50, 800 + n, base=A)
         ok &= r.passed
 
         bound = zeta.source.bound_constant

@@ -396,6 +396,23 @@ class TestVerify:
         )
         assert reports("one-by-one") == stacked
 
+    def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        import spqs.harness
+
+        # diag(a, 1/a) is symplectic; at condition number 1e8 embed_gl refuses it
+        monkeypatch.setattr(
+            spqs.harness, "random_symplectic_group_element",
+            lambda space, scale, rng: np.diag([1e4] * space.n + [1e-4] * space.n),
+        )
+        out = str(tmp_path / "r.txt")
+        code, _, err = run_cli(
+            ["verify", "--suite", "rank-one", "--seed", "5", "--out", out], capsys
+        )
+        assert code == 4
+        assert err.startswith("error:") and "--seed 5" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_csv_format(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
         code, _, _ = run_cli(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spqs import harness
 from spqs.harness import (
     VerificationReport,
     check_ad_invariance,
@@ -25,6 +26,7 @@ from spqs.quasistates import (
     maslov_qs,
     nilpotent_jordan_sp,
 )
+from spqs.report import report_to_text
 from spqs.symplectic import (
     SymplecticSpace,
     omega,
@@ -54,8 +56,8 @@ class TestReportInvariants:
             )
 
     def test_determinism(self):
-        r1 = check_quasi_linearity(MQ, sp2, "common-frame", 10, 1e-2, 42)
-        r2 = check_quasi_linearity(MQ, sp2, "common-frame", 10, 1e-2, 42)
+        r1 = check_quasi_linearity([(MQ, 1e-2)], sp2, "common-frame", 10, 42)
+        r2 = check_quasi_linearity([(MQ, 1e-2)], sp2, "common-frame", 10, 42)
         assert r1 == r2
 
 
@@ -64,25 +66,36 @@ class TestQuasiLinearity:
         rng = np.random.Generator(np.random.Philox(0))
         zeta = linear_qs(rng.standard_normal((6, 6)))
         for strat in ("common-frame", "odd-polynomial"):
-            r = check_quasi_linearity(zeta, sp3, strat, 25, 1e-10, 1)
+            (r,) = check_quasi_linearity([(zeta, 1e-10)], sp3, strat, 25, 1)
             assert r.passed
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_maslov_passes(self, n):
         space = SymplecticSpace(n)
         for strat in ("common-frame", "odd-polynomial"):
-            r = check_quasi_linearity(MQ, space, strat, 25, 0.0, 2)
+            (r,) = check_quasi_linearity([(MQ, 0.0)], space, strat, 25, 2)
             assert r.passed, (n, strat, r.max_defect)
+
+    def test_states_share_one_draw(self):
+        # a pair of states on one draw reports what each state alone reports
+        zeta = linear_qs(np.random.Generator(np.random.Philox(37)).standard_normal((6, 6)))
+        for strat in ("common-frame", "odd-polynomial"):
+            pair = check_quasi_linearity([(zeta, 1e-10), (MQ, 1e-2)], sp3, strat, 10, 38)
+            alone = [
+                check_quasi_linearity([state], sp3, strat, 10, 38)[0]
+                for state in ((zeta, 1e-10), (MQ, 1e-2))
+            ]
+            assert [report_to_text(r) for r in pair] == [report_to_text(r) for r in alone]
 
     def test_discontinuous_on_its_own_element(self):
         A = nilpotent_jordan_sp(sp3)
         zeta = discontinuous_qs(A, 1.0)
-        r = check_quasi_linearity(zeta, sp3, "odd-polynomial", 25, 1e-9, 3, base=A)
+        (r,) = check_quasi_linearity([(zeta, 1e-9)], sp3, "odd-polynomial", 25, 3, base=A)
         assert r.passed
 
     def test_negative_control_fails(self):
         control = frobenius_pseudo_state(sp2)
-        r = check_quasi_linearity(control, sp2, "common-frame", 25, 1e-6, 4)
+        (r,) = check_quasi_linearity([(control, 1e-6)], sp2, "common-frame", 25, 4)
         assert not r.passed
 
     def test_negative_control_fails_at_n1_via_sign(self):
@@ -92,7 +105,7 @@ class TestQuasiLinearity:
         A = random_sp_element(sp1, 1.0, 5)
         assert control(-1.0 * A) == pytest.approx(control(A))
         assert control(A) != pytest.approx(-control(A))
-        r = check_quasi_linearity(control, sp1, "common-frame", 25, 1e-6, 5)
+        (r,) = check_quasi_linearity([(control, 1e-6)], sp1, "common-frame", 25, 5)
         assert not r.passed
 
 
@@ -216,36 +229,38 @@ class TestIsotropic:
     def test_linear_functional_passes(self):
         rng = np.random.Generator(np.random.Philox(25))
         cov = rng.standard_normal(6)
-        r = check_isotropic_linearity(lambda v: float(cov @ v), sp3, 30, 1e-10, 26)
+        r = check_isotropic_linearity(lambda vs: [float(cov @ v) for v in vs], sp3, 30, 1e-10, 26)
         assert r.passed
 
     def test_maslov_g_slice_passes(self):
         rng = np.random.Generator(np.random.Philox(27))
         xi = rng.standard_normal(6)
-        r = check_isotropic_linearity(lambda v: MQ(z_element(sp3, xi, v)), sp3, 20, 1e-8, 28)
+        r = check_isotropic_linearity(
+            lambda vs: [MQ(z_element(sp3, xi, v)) for v in vs], sp3, 20, 1e-8, 28
+        )
         assert r.passed
 
     def test_norm_fails(self):
         r = check_isotropic_linearity(
-            lambda v: float(np.linalg.norm(v)), sp3, 20, 1e-6, 29
+            lambda vs: [float(np.linalg.norm(v)) for v in vs], sp3, 20, 1e-6, 29
         )
         assert not r.passed
 
     def test_needs_n_at_least_two(self):
         with pytest.raises(ValueError):
-            check_isotropic_linearity(lambda v: 0.0, sp1, 5, 1e-6, 30)
+            check_isotropic_linearity(lambda vs: [0.0] * len(vs), sp1, 5, 1e-6, 30)
 
 
 class TestMainTheoremFit:
     def test_linear_state(self):
         rng = np.random.Generator(np.random.Philox(31))
         zeta = linear_qs(rng.standard_normal((6, 6)))
-        r = fit_main_theorem(zeta, sp3, 1e-8, 32)
+        (r,) = fit_main_theorem([zeta], sp3, 1e-8, 32)
         assert r.passed
         assert abs(r.fitted_parameters["c_fit"]) <= 1e-8
 
     def test_maslov_state(self):
-        r = fit_main_theorem(MQ, sp3, 1e-2, 33)
+        (r,) = fit_main_theorem([MQ], sp3, 1e-2, 33)
         assert r.passed
         assert r.fitted_parameters["c_fit"] == pytest.approx(-1.0, abs=1e-6)
         assert np.abs(r.fitted_parameters["C"]).max() <= 1e-6
@@ -254,7 +269,7 @@ class TestMainTheoremFit:
         rng = np.random.Generator(np.random.Philox(34))
         N0 = rng.standard_normal((6, 6))
         comp = linear_combination([(2.0, MQ), (1.0, linear_qs(N0))])
-        r = fit_main_theorem(comp, sp3, 1e-2, 35)
+        (r,) = fit_main_theorem([comp], sp3, 1e-2, 35)
         assert r.passed
         assert r.fitted_parameters["maslov_coefficient"] == pytest.approx(2.0, abs=1e-2)
         # the recovered linear part reproduces tr(N0 .) on the algebra
@@ -265,8 +280,39 @@ class TestMainTheoremFit:
                 float(np.trace(N0 @ B.mat)), abs=1e-6
             )
 
+    def test_states_share_one_draw(self):
+        zeta = linear_qs(np.random.Generator(np.random.Philox(39)).standard_normal((6, 6)))
+        comp = linear_combination([(2.0, MQ), (1.0, zeta)])
+        together = fit_main_theorem([zeta, MQ, comp], sp3, 1e-2, 40)
+        alone = [fit_main_theorem([state], sp3, 1e-2, 40)[0] for state in (zeta, MQ, comp)]
+        assert [report_to_text(r) for r in together] == [report_to_text(r) for r in alone]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stage1_rows_match_the_per_element_reference(self, n):
+        space = SymplecticSpace(n)
+        O = space.omega_matrix
+        rng = np.random.Generator(np.random.Philox(41 + n))
+        xis, etas = rng.standard_normal((2, 50, space.dim))
+        reference = np.array([
+            [(A @ xi) @ O @ xi + (A @ eta) @ O @ eta for A in sp_basis(space)]
+            + [abs(omega(space, xi, eta))]
+            for xi, eta in zip(xis, etas)
+        ])
+        assert np.array_equal(harness._stage1_rows(space, xis, etas), reference)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_continuous_state_refused_before_drawing(self, position, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(harness, "rng_from", no_draw)
+        states = [MQ, MQ]
+        states.insert(position, discontinuous_qs(nilpotent_jordan_sp(sp3), 1.0))
+        with pytest.raises(ValueError, match="continuous"):
+            fit_main_theorem(states, sp3, 1e-2, 42)
+
     def test_small_n_caveat_recorded(self):
-        r = fit_main_theorem(MQ, sp2, 1e-2, 36)
+        (r,) = fit_main_theorem([MQ], sp2, 1e-2, 36)
         assert "caveat" in r.fitted_parameters
 
 

@@ -110,13 +110,13 @@ def test_csv_golden():
 
 
 def test_serialization_is_deterministic():
-    r1 = check_quasi_linearity(maslov_qs(), sp2, "common-frame", 6, 1e-2, 3)
-    r2 = check_quasi_linearity(maslov_qs(), sp2, "common-frame", 6, 1e-2, 3)
+    (r1,) = check_quasi_linearity([(maslov_qs(), 1e-2)], sp2, "common-frame", 6, 3)
+    (r2,) = check_quasi_linearity([(maslov_qs(), 1e-2)], sp2, "common-frame", 6, 3)
     assert report_to_text(r1) == report_to_text(r2)
 
 
 def test_csv_shape():
-    r = check_quasi_linearity(maslov_qs(), sp2, "common-frame", 3, 1e-2, 4)
+    (r,) = check_quasi_linearity([(maslov_qs(), 1e-2)], sp2, "common-frame", 3, 4)
     csv = reports_to_csv([r])
     lines = csv.strip().splitlines()
     assert lines[0] == "check_name,record,field,value"
