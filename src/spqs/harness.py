@@ -76,9 +76,9 @@ def _report(name, trials, max_defect, tol, seed, params=None, records=()):
     )
 
 
-def _values(zeta: QuasiState, xs) -> list[float]:
-    """zeta's value on each element, from one batch call."""
-    return [v for v, _ in zeta.batch(xs)]
+def _values(zeta: QuasiState, xs, memo: dict | None = None) -> list[float]:
+    """zeta's value on each element, from one batch call (QuasiState.batch)."""
+    return [v for v, _ in zeta.batch(xs, memo)]
 
 
 def _trial_check(name, tol, seed, params, results):
@@ -428,8 +428,8 @@ def fit_main_theorem(
 ) -> list[VerificationReport]:
     """Three-stage decomposition fit of the structure functions
     F(xi, eta) = zeta(Y_{xi,eta}) and G(xi, eta) = zeta(Z_{xi,eta}), one
-    report per state of `zetas`, in order.  The samples are drawn once and
-    every state is fitted on them.
+    report per state of `zetas`, in order.  The samples are drawn once, and
+    each state evaluates each sample list once (a composite reads its parts').
 
     Stage 1 fits F(xi + i eta) = omega(C xi, xi) + omega(C eta, eta) +
     c |omega(xi, eta)| over C in the algebra and scalar c, on cone-restricted
@@ -455,17 +455,18 @@ def fit_main_theorem(
     terms = [yz_decomposition(B) for B in Bs]
     samples3 = [x for B, ts in zip(Bs, terms) for x in (*(realize(d) for _, d in ts), B)]
     spectral = maslov_spectral(Bs)
+    memo = {}
 
     def fit(zeta):
-        sol, _, stage1 = _held_out_fit(rows, np.array(_values(zeta, ys)))
+        sol, _, stage1 = _held_out_fit(rows, np.array(_values(zeta, ys, memo)))
         C = sum(ck * Ak for ck, Ak in zip(sol[:-1], base))
         c_fit = float(sol[-1])
 
-        vals2 = _values(zeta, zs)
+        vals2 = _values(zeta, zs, memo)
         errs2 = [v - 2.0 * float((C @ xi) @ O @ eta) for v, (xi, eta) in zip(vals2, pairs2)]
         stage2 = float(np.sqrt(np.mean(np.square(errs2))))
 
-        vals3 = iter(_values(zeta, samples3))
+        vals3 = iter(_values(zeta, samples3, memo))
         errs3 = []
         yz_dev = 0.0
         for B, ts, zeta_m in zip(Bs, terms, spectral):

@@ -241,9 +241,9 @@ def maslov_spectral(B: SpElement | list[SpElement], report=None):
     contribute nothing.
 
     Requires a numerically semi-simple input; otherwise `krein_parameters`
-    raises NonSemisimpleError and only the path evaluator applies.  `report`
-    is B's classification when the caller already has it.  Given a list of
-    elements of one dimension (and their reports), returns their values."""
+    raises NonSemisimpleError and only the path evaluator applies.  Given a
+    list of elements of one dimension, returns their values (summed by
+    ascending |b|); `report` is the list's SpectrumStack if already known."""
     betas = krein_parameters(B, report)
     if isinstance(B, SpElement):
         return -float(sum(betas)) + 0.0
@@ -268,11 +268,12 @@ def maslov_evaluate(
     spectral = {}  # position in Bs -> value
     for dim in dict.fromkeys(B.space.dim for B in Bs) if method != "limit" else ():
         idx = [k for k, B in enumerate(Bs) if B.space.dim == dim]
-        reports = classify_eigenstructure([Bs[k] for k in idx])
-        take = [(k, r) for k, r in zip(idx, reports) if r.semi_simple or method == "spectral"]
-        if take:
-            ks, reps = zip(*take)
-            spectral.update(zip(ks, maslov_spectral([Bs[k] for k in ks], reps)))
+        spectra = classify_eigenstructure([Bs[k] for k in idx])
+        rows = np.arange(len(idx)) if method == "spectral" else spectra.semi_simple.nonzero()[0]
+        if len(rows):
+            ks = [idx[j] for j in rows.tolist()]
+            sub = spectra if len(ks) == len(idx) else spectra.take(rows)
+            spectral.update(zip(ks, maslov_spectral([Bs[k] for k in ks], sub)))
     limit = {k: maslov_limit(B, cfg) for k, B in enumerate(Bs) if k not in spectral}
     return [  # the spectral bar is a crude bound on the eigensolve roundoff
         (spectral[k], 1e-8 * (1.0 + B.norm()), "spectral") if k in spectral

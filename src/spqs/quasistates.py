@@ -23,7 +23,8 @@ class QuasiState:
 
     evaluate_with_error returns (value, error bar), the bar the checkers spend
     as their allowance; evaluate returns the value alone.  evaluate_batch,
-    if given, returns the (value, error bar) pairs of a list at once.
+    if given, returns the (value, error bar) pairs of a list at once, given
+    the memo of `batch`.
     """
 
     evaluate: Callable[[SpElement], float]
@@ -31,16 +32,20 @@ class QuasiState:
     provenance: str
     evaluate_with_error: Callable[[SpElement], tuple[float, float]]
     source: object = field(default=None, repr=False)
-    evaluate_batch: Callable[[list[SpElement]], list] | None = field(default=None, repr=False)
+    evaluate_batch: Callable[[list[SpElement], dict], list] | None = field(default=None, repr=False)
 
     def __call__(self, x: SpElement) -> float:
         return self.evaluate(x)
 
-    def batch(self, xs: list[SpElement]) -> list[tuple[float, float]]:
-        """(value, error bar) of each element, one at a time if no evaluate_batch."""
-        if self.evaluate_batch:
-            return self.evaluate_batch(xs)
-        return [self.evaluate_with_error(x) for x in xs]
+    def batch(self, xs: list[SpElement], memo: dict | None = None) -> list[tuple[float, float]]:
+        """(value, error bar) of each element, one at a time if no evaluate_batch.
+        `memo` keeps results by (state, list) identity: a state evaluates a list once."""
+        memo = {} if memo is None else memo
+        key = (id(self), id(xs))
+        if key not in memo:  # the entry holds self and xs, so their ids stay theirs
+            memo[key] = self, xs, (self.evaluate_batch(xs, memo) if self.evaluate_batch
+                                   else [self.evaluate_with_error(x) for x in xs])
+        return memo[key][2]
 
 
 def linear_qs(N: np.ndarray) -> QuasiState:
@@ -65,7 +70,7 @@ def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig()) -> QuasiState:
     """The Maslov quasi-state through the `auto` dispatch of `maslov_evaluate`, one
     stack per batch call: semi-simple inputs spectrally, the rest by the path evaluator."""
 
-    def batch(xs: list[SpElement]) -> list[tuple[float, float]]:
+    def batch(xs: list[SpElement], memo: dict | None = None) -> list[tuple[float, float]]:
         return [r[:2] for r in maslov_evaluate(xs, cfg)]
 
     return QuasiState(
@@ -212,14 +217,15 @@ def discontinuous_qs(A: SpElement, c: float) -> QuasiState:
 
 def linear_combination(parts: list[tuple[float, QuasiState]]) -> QuasiState:
     """c_1 zeta_1 + ... + c_k zeta_k as one composite quasi-state, which sums
-    the batch calls of its parts."""
+    the batch calls of its parts (handing them its memo)."""
     if not parts:
         raise ValueError("need at least one component")
 
-    def batch(xs: list[SpElement]) -> list[tuple[float, float]]:
+    def batch(xs: list[SpElement], memo: dict | None = None) -> list[tuple[float, float]]:
         sums = [(0.0, 0.0)] * len(xs)
         for coef, qs in parts:
-            sums = [(t + coef * v, e + abs(coef) * b) for (t, e), (v, b) in zip(sums, qs.batch(xs))]
+            vals = qs.batch(xs, memo)
+            sums = [(t + coef * v, e + abs(coef) * b) for (t, e), (v, b) in zip(sums, vals)]
         return sums
 
     return QuasiState(

@@ -8,6 +8,7 @@ ordering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -96,15 +97,16 @@ def omega_adjoint(A: np.ndarray) -> np.ndarray:
     d = A.shape[0]
     if A.shape != (d, d) or d % 2:
         raise ValueError(f"expected a square even-dimensional matrix, got {A.shape}")
+    # Omega^{-1} A^T Omega: A^T, halves swapped on both axes, off-diagonal blocks negated
+    perm, sign = _block_swap(d)
+    return A.T[perm[:, None], perm] * sign
+
+
+@functools.cache
+def _block_swap(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index that swaps the halves of 0..d-1, and the +-1 block signs."""
     n = d // 2
-    # Omega^{-1} A^T Omega without forming Omega: block shuffle with signs.
-    At = A.T
-    out = np.empty_like(A)
-    out[:n, :n] = At[n:, n:]
-    out[:n, n:] = -At[n:, :n]
-    out[n:, :n] = -At[:n, n:]
-    out[n:, n:] = At[:n, :n]
-    return out
+    return np.r_[n:d, :n], np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((n, n)))
 
 
 def skew_defect(A: np.ndarray) -> float:

@@ -5,7 +5,9 @@ commuting Y/Z representation."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,36 +72,6 @@ class SpectrumReport:
     semi_simple: bool
     eigvec_cond: float
     _groups: tuple = field(repr=False, default=())
-    _vectors: np.ndarray = field(repr=False, default=None)
-
-
-def _cluster(keys: list, tol: float) -> list[list[int]]:
-    """Positions of the real or complex `keys` grouped by single linkage along
-    their (real, imag) lexicographic order."""
-    groups = []
-    for i in sorted(range(len(keys)), key=lambda i: (keys[i].real, keys[i].imag)):
-        if groups and abs(keys[i] - keys[groups[-1][-1]]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _match_clusters(keys_a, idx_a, keys_b, idx_b, tol: float, what: str):
-    """Pair the clusters of keys_a with those of keys_b in lexicographic order:
-    one (idx_a entries, idx_b entries) per cluster.  The cluster sizes must
-    match and the paired keys agree within 10 tol."""
-    ca, cb = _cluster(keys_a, tol), _cluster(keys_b, tol)
-    if len(ca) != len(cb) or any(len(x) != len(y) for x, y in zip(ca, cb)):
-        raise ClassificationError(f"unmatched {what} eigenvalue clusters")
-    if any(abs(keys_a[i] - keys_b[j]) > 10 * tol for x, y in zip(ca, cb) for i, j in zip(x, y)):
-        raise ClassificationError(f"{what} eigenvalues do not pair up")
-    return [([idx_a[i] for i in x], [idx_b[j] for j in y]) for x, y in zip(ca, cb)]
-
-
-def _mean(xs: list[float]) -> float:
-    """np.mean of the floats xs (a lone value is its own mean)."""
-    return xs[0] if len(xs) == 1 else float(np.mean(xs))
 
 
 def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,25 +84,111 @@ def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cond, cond <= EIGVEC_COND_MAX
 
 
+class _Ranked(NamedTuple):
+    """Each kind k's eigenvalues in each row by ascending (real, imag) key, ties
+    by index: order[k, row] and keys[k, row] hold their indices and keys (then
+    _PAST), past[k, row] marks the positions after them, and start[k, row, j]
+    whether position j starts a single-linkage cluster (True from there on)."""
+
+    order: np.ndarray
+    keys: np.ndarray
+    past: np.ndarray
+    start: np.ndarray
+
+
+def _rank(keys: np.ndarray, member: np.ndarray, ctol: np.ndarray) -> _Ranked:
+    """Rank the member keys of each (kind, row); clusters break at gaps > ctol."""
+    keys = np.where(member, keys, _PAST)
+    order = keys.argsort(axis=-1, kind="stable")
+    keys.sort(axis=-1)
+    past = keys == _PAST
+    start = np.empty(keys.shape[:-1] + (keys.shape[-1] + 1,), dtype=bool)
+    start[..., :: keys.shape[-1]] = True  # positions 0 and d
+    np.greater(abs(keys[..., 1:] - keys[..., :-1]), ctol, out=start[..., 1:-1])
+    start[..., 1:-1] |= past[..., 1:]
+    return _Ranked(order, keys, past, start)
+
+
+def _check_pairing(r: _Ranked, ctol: np.ndarray, semi_simple: np.ndarray) -> None:
+    """Raise ClassificationError at the first semi-simple row whose clusters of kind
+    1 (4) do not pair up in order with kind 2 (5): equal sizes, keys within 10 ctol."""
+    a, b = slice(_REAL_POS, None, 3), slice(_REAL_NEG, None, 3)  # kinds 1, 4 and 2, 5
+    unmatched = (r.past[a] != r.past[b]) | (r.start[a] != r.start[b])[..., :-1]
+    fault = unmatched | (abs(r.keys[a] - r.keys[b]) > 10 * ctol)
+    bad = semi_simple & fault.any(axis=(0, 2))
+    if bad.any():
+        row = bad.argmax()
+        k, what = (0, "real-pair") if fault[0, row].any() else (1, "quadruple")
+        raise ClassificationError(f"unmatched {what} eigenvalue clusters" if unmatched[k, row].any()
+                                  else f"{what} eigenvalues do not pair up")
+
+
+@dataclass(eq=False)
+class SpectrumStack(Sequence):
+    """A stack's classification; item i is element i's SpectrumReport."""
+
+    lam: np.ndarray
+    V: np.ndarray
+    eigvec_cond: np.ndarray
+    semi_simple: np.ndarray
+    ranked: _Ranked
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def __getitem__(self, i: int) -> SpectrumReport:
+        r, cond = self.ranked, float(self.eigvec_cond[i])
+        zeros = tuple(r.order[_ZERO, i][~r.past[_ZERO, i]].tolist())
+        if not self.semi_simple[i]:
+            return SpectrumReport((), (), (), len(zeros), False, cond)
+        real, imag, quad = groups = [], [], []
+        for k, kind, found in zip((_REAL_POS, _IMAG, _QUAD), BLOCK_KINDS, groups):
+            c = np.count_nonzero(~r.past[k, i])
+            cut = np.flatnonzero(r.start[k, i, :c]).tolist() + [c]
+            for s, e in zip(cut, cut[1:]):  # a cluster, and kind k + 1 at the same positions
+                p, q = r.order[k, i, s:e].tolist(), r.order[k + 1, i, s:e].tolist()
+                a = 0.0 if k == _IMAG else float(np.mean(abs(self.lam[i, p].real)))
+                b = 0.0 if k == _REAL_POS else float(np.mean(self.lam[i, p].imag))
+                found.append(_EigGroup(kind, tuple(p), () if k == _IMAG else tuple(q), a, b))
+        return SpectrumReport(
+            tuple((g.a, len(g.indices)) for g in real), tuple((g.b, len(g.indices)) for g in imag),
+            tuple((g.a, g.b, len(g.indices)) for g in quad), len(zeros), True, cond,
+            (*real, *imag, *quad) + ((_EigGroup("zero", zeros, (), 0.0, 0.0),) if zeros else ()),
+        )
+
+    def take(self, rows: np.ndarray) -> SpectrumStack:
+        """The classification of the given rows alone."""
+        return SpectrumStack(self.lam[rows], self.V[rows], self.eigvec_cond[rows],
+                             self.semi_simple[rows], _Ranked(*(x[:, rows] for x in self.ranked)))
+
+
 def classify_eigenstructure(B: SpElement | list[SpElement]):
     """Group the spectrum into real pairs, imaginary pairs, quadruples and
     zeros; flag semi-simplicity via the eigenvector condition number.
 
     A non-semi-simple input is not grouped (its pair tuples are empty): no
-    decomposition accepts it, and its clusters need not pair up.  Given a list
-    of elements of one dimension, returns their reports from one stacked
-    eigensolve."""
+    decomposition accepts it, and its clusters need not pair up.  A list of
+    elements of one dimension gets their SpectrumStack from one eigensolve and
+    one sort of every kind's keys; ClassificationError names the first
+    semi-simple element whose real or quadruple clusters do not pair up."""
     single = isinstance(B, SpElement)
-    lam, V = np.linalg.eig(np.stack([B.mat] if single else [b.mat for b in B]))
+    if not single and not B:
+        return []
+    lam, V = np.linalg.eig(np.array([B.mat] if single else [b.mat for b in B]))
     cond, semi_simple = eigvec_condition(V)
     re, im = lam.real, lam.imag
-    mod = np.hypot(re, im)  # the modulus of Python's abs(complex)
+    parts = np.array([re, im])
+    mod = abs(lam)  # hypot(re, im), the modulus of Python's abs(complex)
     band = AXIS_BAND * (1.0 + mod)
     scale = np.maximum(1.0, mod.max(axis=-1))
-    kind = _KIND_OF_BITS[8 * (abs(im) <= band) + 4 * (abs(re) <= band) + 2 * (im > 0) + (re > 0)]
+    kind = _KIND_OF_BITS[(np.concatenate([abs(parts) <= band, parts > 0]) * _BITS).sum(axis=0)]
     kind[mod <= AXIS_BAND * (1.0 + scale)[:, None]] = _ZERO
-    reports = [_classify_one(*row) for row in zip(lam, V, cond, semi_simple, scale, kind)]
-    return reports[0] if single else reports
+    ctol = CLUSTER_TOL * (1.0 + scale)[:, None]
+    ranked = _rank(re * _KEY_RE + im * _KEY_IM, kind == _KINDS, ctol)
+    if (kind % 3).any():  # some real pair or quadruple: kind 1, 2, 4 or 5
+        _check_pairing(ranked, ctol, semi_simple)
+    stack = SpectrumStack(lam, V, cond, semi_simple, ranked)
+    return stack[0] if single else stack
 
 
 # eigenvalue kinds (zero, real with Re > 0 or < 0, imaginary with Im > 0, -a+ib
@@ -140,54 +198,20 @@ def classify_eigenstructure(B: SpElement | list[SpElement]):
 _ZERO, _REAL_POS, _REAL_NEG, _IMAG, _QUAD, _QUAD_PARTNER, _SKIP = range(7)
 _KIND_OF_BITS = np.array([_SKIP, _SKIP, _QUAD, _QUAD_PARTNER, _SKIP, _SKIP, _IMAG, _IMAG]
                          + [_REAL_NEG, _REAL_POS] * 2 + [_ZERO] * 4)
+_BITS = np.array([4, 8, 1, 2])[:, None, None]  # |Re|, |Im| in band; Re, Im > 0
+_PAST = np.finfo(float).max  # sorts after every key, as their real parts are >= 0
+_KINDS = np.arange(7)[:, None, None]
+# each kind's key re * _KEY_RE + im * _KEY_IM, exactly: a of a real pair from
+# either side, b of an imaginary one, a + ib of both members -a + ib, a + ib of a quadruple
+_KEY_RE = np.array([0, 1, -1, 0, -1, 1, 0], dtype=complex)[:, None, None]
+_KEY_IM = np.array([0, 0, 0, 1, 1j, 1j, 0])[:, None, None]
 
 
-def _classify_one(lam, V, cond, semi_simple, scale, kind) -> SpectrumReport:
-    """One element's report from its row of the stacked classification."""
-    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner, _ = at = [[] for _ in range(7)]
-    for i, k in enumerate(kind.tolist()):
-        at[k].append(i)
-    if not semi_simple:
-        return SpectrumReport((), (), (), len(zero_idx), False, float(cond))
-    ctol = float(CLUSTER_TOL * (1.0 + scale))
-    z = lam.tolist()
-
-    groups = []
-    if real_pos or real_neg:
-        pos, neg = [z[i].real for i in real_pos], [-z[i].real for i in real_neg]
-        for p, q in _match_clusters(pos, real_pos, neg, real_neg, ctol, "real-pair"):
-            groups.append(_EigGroup("real", tuple(p), tuple(q), _mean([z[i].real for i in p]), 0.0))
-    for cl in _cluster([z[i].imag for i in imag_pos], ctol):
-        idx = [imag_pos[i] for i in cl]
-        groups.append(_EigGroup("imag", tuple(idx), (), 0.0, _mean([z[i].imag for i in idx])))
-    if quad or quad_partner:  # pair lambda = -a+ib with +a+ib
-        keys, partners = [-z[i].conjugate() for i in quad], [z[i] for i in quad_partner]
-        for grp, par in _match_clusters(keys, quad, partners, quad_partner, ctol, "quadruple"):
-            a, b = _mean([-z[i].real for i in grp]), _mean([z[i].imag for i in grp])
-            groups.append(_EigGroup("quad", tuple(grp), tuple(par), a, b))
-
-    return SpectrumReport(
-        real_pairs=tuple((g.a, len(g.indices)) for g in groups if g.kind == "real"),
-        imag_pairs=tuple((g.b, len(g.indices)) for g in groups if g.kind == "imag"),
-        quadruples=tuple((g.a, g.b, len(g.indices)) for g in groups if g.kind == "quad"),
-        zero_multiplicity=len(zero_idx),
-        semi_simple=True,
-        eigvec_cond=float(cond),
-        _groups=tuple(groups) + (
-            (_EigGroup("zero", tuple(zero_idx), (), 0.0, 0.0),) if zero_idx else ()
-        ),
-        _vectors=V,
-    )
-
-
-def _require_semisimple(report: SpectrumReport) -> None:
-    """Raise NonSemisimpleError unless the classified input is numerically
-    semi-simple (eigenvector condition number at most EIGVEC_COND_MAX)."""
-    if not report.semi_simple:
-        raise NonSemisimpleError(
-            f"eigenvector condition {report.eigvec_cond:.3e} exceeds "
-            f"{EIGVEC_COND_MAX:.1e}"
-        )
+def _require_semisimple(spectra: SpectrumStack) -> None:
+    """Raise NonSemisimpleError at the stack's first non-semi-simple element."""
+    if not spectra.semi_simple.all():
+        cond = spectra.eigvec_cond[spectra.semi_simple.argmin()]
+        raise NonSemisimpleError(f"eigenvector condition {cond:.3e} exceeds {EIGVEC_COND_MAX:.1e}")
 
 
 def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -196,35 +220,37 @@ def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndar
 
 
 def krein_parameters(B: SpElement | list[SpElement], report=None):
-    """Signed imaginary-pair parameters (one per invariant plane): +b when the
-    normalized plane carries the positively oriented block, -b otherwise.
-    Raises NonSemisimpleError on a non-semi-simple input.
+    """Signed imaginary-pair parameters (one per invariant plane) by ascending
+    |b|: +b when the normalized plane carries the positively oriented block,
+    -b otherwise.  Raises NonSemisimpleError on a non-semi-simple input.
 
-    Given a list of elements of one dimension (and their reports), returns
-    their lists: one einsum orients every simple imaginary eigenvalue w by the
-    sign of (i/2) omega(w, conj w); clusters of several go through
-    _planes_imag."""
+    A list of elements of one dimension (with their SpectrumStack as `report`)
+    gets their lists: one einsum orients every simple imaginary eigenvalue w
+    by the sign of (i/2) omega(w, conj w); larger clusters use _planes_imag."""
     single = isinstance(B, SpElement)
     Bs = [B] if single else B
-    reports = classify_eigenstructure(Bs) if report is None else [report] if single else report
-    for rep in reports:
-        _require_semisimple(rep)
-    imag = [[g for g in rep._groups if g.kind == "imag"] for rep in reports]
-    W = np.array([rep._vectors[:, g.indices[0]] for rep, gs in zip(reports, imag) for g in gs
-                  if len(g.indices) == 1])
-    positive = iter(())
-    if len(W):
-        mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
-        if (np.abs(mu) <= 1e-10).any():  # _planes_imag's bound on a 1 x 1 pairing
-            raise NormalizationError("degenerate orientation pairing")
-        positive = iter(mu > 0)
+    if not Bs:
+        return []
+    spectra = classify_eigenstructure(Bs) if report is None else report
+    _require_semisimple(spectra)
+    order, keys, past, start = [x[_IMAG] for x in spectra.ranked]
+    # a member is simple when it and the next sorted position both start clusters
+    simple = (start[:, :-1] > past) & start[:, 1:]
+    rows, cols = simple.nonzero()
     out = [[] for _ in Bs]
-    for b, rep, gs, betas in zip(Bs, reports, imag, out):
-        for g in gs:
-            if len(g.indices) == 1:
-                betas.append(g.b if next(positive) else -g.b)
-            else:
-                betas += [beta for beta, _, _ in _planes_imag(b.space, rep._vectors, g)]
+    if len(rows):
+        W = spectra.V[rows, :, order[rows, cols]]
+        mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
+        if abs(mu).min() <= 1e-10:  # _planes_imag's bound on a 1 x 1 pairing
+            raise NormalizationError("degenerate orientation pairing")
+        for i, beta in zip(rows.tolist(), np.copysign(keys.real[rows, cols], mu).tolist()):
+            out[i].append(beta)  # +b where mu > 0, else -b
+    if len(rows) + np.count_nonzero(past) < past.size:  # a cluster with several members
+        for i in (~past > simple).any(axis=-1).nonzero()[0].tolist():
+            simple_b = iter(out[i])
+            out[i] = [beta for g in spectra[i]._groups if g.kind == "imag" for beta in (
+                [next(simple_b)] if len(g.indices) == 1
+                else [beta for beta, _, _ in _planes_imag(Bs[i].space, spectra.V[i], g)])]
     return out[0] if single else out
 
 
@@ -398,13 +424,13 @@ def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
     ties by smallest originating eigenvalue index; imaginary parameters carry
     the plane orientation in their sign, so b and -b blocks are distinct.
     """
-    report = classify_eigenstructure(B)
-    _require_semisimple(report)
-    space = B.space
+    spectra = classify_eigenstructure([B])
+    _require_semisimple(spectra)
+    report, space, V = spectra[0], B.space, spectra.V[0]
 
     entries = []  # (sort_key, orig_index, kind, a, b, [(e, f), ...])
     for g in report._groups:
-        for kind, a, b, frames in _group_blocks(space, B, report._vectors, g):
+        for kind, a, b, frames in _group_blocks(space, B, V, g):
             sort_key = (BLOCK_KINDS.index(kind), abs(a), abs(b))
             entries.append((sort_key, min(g.indices), kind, a, b, frames))
     entries.sort(key=lambda t: t[:2])

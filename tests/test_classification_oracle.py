@@ -1,0 +1,336 @@
+"""The stacked eigenvalue classification against a per-element reference.
+
+`reference_reports` and `reference_krein` are the per-element classification
+and orientation that the stacked ones replaced: each element's eigenvalues are
+grouped in a Python loop (`_classify_one`, `_cluster`, `_match_clusters`), and
+each imaginary group is oriented on its own.  The stacked code must give the
+same reports, the same values bit for bit, and the same first failure."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spqs.maslov import maslov_spectral
+from spqs.quasistates import nilpotent_jordan_sp
+from spqs.symplectic import (
+    SpElement,
+    SymplecticSpace,
+    omega_adjoint,
+    random_symplectic_group_element,
+    rng_from,
+    y_element,
+    z_element,
+)
+from spqs.williamson import (
+    _KIND_OF_BITS,
+    _QUAD,
+    _REAL_POS,
+    _ZERO,
+    AXIS_BAND,
+    CLUSTER_TOL,
+    EIGVEC_COND_MAX,
+    ClassificationError,
+    NonSemisimpleError,
+    NormalizationError,
+    SpectrumReport,
+    WilliamsonBlock,
+    WilliamsonDecomposition,
+    SpectrumStack,
+    _check_pairing,
+    _EigGroup,
+    _planes_imag,
+    _rank,
+    classify_eigenstructure,
+    eigvec_condition,
+    random_semisimple,
+)
+
+# ---------------------------------------------------------------- reference
+
+
+def _cluster(keys: list, tol: float) -> list[list[int]]:
+    """Positions of the real or complex `keys` grouped by single linkage along
+    their (real, imag) lexicographic order."""
+    groups = []
+    for i in sorted(range(len(keys)), key=lambda i: (keys[i].real, keys[i].imag)):
+        if groups and abs(keys[i] - keys[groups[-1][-1]]) <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def _match_clusters(keys_a, idx_a, keys_b, idx_b, tol: float, what: str):
+    """Pair the clusters of keys_a with those of keys_b in lexicographic order:
+    one (idx_a entries, idx_b entries) per cluster.  The cluster sizes must
+    match and the paired keys agree within 10 tol."""
+    ca, cb = _cluster(keys_a, tol), _cluster(keys_b, tol)
+    if len(ca) != len(cb) or any(len(x) != len(y) for x, y in zip(ca, cb)):
+        raise ClassificationError(f"unmatched {what} eigenvalue clusters")
+    if any(abs(keys_a[i] - keys_b[j]) > 10 * tol for x, y in zip(ca, cb) for i, j in zip(x, y)):
+        raise ClassificationError(f"{what} eigenvalues do not pair up")
+    return [([idx_a[i] for i in x], [idx_b[j] for j in y]) for x, y in zip(ca, cb)]
+
+
+def _mean(xs: list[float]) -> float:
+    return xs[0] if len(xs) == 1 else float(np.mean(xs))
+
+
+def _classify_one(lam, V, cond, semi_simple, scale, kind) -> SpectrumReport:
+    """One element's report from its row of the stacked eigensolve."""
+    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner, _ = at = [[] for _ in range(7)]
+    for i, k in enumerate(kind.tolist()):
+        at[k].append(i)
+    if not semi_simple:
+        return SpectrumReport((), (), (), len(zero_idx), False, float(cond))
+    ctol = float(CLUSTER_TOL * (1.0 + scale))
+    z = lam.tolist()
+
+    groups = []
+    if real_pos or real_neg:
+        pos, neg = [z[i].real for i in real_pos], [-z[i].real for i in real_neg]
+        for p, q in _match_clusters(pos, real_pos, neg, real_neg, ctol, "real-pair"):
+            groups.append(_EigGroup("real", tuple(p), tuple(q), _mean([z[i].real for i in p]), 0.0))
+    for cl in _cluster([z[i].imag for i in imag_pos], ctol):
+        idx = [imag_pos[i] for i in cl]
+        groups.append(_EigGroup("imag", tuple(idx), (), 0.0, _mean([z[i].imag for i in idx])))
+    if quad or quad_partner:  # pair lambda = -a+ib with +a+ib
+        keys, partners = [-z[i].conjugate() for i in quad], [z[i] for i in quad_partner]
+        for grp, par in _match_clusters(keys, quad, partners, quad_partner, ctol, "quadruple"):
+            a, b = _mean([-z[i].real for i in grp]), _mean([z[i].imag for i in grp])
+            groups.append(_EigGroup("quad", tuple(grp), tuple(par), a, b))
+
+    return SpectrumReport(
+        real_pairs=tuple((g.a, len(g.indices)) for g in groups if g.kind == "real"),
+        imag_pairs=tuple((g.b, len(g.indices)) for g in groups if g.kind == "imag"),
+        quadruples=tuple((g.a, g.b, len(g.indices)) for g in groups if g.kind == "quad"),
+        zero_multiplicity=len(zero_idx),
+        semi_simple=True,
+        eigvec_cond=float(cond),
+        _groups=tuple(groups) + (
+            (_EigGroup("zero", tuple(zero_idx), (), 0.0, 0.0),) if zero_idx else ()
+        ),
+    )
+
+
+def reference_reports(Bs: list[SpElement]) -> tuple[list[SpectrumReport], np.ndarray]:
+    """The reports of Bs, one element at a time after one stacked eigensolve,
+    and the eigenvectors."""
+    lam, V = np.linalg.eig(np.stack([b.mat for b in Bs]))
+    cond, semi_simple = eigvec_condition(V)
+    re, im = lam.real, lam.imag
+    mod = np.hypot(re, im)
+    band = AXIS_BAND * (1.0 + mod)
+    scale = np.maximum(1.0, mod.max(axis=-1))
+    kind = _KIND_OF_BITS[8 * (abs(im) <= band) + 4 * (abs(re) <= band) + 2 * (im > 0) + (re > 0)]
+    kind[mod <= AXIS_BAND * (1.0 + scale)[:, None]] = _ZERO
+    return [_classify_one(*row) for row in zip(lam, V, cond, semi_simple, scale, kind)], V
+
+
+def reference_spectral(Bs: list[SpElement]) -> list[float]:
+    """Minus the summed signed imaginary-pair parameters of each element; each
+    simple imaginary eigenvalue is oriented by its own Krein sign."""
+    reports, V = reference_reports(Bs)
+    for rep in reports:
+        if not rep.semi_simple:
+            raise NonSemisimpleError(
+                f"eigenvector condition {rep.eigvec_cond:.3e} exceeds {EIGVEC_COND_MAX:.1e}"
+            )
+    imag = [[g for g in rep._groups if g.kind == "imag"] for rep in reports]
+    W = np.array([v[:, g.indices[0]] for v, gs in zip(V, imag) for g in gs if len(g.indices) == 1])
+    positive = iter(())
+    if len(W):
+        mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
+        if (np.abs(mu) <= 1e-10).any():
+            raise NormalizationError("degenerate orientation pairing")
+        positive = iter(mu > 0)
+    out = [[] for _ in Bs]
+    for b, v, gs, betas in zip(Bs, V, imag, out):
+        for g in gs:
+            if len(g.indices) == 1:
+                betas.append(g.b if next(positive) else -g.b)
+            else:
+                betas += [beta for beta, _, _ in _planes_imag(b.space, v, g)]
+    return [-float(sum(b)) + 0.0 for b in out]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def public(rep: SpectrumReport) -> tuple:
+    """Every field of a report, floats by their bits."""
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        return tuple(map(bits, x)) if isinstance(x, tuple) else x
+
+    return bits((rep.real_pairs, rep.imag_pairs, rep.quadruples, rep.zero_multiplicity,
+                 rep.semi_simple, rep.eigvec_cond)), rep._groups
+
+
+# ------------------------------------------------------------------ pairing
+
+
+def stacked_match(keys_a, idx_a, keys_b, idx_b, tol, what):
+    """The stacked classification's pairing of keys_a (kind 1, or 4 for
+    quadruples) with keys_b (kind 2, or 5) in one row: the same return value
+    and the same errors as `_match_clusters`."""
+    k = _REAL_POS if what == "real-pair" else _QUAD
+    keys = np.zeros((7, 1, max(len(keys_a), len(keys_b))), dtype=complex)
+    member = np.zeros(keys.shape, dtype=bool)
+    for kind, ks in ((k, keys_a), (k + 1, keys_b)):
+        keys[kind, 0, : len(ks)], member[kind, 0, : len(ks)] = ks, True
+    ctol = np.array([[tol]])
+    ranked = _rank(keys, member, ctol)
+    _check_pairing(ranked, ctol, np.array([True]))
+    # the report's groups of that kind, read from the ranking alone
+    report = SpectrumStack(np.zeros(keys.shape[1:]), None, np.ones(1), np.ones(1, bool), ranked)[0]
+    kind = "real" if what == "real-pair" else "quad"
+    return [([idx_a[i] for i in g.indices], [idx_b[j] for j in g.partner_indices])
+            for g in report._groups if g.kind == kind]
+
+
+class TestPairing:
+    """The reference pairing and the stacked one agree (the fixed cases are
+    tests/test_williamson.py::TestMatchClusters)."""
+
+    TOL = 1e-7
+
+    @given(
+        keys=st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.0 + 3e-8, 1.0 + 2e-7, 2.0]),
+                                st.sampled_from([0.0, 1.0, 1.0 + 5e-8])), min_size=1, max_size=4),
+        shift=st.lists(st.sampled_from([0.0, 0.0, 4e-7, 3e-6]), min_size=4, max_size=4),
+        drop=st.booleans(),
+        what=st.sampled_from(["real-pair", "quadruple"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_reference(self, keys, shift, drop, what):
+        keys_a = [complex(a, b if what == "quadruple" else 0.0) for a, b in keys]
+        keys_b = [key + s for key, s in zip(keys_a[::-1], shift)][: len(keys_a) - drop]
+        idx_a, idx_b = list(range(len(keys_a))), list(range(9, 9 + len(keys_b)))
+        args = (keys_a, idx_a, keys_b, idx_b, self.TOL, what)
+        assert outcome(stacked_match, *args) == outcome(_match_clusters, *args)
+
+
+# ------------------------------------------------------------------- stacks
+
+
+def conjugated(space: SymplecticSpace, blocks, seed) -> SpElement:
+    """The block-diagonal element of `blocks` in a random symplectic frame."""
+    D = WilliamsonDecomposition(space, np.eye(space.dim), tuple(blocks)).assemble()
+    g = random_symplectic_group_element(space, 0.5, seed)
+    return SpElement(space, g @ D @ omega_adjoint(g))
+
+
+def near_band(space: SymplecticSpace, seed, factor: float) -> SpElement:
+    """A quadruple or real pair whose small parameter is `factor` times the
+    axis band: just inside it (factor < 1) or just outside (factor > 1)."""
+    rng = rng_from(seed)
+    b = float(rng.uniform(0.5, 1.5))
+    small = factor * AXIS_BAND * (1.0 + b)
+    blocks = [WilliamsonBlock("quad", small, b, (0, 1))] if space.n >= 2 else []
+    blocks += [WilliamsonBlock("real", small, 0.0, (p,)) for p in range(len(blocks) * 2, space.n)]
+    return conjugated(space, blocks, seed)
+
+
+def repeated(space: SymplecticSpace, seed, kind: str) -> SpElement:
+    """Equal blocks of one kind on every plane (quadruples on pairs of
+    planes, one imaginary block of each orientation for "krein")."""
+    rng = rng_from(seed)
+    a, b = (float(x) for x in rng.uniform(0.3, 2.0, 2))
+    if kind == "quad" and space.n >= 2:
+        blocks = [WilliamsonBlock("quad", a, b, (p, p + 1)) for p in range(0, space.n - 1, 2)]
+        blocks += [WilliamsonBlock("imag", 0.0, b, (space.n - 1,))] if space.n % 2 else []
+    elif kind == "real":
+        blocks = [WilliamsonBlock("real", a, 0.0, (p,)) for p in range(space.n)]
+    else:  # equal |b|, orientations alternating for "krein"
+        sign = [1.0, -1.0] if kind == "krein" else [1.0, 1.0]
+        blocks = [WilliamsonBlock("imag", 0.0, sign[p % 2] * b, (p,)) for p in range(space.n)]
+    if space.n >= 2 and kind != "quad":  # a kernel plane besides
+        blocks[-1] = WilliamsonBlock("real", 0.0, 0.0, (space.n - 1,))
+    return conjugated(space, blocks, seed)
+
+
+def unpaired(space: SymplecticSpace, seed, fault: str) -> SpElement:
+    """Real pairs (quadruples for "quad-apart") that do not pair up: the +a
+    side is moved by 5e-6, beyond 10 cluster tolerances ("apart"), or splits
+    a cluster a, a + 0.9 tol of the -a side into a, a + 1.1 tol ("unmatched").
+    The skew defect this needs hides behind a large symmetric upper block, so
+    the matrix stays in the algebra."""
+    n = space.n
+    a = 1.0 + float(rng_from(seed).uniform(0.0, 0.5))
+    tol = CLUSTER_TOL * (1.0 + a)
+    P = -np.diag(a + (0.9 * tol if fault == "unmatched" else 1.0) * np.arange(n))
+    shift = np.zeros(n)
+    if fault == "quad-apart" and n >= 2:
+        P[:2, :2] = [[-a, 0.7], [-0.7, -a]]
+        shift[:2] = 5e-6
+    elif fault == "apart" or n == 1:
+        shift[0] = 5e-6
+    else:
+        shift[1] = 0.2 * tol
+    M = np.block([[P, 1e5 * np.eye(n)], [np.zeros((n, n)), -P.T + np.diag(shift)]])
+    return SpElement(space, M)
+
+
+def element(space: SymplecticSpace, recipe: str, seed: int) -> SpElement:
+    rng = rng_from(seed)
+    kinds = {"real": ("real",), "imag": ("imag",), "mixed": ("real", "imag", "quad")}
+    if recipe in kinds:
+        return random_semisimple(space, seed, kinds[recipe])[0]
+    if recipe in ("y", "z"):
+        xi, eta = rng.standard_normal((2, space.dim))
+        return (y_element if recipe == "y" else z_element)(space, xi, eta)
+    if recipe == "nilpotent":
+        return float(rng.uniform(0.5, 2.0)) * nilpotent_jordan_sp(space)
+    if recipe in ("inside", "outside"):
+        return near_band(space, seed, 0.5 if recipe == "inside" else 2.0)
+    if recipe in ("apart", "unmatched", "quad-apart"):
+        return unpaired(space, seed, recipe)
+    return repeated(space, seed, recipe.removesuffix("-repeat"))
+
+
+RECIPES = ["real", "imag", "mixed", "y", "z", "nilpotent", "inside", "outside", "real-repeat",
+           "imag-repeat", "krein", "quad-repeat", "apart", "unmatched", "quad-apart"]
+
+
+class TestStackedClassification:
+    @given(
+        n=st.integers(1, 4),
+        recipes=st.lists(st.tuples(st.sampled_from(RECIPES), st.integers(0, 2**32 - 1)),
+                         min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_the_per_element_reference(self, n, recipes):
+        space = SymplecticSpace(n)
+        Bs = [element(space, recipe, seed) for recipe, seed in recipes]
+
+        # the reports, or the first failing element's exception
+        got = outcome(lambda: [public(rep) for rep in classify_eigenstructure(Bs)])
+        want = outcome(lambda: [public(rep) for rep in reference_reports(Bs)[0]])
+        assert got == want
+        for B in Bs:  # a single element gives its row of the stack
+            assert outcome(lambda: public(classify_eigenstructure(B))) == outcome(
+                lambda: public(reference_reports([B])[0][0]))
+
+        # the spectral values bit for bit, or the same first failure
+        bits = lambda vs: [v.hex() for v in vs] if isinstance(vs, list) else vs  # noqa: E731
+        assert bits(outcome(maslov_spectral, Bs)) == bits(outcome(reference_spectral, Bs))
+        alone = [B for B in Bs if not isinstance(outcome(reference_spectral, [B]), tuple)]
+        if alone:
+            assert bits(maslov_spectral(alone)) == bits(reference_spectral(alone))
+
+    def test_every_recipe_classifies_at_every_n(self):
+        # each recipe gives an element the reference accepts or refuses alike
+        for n in (1, 2, 3, 4):
+            space = SymplecticSpace(n)
+            Bs = [element(space, recipe, 7) for recipe in RECIPES]
+            for B in Bs:
+                assert outcome(lambda: public(classify_eigenstructure(B))) == outcome(
+                    lambda: public(reference_reports([B])[0][0]))

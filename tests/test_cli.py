@@ -10,7 +10,7 @@ import pytest
 from spqs.cli import build_parser, main
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
 from spqs.maslov import METHODS, MaslovLimitConfig, maslov_evaluate
-from spqs.quasistates import maslov_qs
+from spqs.quasistates import linear_combination, maslov_qs
 from spqs.symplectic import (
     SpElement,
     SymplecticSpace,
@@ -395,6 +395,14 @@ class TestVerify:
             lambda cfg: dataclasses.replace(maslov_qs(cfg), evaluate_batch=None),
         )
         assert reports("one-by-one") == stacked
+        # the main-theorem composite reads its parts' values from the fit's
+        # memo; copies of the parts miss it and evaluate every list again
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            spqs.cli, "linear_combination",
+            lambda parts: linear_combination([(c, dataclasses.replace(q)) for c, q in parts]),
+        )
+        assert reports("fresh-parts") == stacked
 
     def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         import spqs.harness

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from spqs.symplectic import (
     SymplecticSpace,
     omega,
     random_sp_element,
+    rng_from,
     standard_complex_structure,
     z_element,
 )
@@ -286,6 +289,30 @@ class TestMainTheoremFit:
         together = fit_main_theorem([zeta, MQ, comp], sp3, 1e-2, 40)
         alone = [fit_main_theorem([state], sp3, 1e-2, 40)[0] for state in (zeta, MQ, comp)]
         assert [report_to_text(r) for r in together] == [report_to_text(r) for r in alone]
+
+    def test_composite_reads_its_parts_values(self, monkeypatch):
+        # the main-theorem call of `spqs verify --n 3 --seed 0`: the Maslov
+        # state evaluates each of the three sample lists once, and the
+        # composite reuses that; with fresh parts it evaluates them again
+        import spqs.quasistates
+
+        stacks, evaluate = [], spqs.quasistates.maslov_evaluate
+
+        def counting(Bs, cfg, method="auto"):
+            stacks.append(len(Bs))
+            return evaluate(Bs, cfg, method)
+
+        monkeypatch.setattr(spqs.quasistates, "maslov_evaluate", counting)
+        mq = maslov_qs()
+        lin = linear_qs(rng_from(1).standard_normal((6, 6)))
+        composite = linear_combination([(2.0, mq), (1.0, lin)])
+        reused = fit_main_theorem([lin, mq, composite], sp3, 1e-2, 0)
+        assert stacks == [220, 40, 194]
+        stacks.clear()
+        fresh_parts = [(2.0, dataclasses.replace(mq)), (1.0, dataclasses.replace(lin))]
+        fresh = fit_main_theorem([lin, mq, linear_combination(fresh_parts)], sp3, 1e-2, 0)
+        assert stacks == [220, 40, 194] * 2
+        assert [report_to_text(r) for r in reused] == [report_to_text(r) for r in fresh]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_stage1_rows_match_the_per_element_reference(self, n):

@@ -40,6 +40,7 @@ from spqs.williamson import (
     WilliamsonBlock,
     WilliamsonDecomposition,
     classify_eigenstructure,
+    krein_parameters,
     random_semisimple,
 )
 
@@ -244,6 +245,9 @@ class TestStackedEvaluation:
 
     def test_empty_stack(self):
         assert maslov_evaluate([], SHORT) == []
+        assert classify_eigenstructure([]) == []
+        assert krein_parameters([]) == []
+        assert maslov_spectral([]) == []
 
     OK = [random_semisimple(sp2, seed)[0] for seed in range(3)]
 

@@ -214,3 +214,14 @@ class TestComposite:
         v, e = comp.evaluate_with_error(B)
         assert v == pytest.approx(2.0 * mq(B) - lin(B), abs=1e-9)
         assert comp.provenance == "composite"
+
+    def test_a_shared_memo_keeps_every_list_apart(self):
+        # the memo holds each list it has seen, so a later list cannot take
+        # the id of a freed one and be given its values
+        lin = linear_qs(np.random.Generator(np.random.Philox(9)).standard_normal((4, 4)))
+        comp = linear_combination([(2.0, lin)])
+        memo = {}
+        for seed in range(20):
+            B = random_sp_element(sp2, 1.0, seed)
+            got = comp.batch([B], memo)
+            assert got == [(2.0 * lin(B), 2.0 * lin.evaluate_with_error(B)[1])]

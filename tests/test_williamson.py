@@ -18,11 +18,11 @@ from spqs.williamson import (
     WilliamsonBlock,
     WilliamsonDecomposition,
     classify_eigenstructure,
-    _match_clusters,
     random_semisimple,
     williamson_decompose,
     yz_decomposition,
 )
+from test_classification_oracle import _match_clusters, stacked_match
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -66,26 +66,33 @@ class TestClassify:
 
 
 class TestMatchClusters:
+    """Each case holds for the per-element reference pairing and for the
+    stacked ranking and pairing of classify_eigenstructure."""
+
     TOL = 1e-7
+    MATCHES = (_match_clusters, stacked_match)
 
     def test_pairs_clusters_in_lexicographic_order(self):
         keys_a, keys_b = [2.0, 1.0, 1.0 + 1e-9], [1.0, 2.0, 1.0]
-        pairs = _match_clusters(keys_a, [10, 11, 12], keys_b, [20, 21, 22], self.TOL, "real-pair")
-        assert [(list(a), list(b)) for a, b in pairs] == [([11, 12], [20, 22]), ([10], [21])]
+        for match in self.MATCHES:
+            pairs = match(keys_a, [10, 11, 12], keys_b, [20, 21, 22], self.TOL, "real-pair")
+            assert [(list(a), list(b)) for a, b in pairs] == [([11, 12], [20, 22]), ([10], [21])]
 
     @pytest.mark.parametrize("what", ["real-pair", "quadruple"])
     def test_unequal_cluster_sizes_are_unmatched(self, what):
-        with pytest.raises(ClassificationError, match=f"unmatched {what} eigenvalue clusters"):
-            _match_clusters([1.0, 1.0], [0, 1], [1.0, 2.0], [2, 3], self.TOL, what)
+        for match in self.MATCHES:
+            with pytest.raises(ClassificationError, match=f"unmatched {what} eigenvalue clusters"):
+                match([1.0, 1.0], [0, 1], [1.0, 2.0], [2, 3], self.TOL, what)
 
     @pytest.mark.parametrize(
         "what, key", [("real-pair", 1.0), ("quadruple", -0.5 + 1.0j)]
     )
     def test_keys_apart_do_not_pair_up(self, what, key):
         far = key + 20 * self.TOL
-        with pytest.raises(ClassificationError, match=f"{what} eigenvalues do not pair up"):
-            _match_clusters([key], [0], [far], [1], self.TOL, what)
-        assert len(_match_clusters([key], [0], [key + 5 * self.TOL], [1], self.TOL, what)) == 1
+        for match in self.MATCHES:
+            with pytest.raises(ClassificationError, match=f"{what} eigenvalues do not pair up"):
+                match([key], [0], [far], [1], self.TOL, what)
+            assert len(match([key], [0], [key + 5 * self.TOL], [1], self.TOL, what)) == 1
 
 
 class TestDecompose:
