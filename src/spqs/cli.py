@@ -33,7 +33,6 @@ from .symplectic import (
     SkewSymplecticityError,
     SpElement,
     SymplecticSpace,
-    omega_adjoint,
     rng_from,
     standard_complex_structure,
     z_element,
@@ -42,6 +41,7 @@ from .williamson import (
     ClassificationError,
     NonSemisimpleError,
     NormalizationError,
+    classify_eigenstructure,
     williamson_decompose,
 )
 
@@ -96,21 +96,16 @@ def cmd_eval(args) -> int:
 
 def cmd_decompose(args) -> int:
     B = _load_element(args.matrix_file)
-    dec = williamson_decompose(B)
-    n = B.space.n
-    resid = float(
-        np.abs(dec.S @ dec.assemble() @ omega_adjoint(dec.S) - B.mat).max()
-        / max(1.0, np.abs(B.mat).max())
-    )
+    (dec,) = williamson_decompose(classify_eigenstructure([B]))
     out_dir = args.out or _default_out_dir()
     stem = os.path.splitext(os.path.basename(args.matrix_file))[0]
     frame_path = os.path.join(out_dir, f"{stem}_frame.txt")
     write_matrix(frame_path, dec.S)
-    print(f"planes: {n}")
+    print(f"planes: {B.space.n}")
     for blk in dec.blocks:
         print(f"block: {blk.label} planes={list(blk.planes)}")
     print(f"frame_file: {frame_path}")
-    print(f"roundtrip_residual: {resid!r}")
+    print(f"roundtrip_residual: {dec.roundtrip_residual!r}")
     return EXIT_OK
 
 

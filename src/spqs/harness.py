@@ -29,7 +29,8 @@ from .symplectic import (
     y_element,
     z_element,
 )
-from .williamson import random_semisimple, yz_decomposition
+from .williamson import (classify_eigenstructure, random_semisimple, williamson_decompose,
+                         yz_decomposition)
 
 TRAIN_FRACTION = 0.7
 SAMPLES_PER_UNKNOWN = 10
@@ -452,9 +453,10 @@ def fit_main_theorem(
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
     zs = [z_element(space, xi, eta) for xi, eta in pairs2]
     Bs = [random_semisimple(space, rng)[0] for _ in range(STAGE3_SAMPLES)]
-    terms = [yz_decomposition(B) for B in Bs]
+    spectra = classify_eigenstructure(Bs)
+    terms = [yz_decomposition(B, dec) for B, dec in zip(Bs, williamson_decompose(spectra))]
     samples3 = [x for B, ts in zip(Bs, terms) for x in (*(realize(d) for _, d in ts), B)]
-    spectral = maslov_spectral(Bs)
+    spectral = maslov_spectral(spectra)
     memo = {}
 
     def fit(zeta):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .kernels import complex_blocks
 from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
-from .williamson import classify_eigenstructure, eigvec_condition, krein_parameters
+from .williamson import SpectrumStack, classify_eigenstructure, eigvec_condition, krein_parameters
 
 DT_FLOOR = 0.05  # the derived step never goes below this
 STEP_NORM = 20.0  # above the floor, the derived step keeps ||dt*B||_2 <= this
@@ -235,19 +235,14 @@ def maslov_on_descriptor(desc: RankOneDescriptor) -> float:
     return 0.0
 
 
-def maslov_spectral(B: SpElement | list[SpElement], report=None):
-    """Spectral evaluation: each purely imaginary eigenvalue pair contributes
-    minus its oriented block parameter; real pairs, quadruples and the kernel
-    contribute nothing.
+def maslov_spectral(spectra: SpectrumStack) -> list[float]:
+    """Spectral evaluation of each classified element: each purely imaginary
+    eigenvalue pair contributes minus its oriented block parameter (summed by
+    ascending |b|); real pairs, quadruples and the kernel contribute nothing.
 
-    Requires a numerically semi-simple input; otherwise `krein_parameters`
-    raises NonSemisimpleError and only the path evaluator applies.  Given a
-    list of elements of one dimension, returns their values (summed by
-    ascending |b|); `report` is the list's SpectrumStack if already known."""
-    betas = krein_parameters(B, report)
-    if isinstance(B, SpElement):
-        return -float(sum(betas)) + 0.0
-    return [-float(sum(b)) + 0.0 for b in betas]
+    Requires numerically semi-simple inputs; otherwise `krein_parameters`
+    raises NonSemisimpleError and only the path evaluator applies."""
+    return [-float(sum(b)) + 0.0 for b in krein_parameters(spectra)]
 
 
 def maslov_evaluate(
@@ -271,9 +266,8 @@ def maslov_evaluate(
         spectra = classify_eigenstructure([Bs[k] for k in idx])
         rows = np.arange(len(idx)) if method == "spectral" else spectra.semi_simple.nonzero()[0]
         if len(rows):
-            ks = [idx[j] for j in rows.tolist()]
-            sub = spectra if len(ks) == len(idx) else spectra.take(rows)
-            spectral.update(zip(ks, maslov_spectral([Bs[k] for k in ks], sub)))
+            sub = spectra if len(rows) == len(idx) else spectra.take(rows)
+            spectral.update(zip([idx[j] for j in rows.tolist()], maslov_spectral(sub)))
     limit = {k: maslov_limit(B, cfg) for k, B in enumerate(Bs) if k not in spectral}
     return [  # the spectral bar is a crude bound on the eigensolve roundoff
         (spectral[k], 1e-8 * (1.0 + B.norm()), "spectral") if k in spectral

@@ -42,6 +42,14 @@ def rng_from(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+@functools.cache
+def _omega_matrix(n: int) -> np.ndarray:
+    """Omega of R^{2n}, built once per n and shared read-only."""
+    O = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    O.flags.writeable = False
+    return O
+
+
 @dataclass(frozen=True)
 class SymplecticSpace:
     """(R^{2n}, omega) with the standard form in (p, q) ordering."""
@@ -52,11 +60,7 @@ class SymplecticSpace:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"half-dimension must be positive, got {self.n}")
-        n = self.n
-        O = np.zeros((2 * n, 2 * n))
-        O[:n, n:] = np.eye(n)
-        O[n:, :n] = -np.eye(n)
-        object.__setattr__(self, "omega_matrix", O)
+        object.__setattr__(self, "omega_matrix", _omega_matrix(self.n))
 
     @property
     def dim(self) -> int:

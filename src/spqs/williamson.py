@@ -127,6 +127,7 @@ def _check_pairing(r: _Ranked, ctol: np.ndarray, semi_simple: np.ndarray) -> Non
 class SpectrumStack(Sequence):
     """A stack's classification; item i is element i's SpectrumReport."""
 
+    elements: tuple  # the classified SpElements
     lam: np.ndarray
     V: np.ndarray
     eigvec_cond: np.ndarray
@@ -158,23 +159,24 @@ class SpectrumStack(Sequence):
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
         """The classification of the given rows alone."""
-        return SpectrumStack(self.lam[rows], self.V[rows], self.eigvec_cond[rows],
-                             self.semi_simple[rows], _Ranked(*(x[:, rows] for x in self.ranked)))
+        return SpectrumStack(tuple(self.elements[i] for i in rows.tolist()), self.lam[rows],
+                             self.V[rows], self.eigvec_cond[rows], self.semi_simple[rows],
+                             _Ranked(*(x[:, rows] for x in self.ranked)))
 
 
-def classify_eigenstructure(B: SpElement | list[SpElement]):
-    """Group the spectrum into real pairs, imaginary pairs, quadruples and
-    zeros; flag semi-simplicity via the eigenvector condition number.
+def classify_eigenstructure(Bs: list[SpElement]) -> SpectrumStack:
+    """The SpectrumStack of elements of one dimension, from this module's one
+    eigensolve and one sort of every kind's keys: each spectrum grouped into
+    real pairs, imaginary pairs, quadruples and zeros, and semi-simplicity
+    flagged via the eigenvector condition number.
 
     A non-semi-simple input is not grouped (its pair tuples are empty): no
-    decomposition accepts it, and its clusters need not pair up.  A list of
-    elements of one dimension gets their SpectrumStack from one eigensolve and
-    one sort of every kind's keys; ClassificationError names the first
-    semi-simple element whose real or quadruple clusters do not pair up."""
-    single = isinstance(B, SpElement)
-    if not single and not B:
+    decomposition accepts it, and its clusters need not pair up.
+    ClassificationError names the first semi-simple element whose real or
+    quadruple clusters do not pair up."""
+    if not Bs:
         return []
-    lam, V = np.linalg.eig(np.array([B.mat] if single else [b.mat for b in B]))
+    lam, V = np.linalg.eig(np.array([b.mat for b in Bs]))
     cond, semi_simple = eigvec_condition(V)
     re, im = lam.real, lam.imag
     parts = np.array([re, im])
@@ -187,8 +189,7 @@ def classify_eigenstructure(B: SpElement | list[SpElement]):
     ranked = _rank(re * _KEY_RE + im * _KEY_IM, kind == _KINDS, ctol)
     if (kind % 3).any():  # some real pair or quadruple: kind 1, 2, 4 or 5
         _check_pairing(ranked, ctol, semi_simple)
-    stack = SpectrumStack(lam, V, cond, semi_simple, ranked)
-    return stack[0] if single else stack
+    return SpectrumStack(tuple(Bs), lam, V, cond, semi_simple, ranked)
 
 
 # eigenvalue kinds (zero, real with Re > 0 or < 0, imaginary with Im > 0, -a+ib
@@ -207,10 +208,10 @@ _KEY_RE = np.array([0, 1, -1, 0, -1, 1, 0], dtype=complex)[:, None, None]
 _KEY_IM = np.array([0, 0, 0, 1, 1j, 1j, 0])[:, None, None]
 
 
-def _require_semisimple(spectra: SpectrumStack) -> None:
-    """Raise NonSemisimpleError at the stack's first non-semi-simple element."""
-    if not spectra.semi_simple.all():
-        cond = spectra.eigvec_cond[spectra.semi_simple.argmin()]
+def _require_semisimple(semi_simple: np.ndarray, eigvec_cond: np.ndarray) -> None:
+    """Raise NonSemisimpleError at the first element flagged not semi-simple."""
+    if not semi_simple.all():
+        cond = eigvec_cond[semi_simple.argmin()]
         raise NonSemisimpleError(f"eigenvector condition {cond:.3e} exceeds {EIGVEC_COND_MAX:.1e}")
 
 
@@ -219,20 +220,18 @@ def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndar
     return X.T @ (space.omega_matrix @ Y)
 
 
-def krein_parameters(B: SpElement | list[SpElement], report=None):
-    """Signed imaginary-pair parameters (one per invariant plane) by ascending
-    |b|: +b when the normalized plane carries the positively oriented block,
-    -b otherwise.  Raises NonSemisimpleError on a non-semi-simple input.
+def krein_parameters(spectra: SpectrumStack) -> list[list[float]]:
+    """Each classified element's signed imaginary-pair parameters (one per
+    invariant plane) by ascending |b|: +b when the normalized plane carries the
+    positively oriented block, -b otherwise.  Raises NonSemisimpleError at the
+    first non-semi-simple element.
 
-    A list of elements of one dimension (with their SpectrumStack as `report`)
-    gets their lists: one einsum orients every simple imaginary eigenvalue w
-    by the sign of (i/2) omega(w, conj w); larger clusters use _planes_imag."""
-    single = isinstance(B, SpElement)
-    Bs = [B] if single else B
-    if not Bs:
+    One einsum orients every simple imaginary eigenvalue w of the stack by the
+    sign of (i/2) omega(w, conj w); larger clusters use _planes_imag."""
+    if not spectra:
         return []
-    spectra = classify_eigenstructure(Bs) if report is None else report
-    _require_semisimple(spectra)
+    _require_semisimple(spectra.semi_simple, spectra.eigvec_cond)
+    Bs = spectra.elements
     order, keys, past, start = [x[_IMAG] for x in spectra.ranked]
     # a member is simple when it and the next sorted position both start clusters
     simple = (start[:, :-1] > past) & start[:, 1:]
@@ -251,7 +250,7 @@ def krein_parameters(B: SpElement | list[SpElement], report=None):
             out[i] = [beta for g in spectra[i]._groups if g.kind == "imag" for beta in (
                 [next(simple_b)] if len(g.indices) == 1
                 else [beta for beta, _, _ in _planes_imag(Bs[i].space, spectra.V[i], g)])]
-    return out[0] if single else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,6 +311,7 @@ class WilliamsonDecomposition:
     space: SymplecticSpace
     S: np.ndarray
     blocks: tuple
+    roundtrip_residual: float = 0.0  # max |S D S^-1 - B| / max(1, max |B|) of B decomposed
 
     def assemble(self) -> np.ndarray:
         """Block-diagonal matrix D with B = S D S^{-1}."""
@@ -417,17 +417,21 @@ def _group_blocks(space, B, V, g) -> list[tuple[str, float, float, list]]:
     return [("real", 0.0, 0.0, [ef]) for ef in _planes_zero(space, B)]
 
 
-def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
-    """Symplectic frame S and typed blocks with B = S D S^{-1}.
+def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition]:
+    """Symplectic frame S and typed blocks with B = S D S^{-1} for each
+    classified B in order; the first B without them raises what it raises alone.
 
     Blocks are sorted by kind (real, imag, quad) then parameter magnitude,
     ties by smallest originating eigenvalue index; imaginary parameters carry
     the plane orientation in their sign, so b and -b blocks are distinct.
     """
-    spectra = classify_eigenstructure([B])
-    _require_semisimple(spectra)
-    report, space, V = spectra[0], B.space, spectra.V[0]
+    return [_decompose(spectra, i) for i in range(len(spectra))]
 
+
+def _decompose(spectra: SpectrumStack, i: int) -> WilliamsonDecomposition:
+    _require_semisimple(spectra.semi_simple[i : i + 1], spectra.eigvec_cond[i : i + 1])
+    B, report, V = spectra.elements[i], spectra[i], spectra.V[i]
+    space = B.space
     entries = []  # (sort_key, orig_index, kind, a, b, [(e, f), ...])
     for g in report._groups:
         for kind, a, b, frames in _group_blocks(space, B, V, g):
@@ -437,27 +441,27 @@ def williamson_decompose(B: SpElement) -> WilliamsonDecomposition:
 
     n = space.n
     S = np.zeros((2 * n, 2 * n))
-    blocks = []
+    blocks = ()
     plane = 0
     for _, _, kind, a, b, frames in entries:
         planes = tuple(range(plane, plane + len(frames)))
         for p, (e, f) in zip(planes, frames):
             S[:, p] = e
             S[:, n + p] = f
-        blocks.append(WilliamsonBlock(kind=kind, a=a, b=b, planes=planes))
+        blocks += (WilliamsonBlock(kind=kind, a=a, b=b, planes=planes),)
         plane += len(frames)
     if plane != n:
         raise NormalizationError(f"planes cover {plane} of {n} slots")
 
-    dec = WilliamsonDecomposition(space=space, S=S, blocks=tuple(blocks))
     O = space.omega_matrix
     sdef = float(np.abs(S.T @ O @ S - O).max())
     if sdef > FRAME_SYMPLECTIC_TOL:
         raise NormalizationError(f"frame symplectic defect {sdef:.3e}")
-    resid = np.abs(S @ dec.assemble() @ omega_adjoint(S) - B.mat).max()
-    if resid > ROUNDTRIP_TOL * max(1.0, np.abs(B.mat).max()):
+    D = WilliamsonDecomposition(space, S, blocks).assemble()
+    resid, scale = np.abs(S @ D @ omega_adjoint(S) - B.mat).max(), max(1.0, np.abs(B.mat).max())
+    if resid > ROUNDTRIP_TOL * scale:
         raise NormalizationError(f"round-trip residual {resid:.3e}")
-    return dec
+    return WilliamsonDecomposition(space, S, blocks, float(resid / scale))
 
 
 def _commutes(X: np.ndarray, Y: np.ndarray) -> bool:
@@ -466,17 +470,17 @@ def _commutes(X: np.ndarray, Y: np.ndarray) -> bool:
 
 
 def yz_decomposition(
-    B: SpElement, decomposition: WilliamsonDecomposition | None = None
+    B: SpElement, decomposition: WilliamsonDecomposition
 ) -> list[tuple[float, RankOneDescriptor]]:
     """Pairwise commuting rank-one terms summing to B, block by block (see
-    WilliamsonBlock.yz_terms)."""
-    dec = decomposition or williamson_decompose(B)
+    WilliamsonBlock.yz_terms), from B's decomposition."""
     terms: list[tuple[float, RankOneDescriptor]] = []
     realized = []  # per block: [(term index, term matrix)]
     total = np.zeros_like(B.mat)
-    for blk in dec.blocks:
+    for blk in decomposition.blocks:
         realized.append([])
-        for c, desc in blk.yz_terms(dec.space, [dec.frame_vectors(p) for p in blk.planes]):
+        frames = [decomposition.frame_vectors(p) for p in blk.planes]
+        for c, desc in blk.yz_terms(decomposition.space, frames):
             M = realize(desc).mat
             total = total + c * M
             realized[-1].append((len(terms), M))
@@ -492,7 +496,7 @@ def yz_decomposition(
         for (i, X), (j, Y) in itertools.product(first, second):
             if not _commutes(X, Y):
                 raise NormalizationError(f"terms {i}, {j} fail to commute")
-    for bi, (blk, mats) in enumerate(zip(dec.blocks, realized)):
+    for bi, (blk, mats) in enumerate(zip(decomposition.blocks, realized)):
         if blk.kind == "quad":
             (_, z1), (_, z2), (_, y1), (_, y2) = mats
             relations = ((blk.a * (z1 + z2), blk.b * (y2 - y1)), (z1, z2), (y1, y2))

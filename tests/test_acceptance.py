@@ -42,7 +42,12 @@ from spqs.symplectic import (
     y_element,
     z_element,
 )
-from spqs.williamson import random_semisimple, williamson_decompose, yz_decomposition
+from spqs.williamson import (
+    classify_eigenstructure,
+    random_semisimple,
+    williamson_decompose,
+    yz_decomposition,
+)
 
 FULL = MaslovLimitConfig(t_max=2000.0)
 
@@ -111,7 +116,8 @@ def test_criterion_03_limit_vs_spectral_oracle():
         els = [random_semisimple(sp, rng)[0] for _ in range(100)]
         ests = maslov_limit_batch(els, FULL)
         for B, est in zip(els, ests):
-            worst = max(worst, abs(est.value - maslov_spectral(B)) - est.error_bar)
+            (value,) = maslov_spectral(classify_eigenstructure([B]))
+            worst = max(worst, abs(est.value - value) - est.error_bar)
     elapsed = time.time() - t0
     report_line(
         3,
@@ -268,7 +274,7 @@ def test_criterion_10_williamson_round_trip():
         rng = rng_from(900 + n)
         for _ in range(100):
             B, _ = random_semisimple(sp, rng)
-            dec = williamson_decompose(B)
+            (dec,) = williamson_decompose(classify_eigenstructure([B]))
             frame = np.abs(dec.S.T @ O @ dec.S - O).max()
             resid = np.abs(
                 dec.S @ dec.assemble() @ omega_adjoint(dec.S) - B.mat

@@ -44,6 +44,7 @@ from spqs.williamson import (
     classify_eigenstructure,
     eigvec_condition,
     random_semisimple,
+    williamson_decompose,
 )
 
 # ---------------------------------------------------------------- reference
@@ -190,7 +191,8 @@ def stacked_match(keys_a, idx_a, keys_b, idx_b, tol, what):
     ranked = _rank(keys, member, ctol)
     _check_pairing(ranked, ctol, np.array([True]))
     # the report's groups of that kind, read from the ranking alone
-    report = SpectrumStack(np.zeros(keys.shape[1:]), None, np.ones(1), np.ones(1, bool), ranked)[0]
+    report = SpectrumStack((None,), np.zeros(keys.shape[1:]), None, np.ones(1), np.ones(1, bool),
+                           ranked)[0]
     kind = "real" if what == "real-pair" else "quad"
     return [([idx_a[i] for i in g.indices], [idx_b[j] for j in g.partner_indices])
             for g in report._groups if g.kind == kind]
@@ -315,16 +317,17 @@ class TestStackedClassification:
         got = outcome(lambda: [public(rep) for rep in classify_eigenstructure(Bs)])
         want = outcome(lambda: [public(rep) for rep in reference_reports(Bs)[0]])
         assert got == want
-        for B in Bs:  # a single element gives its row of the stack
-            assert outcome(lambda: public(classify_eigenstructure(B))) == outcome(
+        for B in Bs:  # a stack of one gives the same row as the stack
+            assert outcome(lambda: public(classify_eigenstructure([B])[0])) == outcome(
                 lambda: public(reference_reports([B])[0][0]))
 
         # the spectral values bit for bit, or the same first failure
         bits = lambda vs: [v.hex() for v in vs] if isinstance(vs, list) else vs  # noqa: E731
-        assert bits(outcome(maslov_spectral, Bs)) == bits(outcome(reference_spectral, Bs))
+        spectral = lambda Bs: maslov_spectral(classify_eigenstructure(Bs))  # noqa: E731
+        assert bits(outcome(spectral, Bs)) == bits(outcome(reference_spectral, Bs))
         alone = [B for B in Bs if not isinstance(outcome(reference_spectral, [B]), tuple)]
         if alone:
-            assert bits(maslov_spectral(alone)) == bits(reference_spectral(alone))
+            assert bits(spectral(alone)) == bits(reference_spectral(alone))
 
     def test_every_recipe_classifies_at_every_n(self):
         # each recipe gives an element the reference accepts or refuses alike
@@ -332,5 +335,37 @@ class TestStackedClassification:
             space = SymplecticSpace(n)
             Bs = [element(space, recipe, 7) for recipe in RECIPES]
             for B in Bs:
-                assert outcome(lambda: public(classify_eigenstructure(B))) == outcome(
+                assert outcome(lambda: public(classify_eigenstructure([B])[0])) == outcome(
                     lambda: public(reference_reports([B])[0][0]))
+
+
+class TestStackedDecomposition:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_list_decomposes_as_its_elements_do(self, n):
+        space = SymplecticSpace(n)
+        Bs = [element(space, recipe, seed) for recipe in RECIPES for seed in (7, 8)]
+        alone = [outcome(lambda: williamson_decompose(classify_eigenstructure([B]))[0]) for B in Bs]
+        accepted = [B for B, dec in zip(Bs, alone) if not isinstance(dec, tuple)]
+        failures = [(B, err) for B, err in zip(Bs, alone) if isinstance(err, tuple)]
+        assert accepted and failures
+
+        # each accepted element's frame and blocks bit for bit
+        def bits(dec):
+            blocks = [(b.kind, b.a.hex(), b.b.hex(), b.planes) for b in dec.blocks]
+            return dec.S.tobytes(), blocks, dec.roundtrip_residual.hex()
+
+        stacked = williamson_decompose(classify_eigenstructure(accepted))
+        want = [dec for dec in alone if not isinstance(dec, tuple)]
+        assert [bits(dec) for dec in stacked] == [bits(dec) for dec in want]
+
+        # a failing element in the middle of a list fails it as it fails alone
+        mid = len(accepted) // 2
+        for B, err in failures:
+            Bs = accepted[:mid] + [B] + accepted[mid:]
+            assert outcome(lambda: williamson_decompose(classify_eigenstructure(Bs))) == err
+        # semi-simplicity is checked row by row: a frame failure before a
+        # non-semi-simple element is the list's failure
+        first = {err[0]: (B, err) for B, err in reversed(failures)}
+        (frame, err), (nilpotent, _) = first[NormalizationError], first[NonSemisimpleError]
+        Bs = accepted[:mid] + [frame] + accepted[mid:] + [nilpotent]
+        assert outcome(lambda: williamson_decompose(classify_eigenstructure(Bs))) == err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spqs.cli import build_parser, main
+from spqs.harness import fit_main_theorem
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
 from spqs.maslov import METHODS, MaslovLimitConfig, maslov_evaluate
 from spqs.quasistates import linear_combination, maslov_qs
@@ -301,6 +302,17 @@ class TestAutoDispatch:
         _count_classifications(monkeypatch, ambiguous)
         assert run_cli(["eval", rotation_file, "--method", "auto"], capsys)[0] == 5
         assert run_cli(["eval", rotation_file, "--method", "spectral"], capsys)[0] == 4
+
+    def test_one_classification_per_stage3_element(self, tmp_path, monkeypatch, capsys):
+        # stage 3 hands one stack to both the decompositions and the spectral
+        # values, so no element is classified alone
+        calls = _count_classifications(monkeypatch)
+        fit_main_theorem([maslov_qs()], SymplecticSpace(3), 1e-2, 0)
+        assert calls and all(len(Bs) > 1 for Bs in calls)
+        calls.clear()
+        argv = ["verify", "--suite", "all", "--n", "3", "--seed", "0", "--out", str(tmp_path / "r")]
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(calls) == 11
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_semisimple_inputs_take_the_limit_route(self, n, tmp_path, capsys):

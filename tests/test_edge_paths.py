@@ -119,14 +119,14 @@ class TestClassificationBands:
         eps = 0.9e-8
         blocks = (WilliamsonBlock("quad", eps, eps, (0, 1)),)
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
-        rep = classify_eigenstructure(SpElement(sp2, D))
+        rep = classify_eigenstructure([SpElement(sp2, D)])[0]
         assert rep.zero_multiplicity == 4
         assert not rep.quadruples
 
     def test_small_but_resolved_quadruple_is_typed(self):
         blocks = (WilliamsonBlock("quad", 1.0, 5e-7, (0, 1)),)
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
-        rep = classify_eigenstructure(SpElement(sp2, D))
+        rep = classify_eigenstructure([SpElement(sp2, D)])[0]
         assert len(rep.quadruples) == 1
 
 

@@ -52,6 +52,17 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega(sp2, np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_is_shared_per_dimension_and_read_only(self, n):
+        O = SymplecticSpace(n).omega_matrix
+        assert SymplecticSpace(n).omega_matrix is O
+        I, Z = np.eye(n), np.zeros((n, n))
+        np.testing.assert_array_equal(O, np.block([[Z, I], [-I, Z]]))
+        with pytest.raises(ValueError, match="read-only"):
+            O[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            O += 0.0
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_bilinearity_random(self, seed):

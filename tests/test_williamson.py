@@ -29,6 +29,12 @@ sp2 = SymplecticSpace(2)
 sp3 = SymplecticSpace(3)
 
 
+def decompose(B):
+    """B's decomposition, from a stack of one."""
+    (dec,) = williamson_decompose(classify_eigenstructure([B]))
+    return dec
+
+
 def block_multiset(blocks, digits=6):
     return sorted((b.kind, round(b.a, digits), round(b.b, digits)) for b in blocks)
 
@@ -36,7 +42,7 @@ def block_multiset(blocks, digits=6):
 class TestClassify:
     def test_real_pair_with_zero_padding(self):
         B = z_element(sp2, sp2.basis_e(0), sp2.basis_f(0))
-        rep = classify_eigenstructure(B)
+        rep = classify_eigenstructure([B])[0]
         assert rep.real_pairs == ((pytest.approx(1.0), 1),)
         assert rep.imag_pairs == ()
         assert rep.zero_multiplicity == 2
@@ -44,21 +50,21 @@ class TestClassify:
 
     def test_imaginary_pair(self):
         B = y_element(sp1, sp1.basis_e(0), sp1.basis_f(0))
-        rep = classify_eigenstructure(B)
+        rep = classify_eigenstructure([B])[0]
         assert len(rep.imag_pairs) == 1
         b, mult = rep.imag_pairs[0]
         assert b == pytest.approx(1.0)
         assert mult == 1
 
     def test_zero_matrix(self):
-        rep = classify_eigenstructure(SpElement(sp2, np.zeros((4, 4))))
+        rep = classify_eigenstructure([SpElement(sp2, np.zeros((4, 4)))])[0]
         assert rep.zero_multiplicity == 4
         assert rep.semi_simple
         assert not rep.real_pairs and not rep.imag_pairs and not rep.quadruples
 
     def test_quadruple(self):
         B, blocks = random_semisimple(sp2, 123, kinds=("quad",))
-        rep = classify_eigenstructure(B)
+        rep = classify_eigenstructure([B])[0]
         assert len(rep.quadruples) == 1
         a, b, mult = rep.quadruples[0]
         assert a == pytest.approx(blocks[0].a, abs=1e-8)
@@ -102,7 +108,7 @@ class TestDecompose:
             WilliamsonBlock("imag", 0.0, 0.8, (1,)),
         )
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
-        dec = williamson_decompose(SpElement(sp2, D))
+        dec = decompose(SpElement(sp2, D))
         assert block_multiset(dec.blocks) == block_multiset(blocks)
         resid = np.abs(
             dec.S @ dec.assemble() @ omega_adjoint(dec.S) - D
@@ -115,7 +121,7 @@ class TestDecompose:
         rng = np.random.Generator(np.random.Philox(40 + n))
         for _ in range(20):
             B, blocks = random_semisimple(space, rng)
-            dec = williamson_decompose(B)
+            dec = decompose(B)
             assert block_multiset(dec.blocks) == block_multiset(blocks)
             O = space.omega_matrix
             assert np.abs(dec.S.T @ O @ dec.S - O).max() <= 1e-8
@@ -135,16 +141,17 @@ class TestDecompose:
         for seed in range(10):
             g = random_symplectic_group_element(space, 0.5, seed)
             B = SpElement(space, g @ D @ omega_adjoint(g))
-            dec = williamson_decompose(B)
+            dec = decompose(B)
             assert block_multiset(dec.blocks) == block_multiset(blocks)
             assert np.abs(dec.S.T @ O @ dec.S - O).max() <= 1e-8
             resid = np.abs(dec.S @ dec.assemble() @ omega_adjoint(dec.S) - B.mat).max()
             assert resid <= 1e-6 * max(1.0, np.abs(B.mat).max())
-            assert maslov_spectral(B) == pytest.approx(-sum(bs), abs=1e-8)
+            (value,) = maslov_spectral(classify_eigenstructure([B]))
+            assert value == pytest.approx(-sum(bs), abs=1e-8)
 
     def test_kernel_plane(self):
         B = z_element(sp2, sp2.basis_e(0), sp2.basis_f(0))
-        dec = williamson_decompose(B)
+        dec = decompose(B)
         kinds = sorted(b.kind for b in dec.blocks)
         assert kinds == ["real", "real"]
         params = sorted(b.a for b in dec.blocks)
@@ -154,7 +161,7 @@ class TestDecompose:
     def test_krein_types_not_identified(self):
         for sign in (1.0, -1.0):
             B = SpElement(sp1, np.array([[0.0, sign * 2.0], [-sign * 2.0, 0.0]]))
-            dec = williamson_decompose(B)
+            dec = decompose(B)
             assert dec.blocks[0].kind == "imag"
             assert dec.blocks[0].b == pytest.approx(sign * 2.0, abs=1e-10)
             est = maslov_limit(B, MaslovLimitConfig(t_max=400.0))
@@ -162,7 +169,7 @@ class TestDecompose:
 
     def test_non_semisimple_rejected(self):
         with pytest.raises(NonSemisimpleError):
-            williamson_decompose(nilpotent_jordan_sp(sp2))
+            williamson_decompose(classify_eigenstructure([nilpotent_jordan_sp(sp2)]))
 
     # (kind, a, b, planes) that williamson_decompose returns on block-diagonal
     # inputs: kinds sort real < imag < quad, then by |parameter|; the b and -b
@@ -184,7 +191,7 @@ class TestDecompose:
         space = SymplecticSpace(n)
         blocks = tuple(WilliamsonBlock(*blk) for blk in blocks)
         D = WilliamsonDecomposition(space, np.eye(2 * n), blocks).assemble()
-        dec = williamson_decompose(SpElement(space, D))
+        dec = decompose(SpElement(space, D))
         got = [(b.kind, b.a, b.b, b.planes) for b in dec.blocks]
         assert [(k, p) for k, _, _, p in got] == [(k, p) for k, _, _, p in expected]
         assert [(a, b) for _, a, b, _ in got] == [
@@ -198,8 +205,8 @@ class TestDecompose:
 
     def test_deterministic_block_order(self):
         B, _ = random_semisimple(sp3, 77)
-        d1 = williamson_decompose(B)
-        d2 = williamson_decompose(B)
+        d1 = decompose(B)
+        d2 = decompose(B)
         assert [b.kind for b in d1.blocks] == [b.kind for b in d2.blocks]
         np.testing.assert_array_equal(d1.S, d2.S)
 
@@ -209,7 +216,8 @@ class TestYZDecomposition:
         D = WilliamsonDecomposition(
             sp1, np.eye(2), (WilliamsonBlock("real", 2.0, 0.0, (0,)),)
         ).assemble()
-        terms = yz_decomposition(SpElement(sp1, D))
+        B = SpElement(sp1, D)
+        terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 1
         coef, desc = terms[0]
         assert coef == pytest.approx(2.0, abs=1e-9)
@@ -219,7 +227,8 @@ class TestYZDecomposition:
         D = WilliamsonDecomposition(
             sp1, np.eye(2), (WilliamsonBlock("imag", 0.0, 3.0, (0,)),)
         ).assemble()
-        terms = yz_decomposition(SpElement(sp1, D))
+        B = SpElement(sp1, D)
+        terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 1
         coef, desc = terms[0]
         assert coef == pytest.approx(3.0, abs=1e-9)
@@ -228,7 +237,8 @@ class TestYZDecomposition:
     def test_quadruple_four_terms(self):
         blocks = (WilliamsonBlock("quad", 1.0, 1.0, (0, 1)),)
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
-        terms = yz_decomposition(SpElement(sp2, D))
+        B = SpElement(sp2, D)
+        terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 4
         total = sum(c * realize(d).mat for c, d in terms)
         np.testing.assert_allclose(total, D, atol=1e-9)
@@ -239,7 +249,7 @@ class TestYZDecomposition:
         rng = np.random.Generator(np.random.Philox(60 + n))
         for _ in range(10):
             B, _ = random_semisimple(space, rng)
-            terms = yz_decomposition(B)
+            terms = yz_decomposition(B, decompose(B))
             total = sum(c * realize(d).mat for c, d in terms)
             assert np.abs(total - B.mat).max() <= 1e-6 * max(1, np.abs(B.mat).max())
 
@@ -250,7 +260,7 @@ class TestYZDecomposition:
         states = [linear_qs(N), maslov_qs()]
         for _ in range(5):
             B, _ = random_semisimple(sp3, rng)
-            terms = yz_decomposition(B)
+            terms = yz_decomposition(B, decompose(B))
             for zeta in states:
                 via = sum(c * zeta(realize(d)) for c, d in terms)
                 assert via == pytest.approx(zeta(B), abs=1e-6)
