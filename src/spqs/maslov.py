@@ -217,9 +217,10 @@ def maslov_dim2(a: float, b: float, c: float) -> float:
     b > 0 > c; zero whenever a^2 + bc >= 0.  (For a^2+bc < 0 one of the two
     sign patterns always holds, since then bc < -a^2 <= 0.)
     """
-    disc = a * a + b * c
+    e = np.frexp(max(abs(a), abs(b), abs(c)))[1]  # scaling by 2^-e is exact and keeps disc finite
+    disc = np.ldexp(a, -e) * np.ldexp(a, -e) + np.ldexp(b, -e) * np.ldexp(c, -e)
     if disc < 0.0:
-        r = float(np.sqrt(-disc))
+        r = float(np.ldexp(np.sqrt(-disc), e))
         return r if b < 0.0 else -r
     return 0.0
 

@@ -158,8 +158,13 @@ class SpElement:
     def __rmul__(self, c: float) -> "SpElement":
         return SpElement(self.space, float(c) * self.mat)
 
+    @np.errstate(over="ignore")
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        r = float(np.linalg.norm(self.mat))
+        if r == np.inf:  # the squares overflowed: scale by 2^-e first, which is exact
+            e = np.frexp(np.abs(self.mat).max())[1]
+            r = float(np.ldexp(np.linalg.norm(np.ldexp(self.mat, -e)), e))
+        return r
 
     def commutator_norm(self, other: "SpElement") -> float:
         M, N = self.mat, other.mat

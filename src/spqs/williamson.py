@@ -16,7 +16,6 @@ from .symplectic import (
     RankOneKind,
     SpElement,
     SymplecticSpace,
-    omega,
     omega_adjoint,
     project_skew_symplectic,
     random_symplectic_group_element,
@@ -240,7 +239,7 @@ def krein_parameters(spectra: SpectrumStack) -> list[list[float]]:
     if len(rows):
         W = spectra.V[rows, :, order[rows, cols]]
         mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
-        if abs(mu).min() <= 1e-10:  # _planes_imag's bound on a 1 x 1 pairing
+        if abs(mu).min() <= 1e-10:  # _krein_planes' bound on a 1 x 1 pairing
             raise NormalizationError("degenerate orientation pairing")
         for i, beta in zip(rows.tolist(), np.copysign(keys.real[rows, cols], mu).tolist()):
             out[i].append(beta)  # +b where mu > 0, else -b
@@ -349,22 +348,23 @@ def _planes_real(space, V, g) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(Vm[:, j], F[:, j]) for j in range(Vm.shape[1])]
 
 
-def _planes_imag(space, V, g):
-    """[(beta_signed, e, f)] for one imaginary group: the eigenvalue signs of
-    the Hermitian pairing (i/2) omega(w_j, conj(w_k)) orient the planes."""
-    W = V[:, list(g.indices)]
+def _krein_planes(space, W) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """[(sign, e, f)] Darboux planes spanning the columns W, one per eigenvalue
+    of the Hermitian pairing (i/2) omega(w_j, conj(w_k)): its sign orients the
+    plane, and omega(e, f) = 1."""
     mu, T = np.linalg.eigh(0.5j * _omega_form(space, W, W.conj()))
     if np.abs(mu).min() <= 1e-10 * max(1.0, np.abs(mu).max()):
         raise NormalizationError("degenerate orientation pairing")
     out = []
     for j in range(len(mu)):
         w = (W @ np.conj(T[:, j])) / np.sqrt(abs(mu[j]))
-        u, v = w.real, w.imag
-        if mu[j] > 0:
-            out.append((g.b, u, v))
-        else:
-            out.append((-g.b, v, u))
+        out.append((1.0, w.real, w.imag) if mu[j] > 0 else (-1.0, w.imag, w.real))
     return out
+
+
+def _planes_imag(space, V, g):
+    """[(beta_signed, e, f)] for one imaginary group, oriented by _krein_planes."""
+    return [(sign * g.b, e, f) for sign, e, f in _krein_planes(space, V[:, list(g.indices)])]
 
 
 def _planes_quad(space, V, g):
@@ -382,30 +382,15 @@ def _planes_quad(space, V, g):
     return out
 
 
-def _planes_zero(space, B) -> list[tuple[np.ndarray, np.ndarray]]:
-    M = B.mat
-    _, s, Vt = np.linalg.svd(M)
-    scale = max(1.0, s[0])
-    kernel = [Vt[i] for i in range(len(s)) if s[i] <= AXIS_BAND * scale]
-    planes = []
-    vecs = list(kernel)
-    while vecs:
-        x = vecs.pop(0)
-        if not vecs:
-            raise NormalizationError("odd-dimensional kernel remainder")
-        pair = np.array([omega(space, x, y) for y in vecs])
-        j = int(np.argmax(np.abs(pair)))
-        if abs(pair[j]) < 1e-10:
-            raise NormalizationError("kernel plane with vanishing pairing")
-        f = vecs.pop(j) / pair[j]
-        planes.append((x, f))
-        vecs = [
-            v - omega(space, v, f) * x + omega(space, v, x) * f for v in vecs
-        ]
-    return planes
+def _planes_zero(space, V, g) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Darboux planes of the classified kernel: its realified eigenvectors split by
+    _krein_planes, keeping the positively oriented planes (the others span the same
+    space again)."""
+    W = _realify_eigenspace(V[:, list(g.indices)], len(g.indices))
+    return [(e, f) for sign, e, f in _krein_planes(space, W) if sign > 0]
 
 
-def _group_blocks(space, B, V, g) -> list[tuple[str, float, float, list]]:
+def _group_blocks(space, V, g) -> list[tuple[str, float, float, list]]:
     """(kind, a, b, [(e, f) per plane]) for each block of one eigenvalue group;
     kernel planes enter as real blocks with a = 0."""
     if g.kind == "real":
@@ -414,7 +399,7 @@ def _group_blocks(space, B, V, g) -> list[tuple[str, float, float, list]]:
         return [("imag", 0.0, beta, [(e, f)]) for beta, e, f in _planes_imag(space, V, g)]
     if g.kind == "quad":
         return [("quad", g.a, g.b, list(frames)) for frames in _planes_quad(space, V, g)]
-    return [("real", 0.0, 0.0, [ef]) for ef in _planes_zero(space, B)]
+    return [("real", 0.0, 0.0, [ef]) for ef in _planes_zero(space, V, g)]
 
 
 def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition]:
@@ -434,7 +419,7 @@ def _decompose(spectra: SpectrumStack, i: int) -> WilliamsonDecomposition:
     space = B.space
     entries = []  # (sort_key, orig_index, kind, a, b, [(e, f), ...])
     for g in report._groups:
-        for kind, a, b, frames in _group_blocks(space, B, V, g):
+        for kind, a, b, frames in _group_blocks(space, V, g):
             sort_key = (BLOCK_KINDS.index(kind), abs(a), abs(b))
             entries.append((sort_key, min(g.indices), kind, a, b, frames))
     entries.sort(key=lambda t: t[:2])

@@ -1,8 +1,11 @@
 import argparse
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from spqs.symplectic import (
     random_symplectic_group_element,
 )
 from spqs.williamson import ClassificationError, random_semisimple
+from test_classification_oracle import near_band
 
 
 def run_cli(args, capsys):
@@ -165,13 +169,11 @@ class TestEval:
                 assert code == 3
                 assert err.startswith("error:")
 
-        # 1e200 norm: the limit route overflows, the spectral bar is infinite
+        # 1e200 norm: the limit route overflows (see test_large_norms_have_finite_bars)
         huge = tmp_path / "huge.txt"
         huge.write_text("dim 2\n0 1e200\n-1e200 0\n")
         for argv in (
             ["eval", str(huge), "--method", "limit"],
-            ["eval", str(huge), "--method", "auto"],
-            ["eval", str(huge), "--method", "spectral"],
             ["trace", str(huge), "--out", str(tmp_path / "huge.csv")],
         ):
             code, out, err = run_cli(argv, capsys)
@@ -189,6 +191,26 @@ class TestEval:
         code, _, err = run_cli(["eval", stiff, "--method", "limit", "--t-max", "200"], capsys)
         assert code == 4
         assert err.startswith("error: singular path step at ||dt*B||_2 = ")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the limit route's expm
+    @pytest.mark.parametrize("text, truth", [
+        ("0 1e160\n-1e160 0", -1e160), ("0 1e200\n-1e200 0", -1e200), ("1e300 0\n0 -1e300", 0.0),
+    ])
+    def test_large_norms_have_finite_bars(self, text, truth, tmp_path, capsys):
+        # the norm in the spectral bar and the dim2 discriminant square entries
+        # past 1e154: both are taken on the input scaled by a power of two
+        p = tmp_path / "big.txt"
+        p.write_text(f"dim 2\n{text}\n")
+        for method in ("auto", "spectral", "dim2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy overflow warning would reach stderr
+                code, out, err = run_cli(["eval", str(p), "--method", method], capsys)
+            assert (code, err) == (0, ""), method
+            value, bar = (float(ln.split(": ")[1]) for ln in out.splitlines()[:2])
+            assert np.isfinite(bar) and abs(value - truth) <= bar, method
+        code, out, err = run_cli(["eval", str(p), "--method", "limit"], capsys)
+        assert code == 4 and "value:" not in out
+        assert err.endswith("error: expm(dt*B) overflowed; rescale the input\n")
 
     def test_unwritable_output_exits_4(self, rotation_file, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -350,6 +372,15 @@ class TestDecompose:
         nil.write_text("dim 2\n0 1\n0 0\n")
         assert run_cli(["decompose", str(nil)], capsys)[0] == 5
 
+    def test_real_pair_inside_the_zero_band(self, tmp_path, capsys):
+        # eigenvalues +-a at half the axis band classify as kernel, and the
+        # decomposition reads its plane from that classification
+        p = str(tmp_path / "b.txt")
+        write_matrix(p, near_band(SymplecticSpace(1), 1, 0.5).mat)
+        code, out, err = run_cli(["decompose", p, "--out", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        assert "block: real_pair a=0.0 planes=[0]" in out.splitlines()
+
 
 class TestVerify:
     def test_suite_passes_and_writes_report(self, tmp_path, capsys):
@@ -415,6 +446,24 @@ class TestVerify:
             lambda parts: linear_combination([(c, dataclasses.replace(q)) for c, q in parts]),
         )
         assert reports("fresh-parts") == stacked
+
+    def test_reports_match_the_recorded_hashes(self, tmp_path, capsys):
+        """The seed-0 `--suite all --n 3` reports hash as recorded in
+        BENCH_one_classification.json.  The hashes hold with numpy 2.4.6 on
+        scipy-openblas (the ROADMAP baseline); another BLAS or numpy may round
+        the eigensolves differently."""
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "BENCH_one_classification.json")
+        with open(bench) as fh:
+            recorded = json.load(fh)["report_sha256"]
+        for fmt in ("structured-text", "comma-separated"):
+            out = str(tmp_path / f"r.{fmt}")
+            code, _, _ = run_cli(["verify", "--suite", "all", "--n", "3", "--seed", "0",
+                                  "--format", fmt, "--out", out], capsys)
+            assert code == 0
+            with open(out, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert digest == recorded[f"{fmt} seed 0"]["change"], fmt
 
     def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         import spqs.harness
