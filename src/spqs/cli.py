@@ -29,13 +29,14 @@ from .maslov import (
 from .matrixio import MatrixParseError, atomic_write, read_matrix, write_matrix
 from .quasistates import discontinuous_qs, linear_qs, linear_combination, maslov_qs, nilpotent_jordan_sp
 from .symplectic import (
+    RankOneKind,
     SamplingError,
     SkewSymplecticityError,
     SpElement,
     SymplecticSpace,
+    rank_one_matrix,
     rng_from,
     standard_complex_structure,
-    z_element,
 )
 from .williamson import (
     ClassificationError,
@@ -156,9 +157,11 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
         rng = rng_from(seed + 3)
         cov = rng.standard_normal(space.dim)
         xi = rng.standard_normal(space.dim)
+        z = functools.partial(rank_one_matrix, space, RankOneKind.Z, xi)  # Z_{xi, v} of stacked v
         phis = [
             (lambda vs: [float(cov @ v) for v in vs], 1e-10),
-            (lambda vs: [v for v, _ in mq.batch([z_element(space, xi, v) for v in vs])], args.tol),
+            (lambda vs: [v for v, _ in mq.batch(SpElement.stack(space, z(np.array(vs))))],
+             args.tol),
         ]
         if args.negative_control:
             phis.append((lambda vs: [float(np.linalg.norm(v)) for v in vs], args.tol))

@@ -15,19 +15,18 @@ from .quasistates import QuasiState
 from .symplectic import (
     CommutingStrategy,
     CompatibleComplexStructure,
+    RankOneKind,
     SamplingError,
     SpElement,
     SymplecticSpace,
     commuting_pair,
     omega,
     omega_adjoint,
-    project_skew_symplectic,
     random_sp_element,
     random_symplectic_group_element,
-    realize,
+    rank_one_matrix,
     rng_from,
-    y_element,
-    z_element,
+    skew_part,
 )
 from .williamson import (classify_eigenstructure, random_semisimple, williamson_decompose,
                          yz_decomposition)
@@ -122,7 +121,8 @@ def check_quasi_linearity(
         (commuting_pair(space, strategy, rng, base=base), *rng.uniform(-2.0, 2.0, 2))
         for _ in range(trials)
     ]
-    xs = [x for p, c1, c2 in draws for x in (p.a, p.b, c1 * p.a + c2 * p.b)]
+    combos = SpElement.stack(space, [c1 * p.a.mat + c2 * p.b.mat for p, c1, c2 in draws])
+    xs = [x for (p, _, _), ab in zip(draws, combos) for x in (p.a, p.b, ab)]
 
     def check(zeta, tol):
         evals = iter(zeta.batch(xs))
@@ -157,13 +157,13 @@ def check_ad_invariance(
     """|zeta(g A g^{-1}) - zeta(A)| over random symplectic g and random A,
     within ADINV_BAR_MULTIPLIER summed error bars plus tol."""
     rng = rng_from(seed)
-
-    def draw():
-        A = random_sp_element(space, 1.0, rng)
-        g = random_symplectic_group_element(space, 0.6, rng)
-        return A, project_skew_symplectic(space, g @ A.mat @ omega_adjoint(g))
-
-    evals = iter(zeta.batch([x for _ in range(trials) for x in draw()]))
+    draws = [
+        (random_sp_element(space, 1.0, rng), random_symplectic_group_element(space, 0.6, rng))
+        for _ in range(trials)
+    ]
+    conjugates = [g @ A.mat @ omega_adjoint(g) for A, g in draws]
+    xs = zip((A for A, _ in draws), SpElement.stack(space, skew_part(np.array(conjugates))))
+    evals = iter(zeta.batch([x for pair in xs for x in pair]))
     results = [
         {"defect": abs(vc - va), "allowance": ADINV_BAR_MULTIPLIER * (ea + ec)}
         for (va, ea), (vc, ec) in zip(evals, evals)
@@ -208,13 +208,8 @@ def unitary_subalgebra_basis(
         raise SamplingError(
             f"unitary subalgebra dimension {null_dim}, expected {space.n ** 2}"
         )
-    coeffs = Vt[-null_dim:]
-    out = []
-    for c in coeffs:
-        M = sum(ck * Ak for ck, Ak in zip(c, base))
-        M = M / np.linalg.norm(M)
-        out.append(SpElement(space, M))
-    return out
+    mats = [sum(ck * Ak for ck, Ak in zip(c, base)) for c in Vt[-null_dim:]]
+    return SpElement.stack(space, [M / np.linalg.norm(M) for M in mats])
 
 
 def fit_gleason_on_unitary(
@@ -241,10 +236,10 @@ def fit_gleason_on_unitary(
     H = h.reshape(space.dim, space.dim)
 
     rng = rng_from(seed)
-    tests = [
-        SpElement(space, sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis)))
+    tests = SpElement.stack(space, [
+        sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis))
         for _ in range(GLEASON_TEST_SAMPLES)
-    ]
+    ])
     errs = []
     oracle_dev = 0.0
     records = []
@@ -287,20 +282,22 @@ class GlEmbedding:
         return self.g[:, self.space.n :]
 
     def inject(self, M: np.ndarray) -> SpElement:
-        return _gl_inject(self.space, self.g, M)
+        return _gl_inject(self.space, self.g, [M])[0]
 
     def rank_one(self, xi: np.ndarray, eta: np.ndarray) -> SpElement:
         """Injection of the rank-one map x -> (x, eta) xi."""
         return self.inject(np.outer(xi, eta))
 
 
-def _gl_inject(space: SymplecticSpace, g: np.ndarray, M: np.ndarray) -> SpElement:
+def _gl_inject(space: SymplecticSpace, g: np.ndarray, Ms) -> list[SpElement]:
+    """Injections of the n x n matrices Ms, projected and checked as one stack."""
     n = space.n
-    M = np.asarray(M, dtype=float)
-    if M.shape != (n, n):
+    Ms = np.asarray(Ms, dtype=float)
+    if Ms.shape[1:] != (n, n):
         raise ValueError(f"expected an {n} x {n} matrix")
-    Z = np.zeros((n, n))
-    return project_skew_symplectic(space, g @ np.block([[M, Z], [Z, -M.T]]) @ omega_adjoint(g))
+    Z = np.zeros_like(Ms)
+    D = np.block([[Ms, Z], [Z, -Ms.swapaxes(1, 2)]])
+    return SpElement.stack(space, skew_part(g @ D @ omega_adjoint(g)))
 
 
 def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
@@ -312,13 +309,10 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
     g = random_symplectic_group_element(space, 0.5, rng)
     if np.linalg.cond(g) > 1e6:
         raise SamplingError("transversality failure; re-draw with another seed")
-    defect = 0.0
-    for _ in range(20):
-        M1 = rng.standard_normal((n, n))
-        M2 = rng.standard_normal((n, n))
-        lhs = _gl_inject(space, g, M1 @ M2 - M2 @ M1).mat
-        a, b = _gl_inject(space, g, M1).mat, _gl_inject(space, g, M2).mat
-        defect = max(defect, float(np.abs(lhs - (a @ b - b @ a)).max()))
+    M1, M2 = np.swapaxes(rng.standard_normal((20, 2, n, n)), 0, 1)  # 20 pairs, drawn in turn
+    injected = _gl_inject(space, g, np.concatenate([M1 @ M2 - M2 @ M1, M1, M2]))
+    lhs, a, b = np.reshape([x.mat for x in injected], (3, 20, space.dim, space.dim))
+    defect = float(np.abs(lhs - (a @ b - b @ a)).max())
     if defect > 1e-9 * (1.0 + np.linalg.cond(g) ** 2):
         raise SamplingError(f"bracket preservation defect {defect:.3e}")
     return GlEmbedding(space=space, g=g, bracket_defect=defect)
@@ -353,7 +347,7 @@ def fit_rank_one_trace(
             continue
         xs.append(xi)
         ys.append(eta)
-    vals = _values(zeta, [embedding.rank_one(xi, eta) for xi, eta in zip(xs, ys)])
+    vals = _values(zeta, _gl_inject(space, embedding.g, np.einsum("ij,ik->ijk", xs, ys)))
     design = np.stack([np.outer(e, x).reshape(-1) for x, e in zip(xs, ys)])
     sol, cut, residual = _held_out_fit(design, np.asarray(vals))
     N = sol.reshape(n, n)
@@ -447,15 +441,16 @@ def fit_main_theorem(
     m = SAMPLES_PER_UNKNOWN * (len(base) + 1)
     O = space.omega_matrix
 
-    cone = [_cone_sample(space, rng) for _ in range(m)]
-    rows = _stage1_rows(space, *(np.array(v) for v in zip(*cone)))
-    ys = [y_element(space, xi, eta) for xi, eta in cone]
+    cone = np.swapaxes([_cone_sample(space, rng) for _ in range(m)], 0, 1)  # (xis, etas)
+    rows = _stage1_rows(space, *cone)
+    ys = SpElement.stack(space, rank_one_matrix(space, RankOneKind.Y, *cone))
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
-    zs = [z_element(space, xi, eta) for xi, eta in pairs2]
+    zs = SpElement.stack(space, rank_one_matrix(space, RankOneKind.Z, *np.swapaxes(pairs2, 0, 1)))
     Bs = [random_semisimple(space, rng)[0] for _ in range(STAGE3_SAMPLES)]
     spectra = classify_eigenstructure(Bs)
     terms = [yz_decomposition(B, dec) for B, dec in zip(Bs, williamson_decompose(spectra))]
-    samples3 = [x for B, ts in zip(Bs, terms) for x in (*(realize(d) for _, d in ts), B)]
+    term_elements = iter(SpElement.stack(space, [M for ts in terms for *_, M in ts]))
+    samples3 = [x for B, ts in zip(Bs, terms) for x in (*(next(term_elements) for _ in ts), B)]
     spectral = maslov_spectral(spectra)
     memo = {}
 
@@ -472,7 +467,7 @@ def fit_main_theorem(
         errs3 = []
         yz_dev = 0.0
         for B, ts, zeta_m in zip(Bs, terms, spectral):
-            via_terms = sum(coef * next(vals3) for coef, _ in ts)
+            via_terms = sum(coef * next(vals3) for coef, *_ in ts)
             direct = next(vals3)
             yz_dev = max(yz_dev, abs(direct - via_terms))
             pred = float(np.trace(-C @ B.mat)) - c_fit * zeta_m

@@ -107,7 +107,8 @@ def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
     import scipy.linalg  # deferred: the spectral route never needs it
 
     k = math.ceil(math.log2(max(1.0, 2.0 * dt * norm)))
-    E = scipy.linalg.expm(Bs * (dt / 2**k))
+    with np.errstate(over="ignore"):  # a shorter step than the expm(dt*B) that _phase_path checks
+        E = scipy.linalg.expm(Bs * (dt / 2**k))
     theta = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
     for _ in range(k):
         theta = _doubled_phase(_step_blocks(E), theta)
@@ -164,7 +165,8 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     if steps > MAX_STEPS:
         raise MaslovLimitError(f"t_max = {t_max!r} needs {steps} path steps, more than {MAX_STEPS}")
     dt = t_max / steps
-    E = scipy.linalg.expm(dt * Bs)
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        E = scipy.linalg.expm(dt * Bs)
     if not np.all(np.isfinite(E)):
         raise MaslovLimitError("expm(dt*B) overflowed; rescale the input")
     N = np.zeros((m, d // 2, d // 2), dtype=complex)

@@ -95,22 +95,25 @@ def omega_adjoint(A: np.ndarray) -> np.ndarray:
     """The unique A^omega with omega(Ax, y) = omega(x, A^omega y).
 
     Equals Omega^{-1} A^T Omega; with the standard form this is an involution,
-    and membership in the skew-symplectic algebra reads A = -A^omega.
+    and membership in the skew-symplectic algebra reads A = -A^omega.  Stacks
+    (..., 2n, 2n) are taken matrix by matrix.
     """
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d) or d % 2:
+    d = A.shape[-1] if A.ndim else 0
+    if A.ndim < 2 or A.shape[-2] != d or d % 2:
         raise ValueError(f"expected a square even-dimensional matrix, got {A.shape}")
-    # Omega^{-1} A^T Omega: A^T, halves swapped on both axes, off-diagonal blocks negated
-    perm, sign = _block_swap(d)
-    return A.T[perm[:, None], perm] * sign
+    index, sign = _block_swap(d)
+    return (A.reshape(*A.shape[:-2], d * d).take(index, axis=-1) * sign).reshape(A.shape)
 
 
 @functools.cache
 def _block_swap(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index that swaps the halves of 0..d-1, and the +-1 block signs."""
+    """Omega^{-1} A^T Omega on a flattened d x d matrix: the flat index of A^T with
+    the halves swapped on both axes, and the +-1 signs of its blocks."""
     n = d // 2
-    return np.r_[n:d, :n], np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((n, n)))
+    perm = np.r_[n:d, :n]
+    sign = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((n, n)))
+    return (perm * d + perm[:, None]).ravel(), sign.ravel()
 
 
 def skew_defect(A: np.ndarray) -> float:
@@ -119,32 +122,57 @@ def skew_defect(A: np.ndarray) -> float:
     return float(np.abs(A + omega_adjoint(A)).max() / (1.0 + np.abs(A).max()))
 
 
+def _check_members(space: SymplecticSpace, A: np.ndarray) -> None:
+    """Raise the error of the first matrix of the (m, 2n, 2n) stack A outside the
+    algebra: a shape mismatch, non-finite entries, or a skew defect above SKEW_TOL."""
+    d = space.dim
+    if A.shape[1:] != (d, d):
+        raise ValueError(f"matrix shape {A.shape[1:]} does not match space dimension {d}")
+    flat = A.reshape(len(A), d * d)
+    scale = np.abs(flat).max(axis=1)
+    finite = np.isfinite(scale)  # the max propagates NaN and inf
+    if not finite.all():
+        _check_members(space, A[: finite.argmin()])  # an earlier skew failure comes first
+        raise SkewSymplecticityError("matrix has non-finite entries")
+    index, sign = _block_swap(d)  # A + A^omega of every matrix by one gather, as in omega_adjoint
+    defect = np.abs(flat + flat.take(index, axis=1) * sign).max(axis=1) / (1.0 + scale)
+    if defect.max(initial=0.0) > SKEW_TOL:
+        worst = defect[np.argmax(defect > SKEW_TOL)]  # the first failing matrix's defect
+        raise SkewSymplecticityError(f"matrix is not skew-symplectic (defect {worst:.3e})")
+
+
 @dataclass(frozen=True)
 class SpElement:
     """A 2n x 2n real matrix with A = -A^omega.
 
-    Immutable; checked at construction against SKEW_TOL.  Supports the linear
-    operations that keep it inside the algebra.
+    Immutable; checked at construction against SKEW_TOL, alone or in a `stack`.
+    Supports the linear operations that keep it inside the algebra.
     """
 
     space: SymplecticSpace
     mat: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.mat, dtype=float)
-        if M.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
-                f"matrix shape {M.shape} does not match space dimension {self.space.dim}"
-            )
-        if not np.all(np.isfinite(M)):
-            raise SkewSymplecticityError("matrix has non-finite entries")
-        if skew_defect(M) > SKEW_TOL:
-            raise SkewSymplecticityError(
-                f"matrix is not skew-symplectic (defect {skew_defect(M):.3e})"
-            )
-        M = M.copy()
+        M = np.array(self.mat, dtype=float)
+        _check_members(self.space, M[None])
         M.flags.writeable = False
         object.__setattr__(self, "mat", M)
+
+    @classmethod
+    def stack(cls, space: SymplecticSpace, mats) -> list["SpElement"]:
+        """Elements of a sequence of matrices, checked as one stack that fails with
+        its first failing matrix's error; each mat is a read-only row of one copy."""
+        d = space.dim
+        k = next((i for i, M in enumerate(mats) if np.shape(M) != (d, d)), len(mats))
+        A = np.array(mats[:k], dtype=float).reshape(k, d, d)
+        _check_members(space, A)
+        if k < len(mats):
+            _check_members(space, np.asarray(mats[k], dtype=float)[None])  # its shape error
+        A.flags.writeable = False
+        elements = [object.__new__(cls) for _ in A]
+        for x, M in zip(elements, A):
+            x.__dict__.update(space=space, mat=M)
+        return elements
 
     def __add__(self, other: "SpElement") -> "SpElement":
         return SpElement(self.space, self.mat + other.mat)
@@ -173,8 +201,12 @@ class SpElement:
 
 def project_skew_symplectic(space: SymplecticSpace, A: np.ndarray) -> SpElement:
     """Orthogonal projection (A - A^omega)/2 onto the algebra."""
-    A = np.asarray(A, dtype=float)
-    return SpElement(space, 0.5 * (A - omega_adjoint(A)))
+    return SpElement(space, skew_part(np.asarray(A, dtype=float)))
+
+
+def skew_part(A: np.ndarray) -> np.ndarray:
+    """(A - A^omega)/2 of a matrix or of each matrix of a stack."""
+    return 0.5 * (A - omega_adjoint(A))
 
 
 class RankOneKind(str, Enum):
@@ -207,9 +239,18 @@ class RankOneDescriptor:
         object.__setattr__(self, "kind", RankOneKind(self.kind))
 
 
-def _t_matrix(space: SymplecticSpace, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    # T_{xi,eta} x = omega(xi, x) eta = eta (Omega^T xi . x)
-    return np.outer(eta, space.omega_matrix.T @ xi)
+def rank_one_matrix(space: SymplecticSpace, kind: RankOneKind, xi, eta) -> np.ndarray:
+    """Plain matrix of the T, Y or Z generator on (xi, eta); on stacked vectors
+    (..., 2n), which broadcast against each other, the stack of the matrices."""
+
+    def t(x, e):  # T_{x,e} v = omega(x, v) e = e (Omega^T x . v)
+        return e[..., :, None] * (x @ space.omega_matrix)[..., None, :]
+
+    if kind is RankOneKind.T:
+        return t(xi, eta)
+    if kind is RankOneKind.Y:
+        return t(xi, xi) + t(eta, eta)
+    return t(eta, xi) + t(xi, eta)
 
 
 def realize(desc: RankOneDescriptor):
@@ -218,17 +259,10 @@ def realize(desc: RankOneDescriptor):
     Y and Z realizations are returned as SpElement; T is a plain matrix unless
     xi = eta (only then it lies in the algebra).
     """
-    sp, xi, eta = desc.space, desc.xi, desc.eta
-    if desc.kind is RankOneKind.T:
-        M = _t_matrix(sp, xi, eta)
-        if np.array_equal(xi, eta):
-            return SpElement(sp, M)
+    M = rank_one_matrix(desc.space, desc.kind, desc.xi, desc.eta)
+    if desc.kind is RankOneKind.T and not np.array_equal(desc.xi, desc.eta):
         return M
-    if desc.kind is RankOneKind.Y:
-        M = _t_matrix(sp, xi, xi) + _t_matrix(sp, eta, eta)
-    else:
-        M = _t_matrix(sp, eta, xi) + _t_matrix(sp, xi, eta)
-    return SpElement(sp, M)
+    return SpElement(desc.space, M)
 
 
 def y_element(space: SymplecticSpace, xi, eta) -> SpElement:
@@ -274,21 +308,22 @@ def standard_complex_structure(space: SymplecticSpace) -> CompatibleComplexStruc
 
 def random_sp_element(space: SymplecticSpace, scale: float, seed: SeedLike) -> SpElement:
     """Gaussian matrix projected to the algebra; deterministic per seed."""
+    return project_skew_symplectic(space, _random_gaussian(space, scale, seed))
+
+
+def _random_gaussian(space: SymplecticSpace, scale: float, seed: SeedLike) -> np.ndarray:
     if scale < 0:
         raise ValueError("scale must be non-negative")
-    rng = rng_from(seed)
-    A = scale * rng.standard_normal((space.dim, space.dim))
-    return project_skew_symplectic(space, A)
+    return scale * rng_from(seed).standard_normal((space.dim, space.dim))
 
 
 def random_symplectic_group_element(
     space: SymplecticSpace, scale: float, seed: SeedLike
 ) -> np.ndarray:
-    """exp(A) for a random algebra element A; checked against GROUP_DEFECT_TOL."""
+    """exp(random_sp_element(space, scale, seed).mat), checked against GROUP_DEFECT_TOL."""
     from scipy.linalg import expm
 
-    A = random_sp_element(space, scale, seed)
-    g = expm(A.mat)
+    g = expm(skew_part(_random_gaussian(space, scale, seed)))
     O = space.omega_matrix
     defect = np.abs(g.T @ O @ g - O).max()
     if defect > GROUP_DEFECT_TOL * max(1.0, np.abs(g).max() ** 2):
@@ -297,6 +332,15 @@ def random_symplectic_group_element(
             "the exponential lost accuracy (reduce scale)"
         )
     return g
+
+
+@functools.cache
+def _plane_blocks(n: int) -> np.ndarray:
+    """Read-only (2, n, 2n, 2n) stack: Z_{e_k, f_k} and Y_{e_k, f_k} per plane k."""
+    space, (E, F) = SymplecticSpace(n), np.eye(2 * n).reshape(2, n, 2 * n)
+    blocks = np.stack([rank_one_matrix(space, k, E, F) for k in (RankOneKind.Z, RankOneKind.Y)])
+    blocks.flags.writeable = False
+    return blocks
 
 
 class CommutingStrategy(str, Enum):
@@ -350,25 +394,18 @@ def commuting_pair(
         deg = max(1, min(n, 3))
         ca = rng.uniform(-1.0, 1.0, deg)
         cb = rng.uniform(-1.0, 1.0, deg)
-        Ma = _odd_polynomial_value(A.mat, ca)
-        Mb = _odd_polynomial_value(A.mat, cb)
-        pa = project_skew_symplectic(space, Ma)  # exact in theory; scrubs roundoff
-        pb = project_skew_symplectic(space, Mb)
+        mats = [_odd_polynomial_value(A.mat, c) for c in (ca, cb)]  # in the algebra in theory
     else:
         kinds = rng.integers(0, 2, size=n)  # 0 -> Z, 1 -> Y per plane
         ca = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
         cb = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
-        Da = np.zeros((space.dim, space.dim))
-        Db = np.zeros((space.dim, space.dim))
-        for k in range(n):
-            element = y_element if kinds[k] else z_element
-            blk = element(space, space.basis_e(k), space.basis_f(k)).mat
-            Da += ca[k] * blk
-            Db += cb[k] * blk
+        D = np.zeros((2, space.dim, space.dim))  # the two block-diagonal combinations
+        for k, blk in enumerate(_plane_blocks(n)[kinds, range(n)]):
+            D += np.multiply.outer((ca[k], cb[k]), blk)
         g = random_symplectic_group_element(space, 0.5, rng)
         ginv = omega_adjoint(g)
-        pa = project_skew_symplectic(space, g @ Da @ ginv)
-        pb = project_skew_symplectic(space, g @ Db @ ginv)
+        mats = [g @ Dk @ ginv for Dk in D]
+    pa, pb = SpElement.stack(space, skew_part(np.array(mats)))  # the projection scrubs roundoff
 
     cnorm = pa.commutator_norm(pb)
     bound = COMMUTATOR_TOL * (1.0 + pa.norm()) * (1.0 + pb.norm())

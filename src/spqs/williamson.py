@@ -19,7 +19,7 @@ from .symplectic import (
     omega_adjoint,
     project_skew_symplectic,
     random_symplectic_group_element,
-    realize,
+    rank_one_matrix,
     rng_from,
 )
 
@@ -456,20 +456,21 @@ def _commutes(X: np.ndarray, Y: np.ndarray) -> bool:
 
 def yz_decomposition(
     B: SpElement, decomposition: WilliamsonDecomposition
-) -> list[tuple[float, RankOneDescriptor]]:
+) -> list[tuple[float, RankOneDescriptor, np.ndarray]]:
     """Pairwise commuting rank-one terms summing to B, block by block (see
-    WilliamsonBlock.yz_terms), from B's decomposition."""
-    terms: list[tuple[float, RankOneDescriptor]] = []
+    WilliamsonBlock.yz_terms), from B's decomposition: (coefficient,
+    descriptor, the descriptor's plain matrix) per term."""
+    terms: list[tuple[float, RankOneDescriptor, np.ndarray]] = []
     realized = []  # per block: [(term index, term matrix)]
     total = np.zeros_like(B.mat)
     for blk in decomposition.blocks:
         realized.append([])
         frames = [decomposition.frame_vectors(p) for p in blk.planes]
         for c, desc in blk.yz_terms(decomposition.space, frames):
-            M = realize(desc).mat
+            M = rank_one_matrix(desc.space, desc.kind, desc.xi, desc.eta)
             total = total + c * M
             realized[-1].append((len(terms), M))
-            terms.append((c, desc))
+            terms.append((c, desc, M))
     resid = np.abs(total - B.mat).max()
     if resid > ROUNDTRIP_TOL * max(1.0, np.abs(B.mat).max()):
         raise NormalizationError(f"term sum residual {resid:.3e}")

@@ -282,7 +282,7 @@ def test_criterion_10_williamson_round_trip():
             worst_frame = max(worst_frame, frame)
             worst_resid = max(worst_resid, resid)
             terms = yz_decomposition(B, dec)
-            mats = [(c, realize(d).mat) for c, d in terms]
+            mats = [(c, realize(d).mat) for c, d, _ in terms]
             idx = 0
             for blk in dec.blocks:
                 if blk.kind != "quad":

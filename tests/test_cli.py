@@ -109,7 +109,6 @@ class TestEval:
         bar = float(out_l.splitlines()[1].split(": ")[1])
         assert abs(vs - vl) <= bar + 1e-2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense\n")
@@ -192,7 +191,6 @@ class TestEval:
         assert code == 4
         assert err.startswith("error: singular path step at ||dt*B||_2 = ")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the limit route's expm
     @pytest.mark.parametrize("text, truth", [
         ("0 1e160\n-1e160 0", -1e160), ("0 1e200\n-1e200 0", -1e200), ("1e300 0\n0 -1e300", 0.0),
     ])
@@ -201,16 +199,17 @@ class TestEval:
         # past 1e154: both are taken on the input scaled by a power of two
         p = tmp_path / "big.txt"
         p.write_text(f"dim 2\n{text}\n")
-        for method in ("auto", "spectral", "dim2"):
+        for method in ("auto", "spectral", "dim2", "limit"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a numpy overflow warning would reach stderr
                 code, out, err = run_cli(["eval", str(p), "--method", method], capsys)
+            if method == "limit":  # expm(dt*B) overflows: the error line is all of stderr
+                assert (code, err) == (4, "error: expm(dt*B) overflowed; rescale the input\n")
+                assert "value:" not in out
+                continue
             assert (code, err) == (0, ""), method
             value, bar = (float(ln.split(": ")[1]) for ln in out.splitlines()[:2])
             assert np.isfinite(bar) and abs(value - truth) <= bar, method
-        code, out, err = run_cli(["eval", str(p), "--method", "limit"], capsys)
-        assert code == 4 and "value:" not in out
-        assert err.endswith("error: expm(dt*B) overflowed; rescale the input\n")
 
     def test_unwritable_output_exits_4(self, rotation_file, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -335,6 +334,24 @@ class TestAutoDispatch:
         argv = ["verify", "--suite", "all", "--n", "3", "--seed", "0", "--out", str(tmp_path / "r")]
         assert run_cli(argv, capsys)[0] == 0
         assert len(calls) == 11
+
+    def test_membership_checks_per_verify_run(self, tmp_path, monkeypatch, capsys):
+        # the samplers check their elements as stacks: one membership check per
+        # stack, not one per element (2,288 single checks before stacking)
+        import spqs.symplectic
+
+        original = spqs.symplectic._check_members
+        sizes = []
+
+        def counting(space, A):
+            sizes.append(len(A))
+            return original(space, A)
+
+        monkeypatch.setattr(spqs.symplectic, "_check_members", counting)
+        argv = ["verify", "--suite", "all", "--n", "3", "--seed", "0", "--out", str(tmp_path / "r")]
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(sizes) <= 600
+        assert max(sizes) >= 220  # stage 1's Y elements form one stack
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_semisimple_inputs_take_the_limit_route(self, n, tmp_path, capsys):

@@ -38,7 +38,6 @@ def rotation(rate):
 
 
 class TestLimitErrorPaths:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_reported(self):
         B = SpElement(sp1, np.diag([1e5, -1e5]))
         with pytest.raises(MaslovLimitError, match="overflow"):

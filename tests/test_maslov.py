@@ -369,7 +369,6 @@ class TestRobustness:
         log_eps=st.one_of(st.none(), st.floats(-12.0, -1.0)),
     )
     @settings(max_examples=100, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_finite_value_or_limit_error(self, n, seed, log_scale, log_eps):
         # a random semi-simple element (log_eps None) or a Jordan chain plus
         # a random perturbation of size 10^log_eps, scaled by 10^log_scale

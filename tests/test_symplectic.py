@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from spqs.cli import main
+from spqs.harness import _gl_inject, embed_gl, unitary_subalgebra_basis
 from spqs.symplectic import (
     CommutingStrategy,
     RankOneDescriptor,
@@ -10,17 +13,23 @@ from spqs.symplectic import (
     SkewSymplecticityError,
     SpElement,
     SymplecticSpace,
+    _plane_blocks,
     commuting_pair,
     omega,
     omega_adjoint,
     project_skew_symplectic,
     random_sp_element,
     random_symplectic_group_element,
+    rank_one_matrix,
     realize,
+    rng_from,
+    skew_defect,
     standard_complex_structure,
     y_element,
     z_element,
 )
+from spqs.williamson import (classify_eigenstructure, random_semisimple, williamson_decompose,
+                             yz_decomposition)
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -122,6 +131,176 @@ class TestSpElement:
         np.testing.assert_allclose((A + B).mat, A.mat + B.mat)
         np.testing.assert_allclose((2.5 * A).mat, 2.5 * A.mat)
         np.testing.assert_allclose((-A).mat, -A.mat)
+
+
+def _members(space, m, seed):
+    return [random_sp_element(space, 1.0, seed + i).mat.copy() for i in range(m)]
+
+
+def _error_of(build):
+    """(type, message) of the exception that build() raises."""
+    with pytest.raises(ValueError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMembershipStack:
+    """SpElement.stack checks a list of matrices at once and raises what the
+    first failing matrix raises alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_are_read_only_copies_of_the_inputs(self, n):
+        space = SymplecticSpace(n)
+        mats = _members(space, 5, 10 * n)
+        stacked = SpElement.stack(space, mats)
+        assert len(stacked) == 5 and SpElement.stack(space, []) == []
+        for x, M in zip(stacked, mats):
+            assert x.space is space and _same_bits(x.mat, SpElement(space, M).mat)
+            assert not x.mat.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x.mat[0, 0] = 1.0
+        mats[0][0, 0] += 1.0  # the stack holds its own copy
+        assert stacked[0].mat[0, 0] != mats[0][0, 0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["skew", "non-finite", "shape"])
+    def test_bad_middle_element_raises_its_own_error(self, n, kind):
+        space = SymplecticSpace(n)
+        mats = _members(space, 5, 20 * n)
+        bad = {
+            "skew": mats[2] + rng_from(n).standard_normal((2 * n, 2 * n)),
+            "non-finite": np.where(np.eye(2 * n) > 0, np.nan, mats[2]),
+            "shape": np.zeros((2 * n + 1, 2 * n + 1)),
+        }[kind]
+        mats[2] = bad
+        alone = _error_of(lambda: SpElement(space, bad))
+        assert _error_of(lambda: SpElement.stack(space, mats)) == alone
+        assert _error_of(lambda: SpElement.stack(space, np.array(mats) if kind != "shape"
+                                                 else mats)) == alone
+        expected = ValueError if kind == "shape" else SkewSymplecticityError
+        assert alone[0] is expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_first_failure_in_stack_order_wins(self, n):
+        space = SymplecticSpace(n)
+        good = _members(space, 2, 30 * n)
+        skew = good[0] + np.eye(2 * n)
+        inf = np.full((2 * n, 2 * n), np.inf)
+        wrong = np.zeros((2 * n, 2 * n + 2))
+        for mats, first in (
+            ([good[0], skew, inf, good[1]], skew),
+            ([good[0], inf, skew, good[1]], inf),
+            ([skew, wrong], skew),
+            ([inf, wrong], inf),
+            ([wrong, skew], wrong),
+        ):
+            assert _error_of(lambda: SpElement.stack(space, mats)) == _error_of(
+                lambda: SpElement(space, first)
+            )
+        assert _error_of(lambda: SpElement(space, skew))[1] == (
+            f"matrix is not skew-symplectic (defect {skew_defect(skew):.3e})"
+        )
+
+    @pytest.mark.parametrize("text, line", [
+        ("1 2\n3 4", "error: matrix is not skew-symplectic (defect 1.000e+00)\n"),
+        ("nan 0\n0 0", "error: matrix has non-finite entries\n"),
+        ("inf 0\n0 -inf", "error: matrix has non-finite entries\n"),
+    ])
+    def test_bad_input_files_still_exit_3(self, text, line, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"dim 2\n{text}\n")
+        for method in ("auto", "spectral", "limit"):
+            assert main(["eval", str(p), "--method", method]) == 3
+            assert capsys.readouterr().err == line
+
+
+class TestStackedBuilds:
+    """Each stacked build equals its per-element build bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_y_and_z_stacks(self, n):
+        space = SymplecticSpace(n)
+        xis, etas = rng_from(40 + n).standard_normal((2, 12, 2 * n))
+        for kind, element in ((RankOneKind.Y, y_element), (RankOneKind.Z, z_element)):
+            stacked = SpElement.stack(space, rank_one_matrix(space, kind, xis, etas))
+            for x, xi, eta in zip(stacked, xis, etas):
+                assert _same_bits(x.mat, element(space, xi, eta).mat)
+                assert not x.mat.flags.writeable
+            # one vector against a stack broadcasts
+            for x, eta in zip(SpElement.stack(space, rank_one_matrix(space, kind, xis[0], etas)),
+                              etas):
+                assert _same_bits(x.mat, element(space, xis[0], eta).mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_plane_blocks(self, n):
+        space = SymplecticSpace(n)
+        blocks = _plane_blocks(n)
+        assert _plane_blocks(n) is blocks and not blocks.flags.writeable
+        for k in range(n):
+            e, f = space.basis_e(k), space.basis_f(k)
+            assert _same_bits(blocks[0, k], z_element(space, e, f).mat)
+            assert _same_bits(blocks[1, k], y_element(space, e, f).mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", list(CommutingStrategy))
+    def test_linear_combinations(self, n, strategy):
+        space = SymplecticSpace(n)
+        rng = rng_from(50 + n)
+        pairs = [(commuting_pair(space, strategy, rng), *rng.uniform(-2.0, 2.0, 2))
+                 for _ in range(6)]
+        stacked = SpElement.stack(space, [c1 * p.a.mat + c2 * p.b.mat for p, c1, c2 in pairs])
+        for x, (p, c1, c2) in zip(stacked, pairs):
+            assert _same_bits(x.mat, (c1 * p.a + c2 * p.b).mat)
+            assert not x.mat.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rank_one_injections(self, n):
+        space = SymplecticSpace(n)
+        emb = embed_gl(space, 60 + n)
+        g, Z = emb.g, np.zeros((n, n))
+        xs, ys = rng_from(60 + n).standard_normal((2, 15, n))
+        stacked = _gl_inject(space, g, np.einsum("ij,ik->ijk", xs, ys))
+        for x, xi, eta in zip(stacked, xs, ys):
+            M = np.outer(xi, eta)
+            alone = project_skew_symplectic(
+                space, g @ np.block([[M, Z], [Z, -M.T]]) @ omega_adjoint(g)
+            )
+            assert _same_bits(x.mat, alone.mat)
+            assert _same_bits(x.mat, emb.rank_one(xi, eta).mat)
+            assert not x.mat.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gleason_test_elements(self, n):
+        space = SymplecticSpace(n)
+        basis = unitary_subalgebra_basis(space, standard_complex_structure(space))
+        coeffs = rng_from(70 + n).standard_normal((8, len(basis)))
+        mats = [sum(c * b.mat for c, b in zip(cs, basis)) for cs in coeffs]
+        for x, M in zip(SpElement.stack(space, mats), mats):
+            assert _same_bits(x.mat, SpElement(space, M).mat)
+            assert not x.mat.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stage3_terms(self, n):
+        space = SymplecticSpace(n)
+        rng = rng_from(80 + n)
+        Bs = [random_semisimple(space, rng)[0] for _ in range(6)]
+        decs = williamson_decompose(classify_eigenstructure(Bs))
+        terms = [t for B, dec in zip(Bs, decs) for t in yz_decomposition(B, dec)]
+        for x, (_, desc, M) in zip(SpElement.stack(space, [M for *_, M in terms]), terms):
+            assert _same_bits(M, realize(desc).mat)
+            assert _same_bits(x.mat, realize(desc).mat)
+            assert not x.mat.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_group_element_draw(self, n):
+        space = SymplecticSpace(n)
+        for seed in range(4):
+            expected = expm(random_sp_element(space, 0.5, seed).mat)
+            assert _same_bits(random_symplectic_group_element(space, 0.5, seed), expected)
 
 
 class TestRankOneOperators:

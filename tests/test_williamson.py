@@ -219,7 +219,7 @@ class TestYZDecomposition:
         B = SpElement(sp1, D)
         terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 1
-        coef, desc = terms[0]
+        coef, desc, _ = terms[0]
         assert coef == pytest.approx(2.0, abs=1e-9)
         assert desc.kind.value == "Z"
 
@@ -230,7 +230,7 @@ class TestYZDecomposition:
         B = SpElement(sp1, D)
         terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 1
-        coef, desc = terms[0]
+        coef, desc, _ = terms[0]
         assert coef == pytest.approx(3.0, abs=1e-9)
         assert desc.kind.value == "Y"
 
@@ -240,7 +240,7 @@ class TestYZDecomposition:
         B = SpElement(sp2, D)
         terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 4
-        total = sum(c * realize(d).mat for c, d in terms)
+        total = sum(c * realize(d).mat for c, d, _ in terms)
         np.testing.assert_allclose(total, D, atol=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -250,7 +250,8 @@ class TestYZDecomposition:
         for _ in range(10):
             B, _ = random_semisimple(space, rng)
             terms = yz_decomposition(B, decompose(B))
-            total = sum(c * realize(d).mat for c, d in terms)
+            total = sum(c * M for c, _, M in terms)
+            assert all(np.array_equal(M, realize(d).mat) for _, d, M in terms)
             assert np.abs(total - B.mat).max() <= 1e-6 * max(1, np.abs(B.mat).max())
 
     def test_quasi_state_evaluation_consistency(self):
@@ -262,5 +263,5 @@ class TestYZDecomposition:
             B, _ = random_semisimple(sp3, rng)
             terms = yz_decomposition(B, decompose(B))
             for zeta in states:
-                via = sum(c * zeta(realize(d)) for c, d in terms)
+                via = sum(c * zeta(realize(d)) for c, d, _ in terms)
                 assert via == pytest.approx(zeta(B), abs=1e-6)
