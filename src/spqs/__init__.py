@@ -30,7 +30,6 @@ from .maslov import (
     maslov_dim2,
     maslov_limit,
     maslov_limit_batch,
-    maslov_on_descriptor,
     maslov_spectral,
     phase_trace,
 )
@@ -47,7 +46,6 @@ from .symplectic import (
     CommutingPair,
     CommutingStrategy,
     CompatibleComplexStructure,
-    RankOneDescriptor,
     RankOneKind,
     SamplingError,
     SpElement,
@@ -58,7 +56,6 @@ from .symplectic import (
     project_skew_symplectic,
     random_sp_element,
     random_symplectic_group_element,
-    realize,
     standard_complex_structure,
     y_element,
     z_element,

@@ -29,7 +29,6 @@ from .maslov import (
 from .matrixio import MatrixParseError, atomic_write, read_matrix, write_matrix
 from .quasistates import discontinuous_qs, linear_qs, linear_combination, maslov_qs, nilpotent_jordan_sp
 from .symplectic import (
-    RankOneKind,
     SamplingError,
     SkewSymplecticityError,
     SpElement,
@@ -157,7 +156,7 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
         rng = rng_from(seed + 3)
         cov = rng.standard_normal(space.dim)
         xi = rng.standard_normal(space.dim)
-        z = functools.partial(rank_one_matrix, space, RankOneKind.Z, xi)  # Z_{xi, v} of stacked v
+        z = functools.partial(rank_one_matrix, space, "Z", xi)  # Z_{xi, v} of stacked v
         phis = [
             (lambda vs: [float(cov @ v) for v in vs], 1e-10),
             (lambda vs: [v for v, _ in mq.batch(SpElement.stack(space, z(np.array(vs))))],

@@ -15,7 +15,6 @@ from .quasistates import QuasiState
 from .symplectic import (
     CommutingStrategy,
     CompatibleComplexStructure,
-    RankOneKind,
     SamplingError,
     SpElement,
     SymplecticSpace,
@@ -443,9 +442,9 @@ def fit_main_theorem(
 
     cone = np.swapaxes([_cone_sample(space, rng) for _ in range(m)], 0, 1)  # (xis, etas)
     rows = _stage1_rows(space, *cone)
-    ys = SpElement.stack(space, rank_one_matrix(space, RankOneKind.Y, *cone))
+    ys = SpElement.stack(space, rank_one_matrix(space, "Y", *cone))
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
-    zs = SpElement.stack(space, rank_one_matrix(space, RankOneKind.Z, *np.swapaxes(pairs2, 0, 1)))
+    zs = SpElement.stack(space, rank_one_matrix(space, "Z", *np.swapaxes(pairs2, 0, 1)))
     Bs = [random_semisimple(space, rng)[0] for _ in range(STAGE3_SAMPLES)]
     spectra = classify_eigenstructure(Bs)
     terms = [yz_decomposition(B, dec) for B, dec in zip(Bs, williamson_decompose(spectra))]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import complex_blocks
-from .symplectic import RankOneDescriptor, RankOneKind, SpElement, omega
+from .symplectic import SpElement
 from .williamson import SpectrumStack, classify_eigenstructure, eigvec_condition, krein_parameters
 
 DT_FLOOR = 0.05  # the derived step never goes below this
@@ -224,17 +224,6 @@ def maslov_dim2(a: float, b: float, c: float) -> float:
     if disc < 0.0:
         r = float(np.ldexp(np.sqrt(-disc), e))
         return r if b < 0.0 else -r
-    return 0.0
-
-
-def maslov_on_descriptor(desc: RankOneDescriptor) -> float:
-    """Closed-form values on the generators: Y -> -|omega(xi, eta)|, Z -> 0."""
-    if desc.kind is RankOneKind.T:
-        if np.array_equal(desc.xi, desc.eta):
-            return 0.0  # T_{xi,xi} = Z_{xi,xi}/2
-        raise ValueError("T descriptor with xi != eta is not in the algebra")
-    if desc.kind is RankOneKind.Y:
-        return -abs(omega(desc.space, desc.xi, desc.eta))
     return 0.0
 
 

@@ -210,67 +210,44 @@ def skew_part(A: np.ndarray) -> np.ndarray:
 
 
 class RankOneKind(str, Enum):
-    T = "T"
+    """The rank-one generators on vectors (xi, eta), from T_{xi,eta} x = omega(xi, x) eta:
+
+        Y_{xi,eta} = T_{xi,xi} + T_{eta,eta}
+        Z_{xi,eta} = T_{eta,xi} + T_{xi,eta}
+    """
+
     Y = "Y"
     Z = "Z"
 
 
-@dataclass(frozen=True)
-class RankOneDescriptor:
-    """Vectors (xi, eta) plus a tag naming one of the generators
-
-        T_{xi,eta} x = omega(xi, x) eta
-        Y_{xi,eta}   = T_{xi,xi} + T_{eta,eta}
-        Z_{xi,eta}   = T_{eta,xi} + T_{xi,eta}
-    """
-
-    space: SymplecticSpace
-    kind: RankOneKind
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if xi.shape != (self.space.dim,) or eta.shape != (self.space.dim,):
-            raise ValueError("descriptor vectors must match the space dimension")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "kind", RankOneKind(self.kind))
-
-
-def rank_one_matrix(space: SymplecticSpace, kind: RankOneKind, xi, eta) -> np.ndarray:
-    """Plain matrix of the T, Y or Z generator on (xi, eta); on stacked vectors
+def rank_one_matrix(space: SymplecticSpace, kind: RankOneKind | str, xi, eta) -> np.ndarray:
+    """Plain matrix of the Y or Z generator on (xi, eta); on stacked vectors
     (..., 2n), which broadcast against each other, the stack of the matrices."""
+    kind = RankOneKind(kind)
 
     def t(x, e):  # T_{x,e} v = omega(x, v) e = e (Omega^T x . v)
         return e[..., :, None] * (x @ space.omega_matrix)[..., None, :]
 
-    if kind is RankOneKind.T:
-        return t(xi, eta)
     if kind is RankOneKind.Y:
         return t(xi, xi) + t(eta, eta)
     return t(eta, xi) + t(xi, eta)
 
 
-def realize(desc: RankOneDescriptor):
-    """Matrix of the descriptor's operator.
-
-    Y and Z realizations are returned as SpElement; T is a plain matrix unless
-    xi = eta (only then it lies in the algebra).
-    """
-    M = rank_one_matrix(desc.space, desc.kind, desc.xi, desc.eta)
-    if desc.kind is RankOneKind.T and not np.array_equal(desc.xi, desc.eta):
-        return M
-    return SpElement(desc.space, M)
+def _rank_one_element(space: SymplecticSpace, kind: RankOneKind, xi, eta) -> SpElement:
+    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    if xi.shape != (space.dim,) or eta.shape != (space.dim,):
+        raise ValueError(
+            f"expected vectors of length {space.dim}, got {xi.shape} and {eta.shape}"
+        )
+    return SpElement(space, rank_one_matrix(space, kind, xi, eta))
 
 
 def y_element(space: SymplecticSpace, xi, eta) -> SpElement:
-    return realize(RankOneDescriptor(space, RankOneKind.Y, xi, eta))
+    return _rank_one_element(space, RankOneKind.Y, xi, eta)
 
 
 def z_element(space: SymplecticSpace, xi, eta) -> SpElement:
-    return realize(RankOneDescriptor(space, RankOneKind.Z, xi, eta))
+    return _rank_one_element(space, RankOneKind.Z, xi, eta)
 
 
 @dataclass(frozen=True)
@@ -338,7 +315,7 @@ def random_symplectic_group_element(
 def _plane_blocks(n: int) -> np.ndarray:
     """Read-only (2, n, 2n, 2n) stack: Z_{e_k, f_k} and Y_{e_k, f_k} per plane k."""
     space, (E, F) = SymplecticSpace(n), np.eye(2 * n).reshape(2, n, 2 * n)
-    blocks = np.stack([rank_one_matrix(space, k, E, F) for k in (RankOneKind.Z, RankOneKind.Y)])
+    blocks = np.stack([rank_one_matrix(space, k, E, F) for k in "ZY"])
     blocks.flags.writeable = False
     return blocks
 

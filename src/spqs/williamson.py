@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .symplectic import (
-    RankOneDescriptor,
     RankOneKind,
     SpElement,
     SymplecticSpace,
@@ -283,26 +282,26 @@ class WilliamsonBlock:
             [[-a, b, 0.0, 0.0], [-b, -a, 0.0, 0.0], [0.0, 0.0, a, b], [0.0, 0.0, -b, a]]
         )
 
-    def yz_terms(self, space: SymplecticSpace, frames) -> list[tuple[float, RankOneDescriptor]]:
-        """Commuting rank-one terms summing to the block, given the (e, f)
-        frame of each of its planes: a * Z for a real block, b * Y for an
-        imaginary one; a quadruple on planes (k, l) contributes a Z on each
-        plane and two opposite-sign Y terms on the sqrt(2)-normalized mixed
-        vectors."""
+    def yz_terms(self, frames) -> list[tuple[float, RankOneKind, np.ndarray, np.ndarray]]:
+        """Commuting rank-one terms (coefficient, kind, e, f) summing to the
+        block, given the (e, f) frame of each of its planes: a * Z for a real
+        block, b * Y for an imaginary one; a quadruple on planes (k, l)
+        contributes a Z on each plane and two opposite-sign Y terms on the
+        sqrt(2)-normalized mixed vectors."""
         Y, Z = RankOneKind.Y, RankOneKind.Z
         if self.kind == "quad":
             (ek, fk), (el, fl) = frames
             r2 = np.sqrt(2.0)
             return [
-                (self.a, RankOneDescriptor(space, Z, ek, fk)),
-                (self.a, RankOneDescriptor(space, Z, el, fl)),
-                (-self.b, RankOneDescriptor(space, Y, (el - fk) / r2, (ek + fl) / r2)),
-                (self.b, RankOneDescriptor(space, Y, (ek - fl) / r2, (el + fk) / r2)),
+                (self.a, Z, ek, fk),
+                (self.a, Z, el, fl),
+                (-self.b, Y, (el - fk) / r2, (ek + fl) / r2),
+                (self.b, Y, (ek - fl) / r2, (el + fk) / r2),
             ]
         ((e, f),) = frames
         if self.kind == "real":
-            return [(self.a, RankOneDescriptor(space, Z, e, f))]
-        return [(self.b, RankOneDescriptor(space, Y, e, f))]
+            return [(self.a, Z, e, f)]
+        return [(self.b, Y, e, f)]
 
 
 @dataclass(frozen=True)
@@ -320,10 +319,6 @@ class WilliamsonDecomposition:
             idx = np.array([*blk.planes, *(n + p for p in blk.planes)])
             D[idx[:, None], idx] = blk.matrix()
         return D
-
-    def frame_vectors(self, plane: int) -> tuple[np.ndarray, np.ndarray]:
-        """(e, f) columns of S for one plane."""
-        return self.S[:, plane], self.S[:, self.space.n + plane]
 
 
 def _realify_eigenspace(V: np.ndarray, m: int) -> np.ndarray:
@@ -456,21 +451,22 @@ def _commutes(X: np.ndarray, Y: np.ndarray) -> bool:
 
 def yz_decomposition(
     B: SpElement, decomposition: WilliamsonDecomposition
-) -> list[tuple[float, RankOneDescriptor, np.ndarray]]:
+) -> list[tuple[float, RankOneKind, np.ndarray]]:
     """Pairwise commuting rank-one terms summing to B, block by block (see
-    WilliamsonBlock.yz_terms), from B's decomposition: (coefficient,
-    descriptor, the descriptor's plain matrix) per term."""
-    terms: list[tuple[float, RankOneDescriptor, np.ndarray]] = []
+    WilliamsonBlock.yz_terms), from B's decomposition: (coefficient, kind,
+    the term's plain matrix) per term."""
+    space, S = decomposition.space, decomposition.S
+    terms: list[tuple[float, RankOneKind, np.ndarray]] = []
     realized = []  # per block: [(term index, term matrix)]
     total = np.zeros_like(B.mat)
     for blk in decomposition.blocks:
         realized.append([])
-        frames = [decomposition.frame_vectors(p) for p in blk.planes]
-        for c, desc in blk.yz_terms(decomposition.space, frames):
-            M = rank_one_matrix(desc.space, desc.kind, desc.xi, desc.eta)
+        frames = [(S[:, p], S[:, space.n + p]) for p in blk.planes]
+        for c, kind, e, f in blk.yz_terms(frames):
+            M = rank_one_matrix(space, kind, e, f)
             total = total + c * M
             realized[-1].append((len(terms), M))
-            terms.append((c, desc, M))
+            terms.append((c, kind, M))
     resid = np.abs(total - B.mat).max()
     if resid > ROUNDTRIP_TOL * max(1.0, np.abs(B.mat).max()):
         raise NormalizationError(f"term sum residual {resid:.3e}")
@@ -500,6 +496,11 @@ def random_semisimple(
     with parameters in SEMISIMPLE_PARAM_RANGE, then conjugate by a random
     symplectic matrix of scale SEMISIMPLE_FRAME_SCALE.  Returns the element
     and its generating blocks (canonical truth for round-trip tests)."""
+    unknown = [k for k in kinds if k not in BLOCK_KINDS]
+    if unknown:
+        raise ValueError(f"unknown block kind {unknown[0]!r}; expected one of {BLOCK_KINDS}")
+    if space.n % 2 and set(kinds) <= {"quad"}:
+        raise ValueError(f"odd n = {space.n} needs a one-plane kind ('real' or 'imag')")
     rng = rng_from(seed)
     n = space.n
     lo, hi = SEMISIMPLE_PARAM_RANGE

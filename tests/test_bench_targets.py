@@ -1,6 +1,8 @@
-"""The benchmark tracer's contract with the library: perfbench/layers.py
-looks up every traced function by module and name, and rebuilds maslov_qs
-quasi-states with dataclasses.replace on their evaluate fields."""
+"""The benchmark's contract with the library: perfbench/layers.py looks up
+every traced function by module and name, and rebuilds maslov_qs
+quasi-states with dataclasses.replace on their evaluate fields;
+perfbench/workloads.py builds its inputs from library functions it imports
+by name."""
 
 import dataclasses
 import importlib
@@ -17,6 +19,7 @@ sys.path.insert(
 )
 
 import layers  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_traced_target_resolves():
@@ -35,3 +38,9 @@ def test_maslov_qs_fields_the_tracer_replaces():
     )
     rot = SpElement(SymplecticSpace(1), np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert traced.evaluate_with_error(rot) == qs.evaluate_with_error(rot)
+
+
+def test_workload_inputs_build(tmp_path):
+    wl = workloads.LimitBatch()
+    wl.setup(0, str(tmp_path))
+    assert [len(els) for _, _, els, _ in wl.batches] == [wl.BATCH] * len(wl.POPULATIONS)

@@ -16,14 +16,11 @@ from spqs.maslov import (
     maslov_evaluate,
     maslov_limit,
     maslov_limit_batch,
-    maslov_on_descriptor,
     maslov_spectral,
     phase_trace,
 )
 from spqs.quasistates import nilpotent_jordan_sp
 from spqs.symplectic import (
-    RankOneDescriptor,
-    RankOneKind,
     SpElement,
     SymplecticSpace,
     omega,
@@ -141,31 +138,6 @@ class TestLimit:
             assert abs(est.value - s * ref) <= est.error_bar + 1e-2
 
 
-class TestDescriptorValues:
-    def test_y_value(self):
-        d = RankOneDescriptor(sp1, RankOneKind.Y, sp1.basis_e(0), sp1.basis_f(0))
-        assert maslov_on_descriptor(d) == pytest.approx(-1.0)
-
-    def test_z_value(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        d = RankOneDescriptor(
-            sp2, RankOneKind.Z, rng.standard_normal(4), rng.standard_normal(4)
-        )
-        assert maslov_on_descriptor(d) == 0.0
-
-    def test_isotropic_pair_gives_zero(self):
-        d = RankOneDescriptor(sp2, RankOneKind.Y, sp2.basis_e(0), sp2.basis_e(1))
-        assert maslov_on_descriptor(d) == 0.0
-
-    def test_t_descriptor(self):
-        xi = sp2.basis_e(0)
-        assert maslov_on_descriptor(RankOneDescriptor(sp2, RankOneKind.T, xi, xi)) == 0.0
-        with pytest.raises(ValueError):
-            maslov_on_descriptor(
-                RankOneDescriptor(sp2, RankOneKind.T, xi, sp2.basis_f(0))
-            )
-
-
 class TestSpectral:
     def test_z_generator(self):
         Z = z_element(sp2, sp2.basis_e(0), sp2.basis_f(0))
@@ -186,6 +158,24 @@ class TestSpectral:
             assert spectral(z_element(sp3, xi, eta)) == pytest.approx(
                 0.0, abs=1e-8
             )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_isotropic_y_is_zero_under_auto(self, n):
+        # Y_{e0,e1} on an isotropic pair is nilpotent, so auto takes the limit route
+        space = SymplecticSpace(n)
+        Y = y_element(space, space.basis_e(0), space.basis_e(1))
+        ((value, bar, route),) = maslov_evaluate([Y], MaslovLimitConfig())
+        assert route == "limit"
+        assert abs(value) <= bar + 1e-2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the limit-route bar misses the truth 0 on the isotropic "
+        "Y_{e0,e1} (-1.5698e-3 +- 1.5678e-3 at the default horizon)"))
+    def test_isotropic_y_bar_covers_zero(self):
+        for space in (sp2, sp3):
+            Y = y_element(space, space.basis_e(0), space.basis_e(1))
+            ((value, bar, _),) = maslov_evaluate([Y], MaslovLimitConfig())
+            assert abs(value) <= bar
 
     def test_limit_is_the_oracle(self):
         rng = np.random.Generator(np.random.Philox(7))

@@ -8,7 +8,6 @@ from spqs.cli import main
 from spqs.harness import _gl_inject, embed_gl, unitary_subalgebra_basis
 from spqs.symplectic import (
     CommutingStrategy,
-    RankOneDescriptor,
     RankOneKind,
     SkewSymplecticityError,
     SpElement,
@@ -21,7 +20,6 @@ from spqs.symplectic import (
     random_sp_element,
     random_symplectic_group_element,
     rank_one_matrix,
-    realize,
     rng_from,
     skew_defect,
     standard_complex_structure,
@@ -290,9 +288,8 @@ class TestStackedBuilds:
         Bs = [random_semisimple(space, rng)[0] for _ in range(6)]
         decs = williamson_decompose(classify_eigenstructure(Bs))
         terms = [t for B, dec in zip(Bs, decs) for t in yz_decomposition(B, dec)]
-        for x, (_, desc, M) in zip(SpElement.stack(space, [M for *_, M in terms]), terms):
-            assert _same_bits(M, realize(desc).mat)
-            assert _same_bits(x.mat, realize(desc).mat)
+        for x, (_, _, M) in zip(SpElement.stack(space, [M for *_, M in terms]), terms):
+            assert _same_bits(x.mat, SpElement(space, M).mat)
             assert not x.mat.flags.writeable
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -318,19 +315,30 @@ class TestRankOneOperators:
         np.testing.assert_allclose(Y.mat @ sp1.basis_f(0), sp1.basis_e(0), atol=1e-14)
 
     def test_y_with_zero_second_vector_is_t(self):
+        # Y_{xi,0} = T_{xi,xi} = Z_{xi,xi}/2
         rng = np.random.Generator(np.random.Philox(10))
         xi = rng.standard_normal(4)
         Y = y_element(sp2, xi, np.zeros(4))
-        T = realize(RankOneDescriptor(sp2, RankOneKind.T, xi, xi))
-        np.testing.assert_allclose(Y.mat, T.mat, atol=1e-14)
+        np.testing.assert_allclose(Y.mat, 0.5 * z_element(sp2, xi, xi).mat, atol=1e-14)
 
-    def test_t_plain_matrix_unless_diagonal(self):
-        rng = np.random.Generator(np.random.Philox(11))
-        xi, eta = rng.standard_normal((2, 4))
-        T = realize(RankOneDescriptor(sp2, RankOneKind.T, xi, eta))
-        assert isinstance(T, np.ndarray)
-        Td = realize(RankOneDescriptor(sp2, RankOneKind.T, xi, xi))
-        assert isinstance(Td, SpElement)
+    def test_kind_is_coerced_or_rejected(self):
+        e, f = sp2.basis_e(0), sp2.basis_f(1)
+        for kind, element in (("Y", y_element), ("Z", z_element)):
+            assert _same_bits(rank_one_matrix(sp2, kind, e, f), element(sp2, e, f).mat)
+            assert _same_bits(rank_one_matrix(sp2, RankOneKind(kind), e, f),
+                              element(sp2, e, f).mat)
+        for kind in ("T", "bogus", "y", None):
+            with pytest.raises(ValueError):
+                rank_one_matrix(sp2, kind, e, f)
+
+    @pytest.mark.parametrize("element", [y_element, z_element])
+    def test_vectors_must_match_the_space(self, element):
+        good = sp2.basis_e(0)
+        for bad in (np.ones(3), np.ones(6), np.ones((2, 4)), 1.0):
+            with pytest.raises(ValueError):
+                element(sp2, bad, good)
+            with pytest.raises(ValueError):
+                element(sp2, good, bad)
 
     def test_symmetry_in_arguments(self):
         rng = np.random.Generator(np.random.Philox(12))

@@ -8,11 +8,11 @@ from spqs.symplectic import (
     SymplecticSpace,
     omega_adjoint,
     random_symplectic_group_element,
-    realize,
     y_element,
     z_element,
 )
 from spqs.williamson import (
+    BLOCK_KINDS,
     ClassificationError,
     NonSemisimpleError,
     WilliamsonBlock,
@@ -210,6 +210,18 @@ class TestDecompose:
         assert [b.kind for b in d1.blocks] == [b.kind for b in d2.blocks]
         np.testing.assert_array_equal(d1.S, d2.S)
 
+    def test_random_semisimple_kinds(self):
+        for kind in BLOCK_KINDS:
+            _, blocks = random_semisimple(sp2, 0, kinds=(kind,))
+            assert {b.kind for b in blocks} == {kind}
+        with pytest.raises(ValueError, match="'imaginary'"):
+            random_semisimple(sp2, 0, kinds=("imaginary",))
+        for space in (sp1, sp3):
+            with pytest.raises(ValueError, match="odd n"):
+                random_semisimple(space, 0, kinds=("quad",))
+        _, blocks = random_semisimple(sp3, 0, kinds=("quad", "imag"))
+        assert sum(len(b.planes) for b in blocks) == 3
+
 
 class TestYZDecomposition:
     def test_single_real_block(self):
@@ -219,9 +231,9 @@ class TestYZDecomposition:
         B = SpElement(sp1, D)
         terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 1
-        coef, desc, _ = terms[0]
+        coef, kind, _ = terms[0]
         assert coef == pytest.approx(2.0, abs=1e-9)
-        assert desc.kind.value == "Z"
+        assert kind == "Z"
 
     def test_single_imag_block(self):
         D = WilliamsonDecomposition(
@@ -230,9 +242,9 @@ class TestYZDecomposition:
         B = SpElement(sp1, D)
         terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 1
-        coef, desc, _ = terms[0]
+        coef, kind, _ = terms[0]
         assert coef == pytest.approx(3.0, abs=1e-9)
-        assert desc.kind.value == "Y"
+        assert kind == "Y"
 
     def test_quadruple_four_terms(self):
         blocks = (WilliamsonBlock("quad", 1.0, 1.0, (0, 1)),)
@@ -240,7 +252,7 @@ class TestYZDecomposition:
         B = SpElement(sp2, D)
         terms = yz_decomposition(B, decompose(B))
         assert len(terms) == 4
-        total = sum(c * realize(d).mat for c, d, _ in terms)
+        total = sum(c * M for c, _, M in terms)
         np.testing.assert_allclose(total, D, atol=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -251,7 +263,7 @@ class TestYZDecomposition:
             B, _ = random_semisimple(space, rng)
             terms = yz_decomposition(B, decompose(B))
             total = sum(c * M for c, _, M in terms)
-            assert all(np.array_equal(M, realize(d).mat) for _, d, M in terms)
+            SpElement.stack(space, [M for *_, M in terms])  # every term lies in the algebra
             assert np.abs(total - B.mat).max() <= 1e-6 * max(1, np.abs(B.mat).max())
 
     def test_quasi_state_evaluation_consistency(self):
@@ -263,5 +275,5 @@ class TestYZDecomposition:
             B, _ = random_semisimple(sp3, rng)
             terms = yz_decomposition(B, decompose(B))
             for zeta in states:
-                via = sum(c * zeta(realize(d)) for c, d, _ in terms)
+                via = sum(c * zeta(SpElement(sp3, M)) for c, _, M in terms)
                 assert via == pytest.approx(zeta(B), abs=1e-6)
