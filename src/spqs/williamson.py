@@ -214,41 +214,40 @@ def _require_semisimple(semi_simple: np.ndarray, eigvec_cond: np.ndarray) -> Non
 
 
 def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix of omega between two column families (complex-bilinear)."""
-    return X.T @ (space.omega_matrix @ Y)
+    """Matrix of omega between two column families, or two stacks of them (complex-bilinear)."""
+    return X.swapaxes(-1, -2) @ (space.omega_matrix @ Y)
+
+
+def _krein_pairing(space: SymplecticSpace, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues mu and eigenvectors T of the pairing (i/2) omega(w_j, conj(w_k))
+    of a column family W (2n x k) or of each in a stack; NormalizationError if one is degenerate."""
+    mu, T = np.linalg.eigh(0.5j * _omega_form(space, W, W.conj()))
+    size = abs(mu)
+    if (size <= 1e-10 * size.max(axis=-1, keepdims=True, initial=1.0)).any():
+        raise NormalizationError("degenerate orientation pairing")
+    return mu, T
 
 
 def krein_parameters(spectra: SpectrumStack) -> list[list[float]]:
-    """Each classified element's signed imaginary-pair parameters (one per
-    invariant plane) by ascending |b|: +b when the normalized plane carries the
-    positively oriented block, -b otherwise.  Raises NonSemisimpleError at the
-    first non-semi-simple element.
-
-    One einsum orients every simple imaginary eigenvalue w of the stack by the
-    sign of (i/2) omega(w, conj w); larger clusters use _planes_imag."""
+    """Each classified element's signed imaginary-pair parameters, one per
+    invariant plane, by ascending |b|: each imaginary cluster's planes carry its
+    mean b, signed by the eigenvalues of its _krein_pairing (one call per cluster
+    size in the stack).  Raises NonSemisimpleError at the first non-semi-simple
+    element."""
     if not spectra:
         return []
     _require_semisimple(spectra.semi_simple, spectra.eigvec_cond)
-    Bs = spectra.elements
     order, keys, past, start = [x[_IMAG] for x in spectra.ranked]
-    # a member is simple when it and the next sorted position both start clusters
-    simple = (start[:, :-1] > past) & start[:, 1:]
-    rows, cols = simple.nonzero()
-    out = [[] for _ in Bs]
-    if len(rows):
-        W = spectra.V[rows, :, order[rows, cols]]
-        mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
-        if abs(mu).min() <= 1e-10:  # _krein_planes' bound on a 1 x 1 pairing
-            raise NormalizationError("degenerate orientation pairing")
-        for i, beta in zip(rows.tolist(), np.copysign(keys.real[rows, cols], mu).tolist()):
-            out[i].append(beta)  # +b where mu > 0, else -b
-    if len(rows) + np.count_nonzero(past) < past.size:  # a cluster with several members
-        for i in (~past > simple).any(axis=-1).nonzero()[0].tolist():
-            simple_b = iter(out[i])
-            out[i] = [beta for g in spectra[i]._groups if g.kind == "imag" for beta in (
-                [next(simple_b)] if len(g.indices) == 1
-                else [beta for beta, _, _ in _planes_imag(Bs[i].space, spectra.V[i], g)])]
-    return out
+    rows, cols = (start[:, :-1] > past).nonzero()  # each cluster's first position
+    sizes = (start[:, 1:] > past).nonzero()[1] + 1 - cols  # its last position + 1 - first
+    beta = np.zeros(past.shape)
+    for k in sorted(set(sizes.tolist())):
+        at = sizes == k
+        r, c = rows[at, None], cols[at, None] + np.arange(k)
+        W = spectra.V[r, :, order[r, c]].swapaxes(-1, -2)  # the clusters' eigenvectors
+        mu, _ = _krein_pairing(spectra.elements[0].space, W)
+        beta[r, c] = np.copysign(keys.real[r, c].sum(axis=-1, keepdims=True) / k, mu)
+    return [row[:m] for row, m in zip(beta.tolist(), (~past).sum(axis=-1).tolist())]
 
 
 @dataclass(frozen=True)
@@ -345,21 +344,13 @@ def _planes_real(space, V, g) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _krein_planes(space, W) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """[(sign, e, f)] Darboux planes spanning the columns W, one per eigenvalue
-    of the Hermitian pairing (i/2) omega(w_j, conj(w_k)): its sign orients the
-    plane, and omega(e, f) = 1."""
-    mu, T = np.linalg.eigh(0.5j * _omega_form(space, W, W.conj()))
-    if np.abs(mu).min() <= 1e-10 * max(1.0, np.abs(mu).max()):
-        raise NormalizationError("degenerate orientation pairing")
+    of their _krein_pairing, whose sign orients the plane: omega(e, f) = 1."""
+    mu, T = _krein_pairing(space, W)
     out = []
     for j in range(len(mu)):
         w = (W @ np.conj(T[:, j])) / np.sqrt(abs(mu[j]))
         out.append((1.0, w.real, w.imag) if mu[j] > 0 else (-1.0, w.imag, w.real))
     return out
-
-
-def _planes_imag(space, V, g):
-    """[(beta_signed, e, f)] for one imaginary group, oriented by _krein_planes."""
-    return [(sign * g.b, e, f) for sign, e, f in _krein_planes(space, V[:, list(g.indices)])]
 
 
 def _planes_quad(space, V, g):
@@ -391,7 +382,8 @@ def _group_blocks(space, V, g) -> list[tuple[str, float, float, list]]:
     if g.kind == "real":
         return [("real", g.a, 0.0, [ef]) for ef in _planes_real(space, V, g)]
     if g.kind == "imag":
-        return [("imag", 0.0, beta, [(e, f)]) for beta, e, f in _planes_imag(space, V, g)]
+        planes = _krein_planes(space, V[:, list(g.indices)])
+        return [("imag", 0.0, sign * g.b, [(e, f)]) for sign, e, f in planes]
     if g.kind == "quad":
         return [("quad", g.a, g.b, list(frames)) for frames in _planes_quad(space, V, g)]
     return [("real", 0.0, 0.0, [ef]) for ef in _planes_zero(space, V, g)]

@@ -1,17 +1,19 @@
 """The stacked eigenvalue classification against a per-element reference.
 
-`reference_reports` and `reference_krein` are the per-element classification
+`reference_reports` and `reference_spectral` are the per-element classification
 and orientation that the stacked ones replaced: each element's eigenvalues are
 grouped in a Python loop (`_classify_one`, `_cluster`, `_match_clusters`), and
-each imaginary group is oriented on its own.  The stacked code must give the
-same reports, the same values bit for bit, and the same first failure."""
+each imaginary group is oriented on its own by `reference_orientation`.  The
+stacked code must give the same reports, the same values bit for bit, and the
+same first failure."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spqs.maslov import maslov_spectral
+from mp_oracle import maslov_truth
+from spqs.maslov import MaslovLimitConfig, maslov_evaluate, maslov_spectral
 from spqs.quasistates import nilpotent_jordan_sp
 from spqs.symplectic import (
     SpElement,
@@ -40,10 +42,10 @@ from spqs.williamson import (
     SpectrumStack,
     _check_pairing,
     _EigGroup,
-    _planes_imag,
     _rank,
     classify_eigenstructure,
     eigvec_condition,
+    krein_parameters,
     random_semisimple,
     williamson_decompose,
 )
@@ -130,31 +132,32 @@ def reference_reports(Bs: list[SpElement]) -> tuple[list[SpectrumReport], np.nda
     return [_classify_one(*row) for row in zip(lam, V, cond, semi_simple, scale, kind)], V
 
 
+def reference_orientation(space: SymplecticSpace, W: np.ndarray, b: float) -> list[float]:
+    """+-b for the imaginary group with eigenvector columns W, one per eigenvalue
+    of its Krein Gram matrix (i/2) W^T Omega conj(W) in ascending order: +b where
+    that eigenvalue is positive.  A Gram matrix with min |mu| <= 1e-10 max(1, max
+    |mu|) raises NormalizationError."""
+    mu = np.linalg.eigvalsh(0.5j * (W.T @ space.omega_matrix @ W.conj()))
+    if np.abs(mu).min() <= 1e-10 * max(1.0, np.abs(mu).max()):
+        raise NormalizationError("degenerate orientation pairing")
+    return [b if m > 0 else -b for m in mu.tolist()]
+
+
 def reference_spectral(Bs: list[SpElement]) -> list[float]:
-    """Minus the summed signed imaginary-pair parameters of each element; each
-    simple imaginary eigenvalue is oriented by its own Krein sign."""
+    """Minus the summed signed imaginary-pair parameters of each element, each
+    imaginary group oriented on its own by `reference_orientation`."""
     reports, V = reference_reports(Bs)
     for rep in reports:
         if not rep.semi_simple:
             raise NonSemisimpleError(
                 f"eigenvector condition {rep.eigvec_cond:.3e} exceeds {EIGVEC_COND_MAX:.1e}"
             )
-    imag = [[g for g in rep._groups if g.kind == "imag"] for rep in reports]
-    W = np.array([v[:, g.indices[0]] for v, gs in zip(V, imag) for g in gs if len(g.indices) == 1])
-    positive = iter(())
-    if len(W):
-        mu = (0.5j * np.einsum("si,ij,sj->s", W, Bs[0].space.omega_matrix, W.conj())).real
-        if (np.abs(mu) <= 1e-10).any():
-            raise NormalizationError("degenerate orientation pairing")
-        positive = iter(mu > 0)
-    out = [[] for _ in Bs]
-    for b, v, gs, betas in zip(Bs, V, imag, out):
-        for g in gs:
-            if len(g.indices) == 1:
-                betas.append(g.b if next(positive) else -g.b)
-            else:
-                betas += [beta for beta, _, _ in _planes_imag(b.space, v, g)]
-    return [-float(sum(b)) + 0.0 for b in out]
+    out = []
+    for B, rep, v in zip(Bs, reports, V):
+        betas = [beta for g in rep._groups if g.kind == "imag"
+                 for beta in reference_orientation(B.space, v[:, list(g.indices)], g.b)]
+        out.append(-float(sum(betas)) + 0.0)
+    return out
 
 
 def outcome(f, *args):
@@ -331,13 +334,20 @@ class TestStackedClassification:
             assert bits(spectral(alone)) == bits(reference_spectral(alone))
 
     def test_every_recipe_classifies_at_every_n(self):
-        # each recipe gives an element the reference accepts or refuses alike
+        # each recipe gives an element the reference accepts or refuses alike,
+        # and the same spectral value bits or failure, alone and in one stack
+        bits = lambda vs: [v.hex() for v in vs] if isinstance(vs, list) else vs  # noqa: E731
+        spectral = lambda Bs: maslov_spectral(classify_eigenstructure(Bs))  # noqa: E731
         for n in (1, 2, 3, 4):
             space = SymplecticSpace(n)
             Bs = [element(space, recipe, 7) for recipe in RECIPES]
             for B in Bs:
                 assert outcome(lambda: public(classify_eigenstructure([B])[0])) == outcome(
                     lambda: public(reference_reports([B])[0][0]))
+                assert bits(outcome(spectral, [B])) == bits(outcome(reference_spectral, [B]))
+            assert bits(outcome(spectral, Bs)) == bits(outcome(reference_spectral, Bs))
+            alone = [B for B in Bs if not isinstance(outcome(reference_spectral, [B]), tuple)]
+            assert bits(spectral(alone)) == bits(reference_spectral(alone))
 
 
 class TestStackedDecomposition:
@@ -373,6 +383,23 @@ class TestStackedDecomposition:
             Bs = accepted[:mid] + [frame] + accepted[mid:] + [nilpotent]
             assert outcome(lambda: williamson_decompose(classify_eigenstructure(Bs))) == err
 
+    def test_the_value_and_the_frame_read_one_orientation(self):
+        # each decomposed element's signed parameters are its imaginary blocks' b
+        decomposed = 0
+        for n in (1, 2, 3, 4):
+            space = SymplecticSpace(n)
+            for B in (element(space, recipe, seed) for recipe in RECIPES for seed in (7, 8)):
+                try:
+                    spectra = classify_eigenstructure([B])
+                    (dec,) = williamson_decompose(spectra)
+                except (ClassificationError, NonSemisimpleError, NormalizationError):
+                    continue
+                decomposed += 1
+                imag = [blk.b for blk in dec.blocks if blk.kind == "imag"]
+                assert [b.hex() for b in sorted(krein_parameters(spectra)[0])] == [
+                    b.hex() for b in sorted(imag)]
+        assert decomposed == 84
+
 
 class TestNearBandDecomposition:
     """Blocks whose small parameter lies near the axis band.  Half the band
@@ -401,3 +428,16 @@ class TestNearBandDecomposition:
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 0), (4, 1)])
     def test_outside_the_band_decomposes(self, n, seed):
         williamson_decompose(classify_eigenstructure([near_band(SymplecticSpace(n), seed, 2.0)]))
+
+
+class TestHighPrecisionTruth:
+    """Clustered imaginary spectra against the 50-digit truth of mp_oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_clustered_values_lie_within_their_bar(self, n):
+        space = SymplecticSpace(n)
+        Bs = [element(space, recipe, 7) for recipe in ("krein", "imag-repeat", "quad-repeat",
+                                                        "inside")]
+        for B, (value, bar, route) in zip(Bs, maslov_evaluate(Bs, MaslovLimitConfig())):
+            assert route == "spectral"
+            assert abs(value - maslov_truth(B)) <= bar

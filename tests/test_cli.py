@@ -465,7 +465,8 @@ class TestVerify:
         assert reports("fresh-parts") == stacked
 
     def test_reports_match_the_recorded_hashes(self, tmp_path, capsys):
-        """The seed-0 `--suite all --n 3` reports hash as recorded in
+        """The seed-0 `--suite all` reports at n = 3 in both formats, and the
+        structured-text one at n = 4, hash as recorded in
         BENCH_one_classification.json.  The hashes hold with numpy 2.4.6 on
         scipy-openblas (the ROADMAP baseline); another BLAS or numpy may round
         the eigensolves differently."""
@@ -473,14 +474,16 @@ class TestVerify:
                              "BENCH_one_classification.json")
         with open(bench) as fh:
             recorded = json.load(fh)["report_sha256"]
-        for fmt in ("structured-text", "comma-separated"):
-            out = str(tmp_path / f"r.{fmt}")
-            code, _, _ = run_cli(["verify", "--suite", "all", "--n", "3", "--seed", "0",
+        for fmt, n, key in (("structured-text", "3", "structured-text seed 0"),
+                            ("comma-separated", "3", "comma-separated seed 0"),
+                            ("structured-text", "4", "structured-text n4 seed 0")):
+            out = str(tmp_path / f"r{n}.{fmt}")
+            code, _, _ = run_cli(["verify", "--suite", "all", "--n", n, "--seed", "0",
                                   "--format", fmt, "--out", out], capsys)
             assert code == 0
             with open(out, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            assert digest == recorded[f"{fmt} seed 0"]["change"], fmt
+            assert digest == recorded[key]["change"], key
 
     def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         import spqs.harness

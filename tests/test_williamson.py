@@ -15,8 +15,10 @@ from spqs.williamson import (
     BLOCK_KINDS,
     ClassificationError,
     NonSemisimpleError,
+    NormalizationError,
     WilliamsonBlock,
     WilliamsonDecomposition,
+    _krein_pairing,
     classify_eigenstructure,
     random_semisimple,
     williamson_decompose,
@@ -166,6 +168,21 @@ class TestDecompose:
             assert dec.blocks[0].b == pytest.approx(sign * 2.0, abs=1e-10)
             est = maslov_limit(B, MaslovLimitConfig(t_max=400.0))
             assert abs(est.value - (-sign * 2.0)) <= est.error_bar + 1e-3
+
+    def test_krein_pairing_refuses_degenerate_families(self):
+        # w = e_p + i f_p has pairing (i/2) omega(w, conj w) = 1; a real column has 0
+        w0, w1 = (sp2.basis_e(p) + 1j * sp2.basis_f(p) for p in (0, 1))
+        mu, _ = _krein_pairing(sp2, np.stack([w0, w1], axis=1))
+        np.testing.assert_allclose(mu, [1.0, 1.0])
+        mu, _ = _krein_pairing(sp2, np.stack([w0[:, None], w0.conj()[:, None]]))  # a stack
+        np.testing.assert_allclose(mu, [[1.0], [-1.0]])
+        # min |mu| <= 1e-10 max(1, max |mu|) is degenerate, in any family of a stack
+        accepted = np.stack([w0, 1e-4 * w1], axis=1)  # mu = 1e-8, 1
+        _krein_pairing(sp2, accepted)
+        for W in (sp2.basis_e(0)[:, None], np.stack([1e6 * w0, 1e-2 * w1], axis=1),
+                  np.stack([accepted, np.stack([w0, sp2.basis_f(1)], axis=1)])):
+            with pytest.raises(NormalizationError, match="^degenerate orientation pairing$"):
+                _krein_pairing(sp2, W)
 
     def test_non_semisimple_rejected(self):
         with pytest.raises(NonSemisimpleError):
