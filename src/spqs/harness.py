@@ -11,17 +11,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .maslov import maslov_spectral
-from .quasistates import QuasiState
+from .quasistates import QuasiState, linear_qs
 from .symplectic import (
     CommutingStrategy,
     CompatibleComplexStructure,
     SamplingError,
     SpElement,
     SymplecticSpace,
-    commuting_pair,
+    commuting_pairs,
+    draw_commuting_pair,
+    group_elements,
     omega,
     omega_adjoint,
-    random_sp_element,
     random_symplectic_group_element,
     rank_one_matrix,
     rng_from,
@@ -107,19 +108,19 @@ def check_quasi_linearity(
     seed: int,
     base: Optional[SpElement] = None,
 ) -> list[VerificationReport]:
-    """Draw certified commuting pairs and random scalars in [-2, 2] once; for
-    each (zeta, tol) in `states` the defect |zeta(c1 A + c2 B) - c1 zeta(A) -
+    """Draw each trial's commuting pair and random scalars in [-2, 2] in order,
+    then build the certified pairs as one stack (`commuting_pairs`); for each
+    (zeta, tol) in `states` the defect |zeta(c1 A + c2 B) - c1 zeta(A) -
     c2 zeta(B)| must stay within QLIN_BAR_MULTIPLIER times the summed
     per-evaluation error bars, plus tol.  One report per state, in order.
 
     `base` pins the odd-polynomial strategy to one element (useful for states
     supported on a particular abelian subspace)."""
     rng = rng_from(seed)
-
-    draws = [
-        (commuting_pair(space, strategy, rng, base=base), *rng.uniform(-2.0, 2.0, 2))
-        for _ in range(trials)
-    ]
+    picks = [(draw_commuting_pair(space, strategy, rng, base), *rng.uniform(-2.0, 2.0, 2))
+             for _ in range(trials)]
+    pairs = commuting_pairs(space, [pair_draw for pair_draw, _, _ in picks])
+    draws = [(p, c1, c2) for p, (_, c1, c2) in zip(pairs, picks)]
     combos = SpElement.stack(space, [c1 * p.a.mat + c2 * p.b.mat for p, c1, c2 in draws])
     xs = [x for (p, _, _), ab in zip(draws, combos) for x in (p.a, p.b, ab)]
 
@@ -154,14 +155,16 @@ def check_ad_invariance(
     seed: int,
 ) -> VerificationReport:
     """|zeta(g A g^{-1}) - zeta(A)| over random symplectic g and random A,
-    within ADINV_BAR_MULTIPLIER summed error bars plus tol."""
-    rng = rng_from(seed)
-    draws = [
-        (random_sp_element(space, 1.0, rng), random_symplectic_group_element(space, 0.6, rng))
-        for _ in range(trials)
-    ]
-    conjugates = [g @ A.mat @ omega_adjoint(g) for A, g in draws]
-    xs = zip((A for A, _ in draws), SpElement.stack(space, skew_part(np.array(conjugates))))
+    within ADINV_BAR_MULTIPLIER summed error bars plus tol.  Draws A at scale 1,
+    then g at scale 0.6, trial by trial (in one draw), then builds them as one stack."""
+    G = rng_from(seed).standard_normal((max(trials, 0), 2, space.dim, space.dim))
+    gs, errors = group_elements(space, 0.6 * G[:, 1])
+    error = next(filter(None, errors), None)
+    if error:  # each A is skew-symplectic bit for bit, so only a g can fail
+        raise error
+    As = skew_part(G[:, 0])
+    conjugates = skew_part(gs @ As @ omega_adjoint(gs))
+    xs = zip(SpElement.stack(space, As), SpElement.stack(space, conjugates))
     evals = iter(zeta.batch([x for pair in xs for x in pair]))
     results = [
         {"defect": abs(vc - va), "allowance": ADINV_BAR_MULTIPLIER * (ea + ec)}
@@ -239,22 +242,14 @@ def fit_gleason_on_unitary(
         sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis))
         for _ in range(GLEASON_TEST_SAMPLES)
     ])
-    errs = []
-    oracle_dev = 0.0
-    records = []
-    for t, (A, actual) in enumerate(zip(tests, _values(zeta, tests))):
-        pred = float(np.trace(H @ A.mat))
-        errs.append(actual - pred)
-        rec = {"trial": t, "actual": actual, "predicted": pred}
-        if oracle is not None:
-            dev = abs(actual - oracle(A))
-            oracle_dev = max(oracle_dev, dev)
-            rec["oracle_dev"] = dev
-        records.append(rec)
-    residual = float(np.sqrt(np.mean(np.square(errs))))
+    values = zip(_values(zeta, tests), _values(linear_qs(H), tests))
+    records = [{"trial": t, "actual": a, "predicted": p} for t, (a, p) in enumerate(values)]
+    residual = float(np.sqrt(np.mean(np.square([r["actual"] - r["predicted"] for r in records]))))
     params = {"H": H, "basis_dimension": len(basis)}
     if oracle is not None:
-        params["oracle_max_dev"] = oracle_dev
+        for r, A in zip(records, tests):
+            r["oracle_dev"] = abs(r["actual"] - oracle(A))
+        params["oracle_max_dev"] = max([0.0] + [r["oracle_dev"] for r in records])
     return _report(
         f"gleason-fit[{zeta.provenance}]", len(records), residual, tol, seed, params, records
     )
@@ -503,12 +498,8 @@ def frobenius_pseudo_state(space: SymplecticSpace) -> QuasiState:
     are even, zeta(-A) != -zeta(A)) and through genuinely non-proportional
     commuting pairs for n >= 2.
     """
-    return QuasiState(
-        evaluate=lambda x: float(np.linalg.norm(x.mat)),
-        continuous=True,
-        provenance="negative-control",
-        evaluate_with_error=lambda x: (float(np.linalg.norm(x.mat)), 1e-12),
-    )
+    return QuasiState.from_batch(lambda xs, memo=None: [(float(np.linalg.norm(x.mat)), 1e-12)
+                                                        for x in xs], True, "negative-control")
 
 
 def maslov_imtrace_oracle(space: SymplecticSpace) -> Callable[[SpElement], float]:

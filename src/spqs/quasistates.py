@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .maslov import MaslovLimitConfig, maslov_evaluate
-from .symplectic import SpElement, SymplecticSpace, rng_from, skew_defect
+from .symplectic import SpElement, SymplecticSpace, frobenius_norms, rng_from, skew_defect
 
 MEMBERSHIP_RTOL = 1e-8    # relative residual for odd-power subspace membership
 GRAM_COND_MAX = 1e12
@@ -34,6 +34,12 @@ class QuasiState:
     source: object = field(default=None, repr=False)
     evaluate_batch: Callable[[list[SpElement], dict], list] | None = field(default=None, repr=False)
 
+    @classmethod
+    def from_batch(cls, batch, continuous: bool, provenance: str, source=None) -> QuasiState:
+        """The state of an evaluate_batch, which also takes single elements as lists of one."""
+        return cls(lambda x: batch([x])[0][0], continuous, provenance,
+                   lambda x: batch([x])[0], source, batch)
+
     def __call__(self, x: SpElement) -> float:
         return self.evaluate(x)
 
@@ -54,16 +60,12 @@ def linear_qs(N: np.ndarray) -> QuasiState:
     if N.ndim != 2 or N.shape[0] != N.shape[1]:
         raise ValueError("N must be a square matrix")
 
-    def ev(x: SpElement) -> float:
-        return float(np.trace(N @ x.mat))
+    def batch(xs: list[SpElement], memo: dict | None = None) -> list[tuple[float, float]]:
+        A = np.array([x.mat for x in xs]).reshape(len(xs), *N.shape)
+        bars = [1e-14 * (1.0 + r) for r in frobenius_norms(A)]
+        return list(zip(np.trace(N @ A, axis1=1, axis2=2).tolist(), bars))
 
-    return QuasiState(
-        evaluate=ev,
-        continuous=True,
-        provenance="linear",
-        evaluate_with_error=lambda x: (ev(x), 1e-14 * (1.0 + x.norm())),
-        source=N,
-    )
+    return QuasiState.from_batch(batch, True, "linear", N)
 
 
 def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig()) -> QuasiState:
@@ -73,14 +75,7 @@ def maslov_qs(cfg: MaslovLimitConfig = MaslovLimitConfig()) -> QuasiState:
     def batch(xs: list[SpElement], memo: dict | None = None) -> list[tuple[float, float]]:
         return [r[:2] for r in maslov_evaluate(xs, cfg)]
 
-    return QuasiState(
-        evaluate=lambda x: batch([x])[0][0],
-        continuous=True,
-        provenance="maslov",
-        evaluate_with_error=lambda x: batch([x])[0],
-        source=cfg,
-        evaluate_batch=batch,
-    )
+    return QuasiState.from_batch(batch, True, "maslov", cfg)
 
 
 def dim2_homogeneous_qs(
@@ -109,13 +104,8 @@ def dim2_homogeneous_qs(
             return 0.0
         return float(nrm * f(x.mat / nrm))
 
-    return QuasiState(
-        evaluate=ev,
-        continuous=True,
-        provenance="dim2-homogeneous",
-        evaluate_with_error=lambda x: (ev(x), 1e-10),
-        source=f,
-    )
+    return QuasiState.from_batch(lambda xs, memo=None: [(ev(x), 1e-10) for x in xs], True,
+                                 "dim2-homogeneous", f)
 
 
 def nilpotent_jordan_sp(space: SymplecticSpace) -> SpElement:
@@ -206,13 +196,12 @@ def discontinuous_qs(A: SpElement, c: float) -> QuasiState:
     bound = abs(c) * float(np.linalg.norm(np.linalg.pinv(powers.T)[0]))
 
     dq = DiscontinuousQS(A=A, c=float(c), powers=powers, bound_constant=bound)
-    return QuasiState(
-        evaluate=dq.evaluate,
-        continuous=False,
-        provenance="discontinuous",
-        evaluate_with_error=lambda x: (dq.evaluate(x), 1e-12 * (1.0 + x.norm())),
-        source=dq,
-    )
+
+    def batch(xs: list[SpElement], memo: dict | None = None) -> list[tuple[float, float]]:
+        bars = [1e-12 * (1.0 + r) for r in frobenius_norms([x.mat for x in xs])]
+        return list(zip([dq.evaluate(x) for x in xs], bars))
+
+    return QuasiState.from_batch(batch, False, "discontinuous", dq)
 
 
 def linear_combination(parts: list[tuple[float, QuasiState]]) -> QuasiState:
@@ -228,11 +217,5 @@ def linear_combination(parts: list[tuple[float, QuasiState]]) -> QuasiState:
             sums = [(t + coef * v, e + abs(coef) * b) for (t, e), (v, b) in zip(sums, vals)]
         return sums
 
-    return QuasiState(
-        evaluate=lambda x: batch([x])[0][0],
-        continuous=all(q.continuous for _, q in parts),
-        provenance="composite",
-        evaluate_with_error=lambda x: batch([x])[0],
-        source=tuple(parts),
-        evaluate_batch=batch,
-    )
+    return QuasiState.from_batch(batch, all(q.continuous for _, q in parts), "composite",
+                                 tuple(parts))

@@ -9,6 +9,7 @@ ordering.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -122,6 +123,20 @@ def skew_defect(A: np.ndarray) -> float:
     return float(np.abs(A + omega_adjoint(A)).max() / (1.0 + np.abs(A).max()))
 
 
+@np.errstate(over="ignore")
+def frobenius_norms(A) -> list[float]:
+    """Frobenius norm of each matrix of the stack A, bit for bit that of np.linalg.norm on
+    the matrix alone; where its squares overflow, it is first scaled by 2^-e (exact)."""
+    A = np.asarray(A, dtype=float)
+    F = A.reshape(len(A), math.prod(A.shape[1:]))
+    r = np.sqrt((F[:, None, :] @ F[:, :, None])[:, 0, 0]).tolist()
+    if math.inf in r:
+        for i in np.flatnonzero(np.isinf(r)).tolist():
+            e = np.frexp(np.abs(F[i]).max())[1]
+            r[i] = float(np.ldexp(np.linalg.norm(np.ldexp(F[i], -e)), e))
+    return r
+
+
 def _check_members(space: SymplecticSpace, A: np.ndarray) -> None:
     """Raise the error of the first matrix of the (m, 2n, 2n) stack A outside the
     algebra: a shape mismatch, non-finite entries, or a skew defect above SKEW_TOL."""
@@ -188,15 +203,8 @@ class SpElement:
 
     @np.errstate(over="ignore")
     def norm(self) -> float:
-        r = float(np.linalg.norm(self.mat))
-        if r == np.inf:  # the squares overflowed: scale by 2^-e first, which is exact
-            e = np.frexp(np.abs(self.mat).max())[1]
-            r = float(np.ldexp(np.linalg.norm(np.ldexp(self.mat, -e)), e))
-        return r
-
-    def commutator_norm(self, other: "SpElement") -> float:
-        M, N = self.mat, other.mat
-        return float(np.abs(M @ N - N @ M).max())
+        r = float(np.linalg.norm(self.mat))  # bit for bit its row of frobenius_norms
+        return r if r != np.inf else frobenius_norms(self.mat[None])[0]
 
 
 def project_skew_symplectic(space: SymplecticSpace, A: np.ndarray) -> SpElement:
@@ -297,18 +305,25 @@ def _random_gaussian(space: SymplecticSpace, scale: float, seed: SeedLike) -> np
 def random_symplectic_group_element(
     space: SymplecticSpace, scale: float, seed: SeedLike
 ) -> np.ndarray:
-    """exp(random_sp_element(space, scale, seed).mat), checked against GROUP_DEFECT_TOL."""
+    """exp(random_sp_element(space, scale, seed).mat), checked by `group_elements`."""
+    (g,), (error,) = group_elements(space, _random_gaussian(space, scale, seed)[None])
+    if error:
+        raise error
+    return g
+
+
+def group_elements(space: SymplecticSpace, X: np.ndarray) -> tuple[np.ndarray, list]:
+    """exp of the skew part of each matrix of the stack X, and for each the
+    SymplecticDefectError of a group defect above GROUP_DEFECT_TOL, or None."""
     from scipy.linalg import expm
 
-    g = expm(skew_part(_random_gaussian(space, scale, seed)))
+    g = expm(skew_part(X))
     O = space.omega_matrix
-    defect = np.abs(g.T @ O @ g - O).max()
-    if defect > GROUP_DEFECT_TOL * max(1.0, np.abs(g).max() ** 2):
-        raise SymplecticDefectError(
-            f"symplectic defect {defect:.3e} exceeds tolerance; "
-            "the exponential lost accuracy (reduce scale)"
-        )
-    return g
+    defect = np.abs(g.swapaxes(1, 2) @ O @ g - O).max(axis=(1, 2))
+    tol = GROUP_DEFECT_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)) ** 2)
+    return g, [SymplecticDefectError(f"symplectic defect {e:.3e} exceeds tolerance; the "
+                                     "exponential lost accuracy (reduce scale)") if e > t else None
+               for e, t in zip(defect.tolist(), tol.tolist())]
 
 
 @functools.cache
@@ -335,59 +350,69 @@ class CommutingPair:
     commutator_norm: float
 
 
-def _odd_polynomial_value(A: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] A^{2k+1}; odd powers stay inside the algebra."""
-    A2 = A @ A
-    out = coeffs[0] * A
-    power = A
-    for c in coeffs[1:]:
-        power = power @ A2
-        out = out + c * power
-    return out
+def commuting_pair(space: SymplecticSpace, strategy: CommutingStrategy | str, seed: SeedLike,
+                   base: SpElement | None = None) -> CommutingPair:
+    """Draw a certified commuting pair: `commuting_pairs` of one `draw_commuting_pair`."""
+    return commuting_pairs(space, [draw_commuting_pair(space, strategy, rng_from(seed), base)])[0]
 
 
-def commuting_pair(
-    space: SymplecticSpace,
-    strategy: CommutingStrategy | str,
-    seed: SeedLike,
-    base: "SpElement | None" = None,
-) -> CommutingPair:
-    """Draw a certified commuting pair.
+def draw_commuting_pair(space: SymplecticSpace, strategy: CommutingStrategy | str,
+                        rng: np.random.Generator, base: SpElement | None = None) -> tuple:
+    """The random numbers of one commuting pair, read from rng: (strategy, X, ca, cb, kinds).
 
-    common-frame: two block-diagonal combinations in a shared random symplectic
-    frame, one generator kind (Y or Z) per Darboux plane, so same-plane terms
-    are proportional and cross-plane terms have disjoint support.
-
-    odd-polynomial: p(A), q(A) for random odd polynomials of one element
-    (`base` when given, a random draw otherwise); odd powers of a
-    skew-symplectic matrix remain skew-symplectic.
-    """
+    common-frame: combinations ca and cb of one generator kind (Y or Z, by kinds) per
+    Darboux plane in the random symplectic frame exp(X), so same-plane terms are
+    proportional and cross-plane terms have disjoint support.  odd-polynomial: odd
+    polynomials with coefficients ca and cb of X, which is `base` when given and a
+    random draw otherwise.  Only the odd-polynomial strategy takes a base."""
     strategy = CommutingStrategy(strategy)
-    rng = rng_from(seed)
     n = space.n
-
     if strategy is CommutingStrategy.ODD_POLYNOMIAL:
-        A = base if base is not None else random_sp_element(space, 0.5, rng)
-        deg = max(1, min(n, 3))
-        ca = rng.uniform(-1.0, 1.0, deg)
-        cb = rng.uniform(-1.0, 1.0, deg)
-        mats = [_odd_polynomial_value(A.mat, c) for c in (ca, cb)]  # in the algebra in theory
-    else:
-        kinds = rng.integers(0, 2, size=n)  # 0 -> Z, 1 -> Y per plane
-        ca = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
-        cb = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
-        D = np.zeros((2, space.dim, space.dim))  # the two block-diagonal combinations
-        for k, blk in enumerate(_plane_blocks(n)[kinds, range(n)]):
-            D += np.multiply.outer((ca[k], cb[k]), blk)
-        g = random_symplectic_group_element(space, 0.5, rng)
-        ginv = omega_adjoint(g)
-        mats = [g @ Dk @ ginv for Dk in D]
-    pa, pb = SpElement.stack(space, skew_part(np.array(mats)))  # the projection scrubs roundoff
+        X = base.mat if base is not None else random_sp_element(space, 0.5, rng).mat
+        ca = rng.uniform(-1.0, 1.0, max(1, min(n, 3)))
+        return strategy, X, ca, rng.uniform(-1.0, 1.0, len(ca)), None
+    if base is not None:
+        raise ValueError("the common-frame strategy takes no base element")
+    kinds = rng.integers(0, 2, size=n)  # 0 -> Z, 1 -> Y per plane
+    ca = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
+    cb = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
+    return strategy, _random_gaussian(space, 0.5, rng), ca, cb, kinds
 
-    cnorm = pa.commutator_norm(pb)
-    bound = COMMUTATOR_TOL * (1.0 + pa.norm()) * (1.0 + pb.norm())
-    if cnorm > bound:
+
+def commuting_pairs(space: SymplecticSpace, draws: list) -> list[CommutingPair]:
+    """The certified pairs of draws of one strategy (`draw_commuting_pair`), built as
+    one stack: one expm of the frames, one g D g^omega, one membership check and
+    one commutator bound.  A failing draw raises the error that building the
+    draws one at a time, in order, raises first."""
+    if not draws:
+        return []
+    strategy, m, n = draws[0][0], len(draws), space.n
+    X, ca, cb, kinds = (np.array(v) for v in list(zip(*draws))[1:])
+    C = np.array([ca, cb]).transpose(2, 1, 0)[..., None, None]  # C[k]: the k-th coefficients
+    if strategy is CommutingStrategy.ODD_POLYNOMIAL:
+        X, errors = X[:, None], [None] * m  # odd powers stay in the algebra in theory
+        mats, power, X2 = C[0] * X, X, X @ X  # sum_k C[k] X^(2k+1)
+        for c in C[1:]:
+            power = power @ X2
+            mats = mats + c * power
+    else:
+        mats = np.zeros((m, 2, space.dim, space.dim))  # the two block-diagonal combinations
+        for c, blk in zip(C, np.moveaxis(_plane_blocks(n)[kinds, range(n)], 1, 0)):
+            mats += c * blk[:, None]
+        g, errors = group_elements(space, X)
+        mats = g[:, None] @ mats @ omega_adjoint(g)[:, None]
+    mats = skew_part(mats)  # the projection scrubs roundoff
+    norms = np.reshape(frobenius_norms(mats.reshape(2 * m, -1)), (m, 2))
+    cnorm = np.abs(mats[:, 0] @ mats[:, 1] - mats[:, 1] @ mats[:, 0]).max(axis=(1, 2))
+    bound = COMMUTATOR_TOL * (1.0 + norms[:, 0]) * (1.0 + norms[:, 1])
+    k = next((t for t in range(m) if errors[t] or cnorm[t] > bound[t]), m)
+    elements = SpElement.stack(space, mats[:k].reshape(-1, *mats.shape[2:]))  # the draws before k
+    if k < m:
+        if errors[k]:
+            raise errors[k]
+        SpElement.stack(space, mats[k])  # a draw's membership comes before its bound
         raise SamplingError(
-            f"commutator defect {cnorm:.3e} exceeds certificate bound {bound:.3e}"
+            f"commutator defect {cnorm[k]:.3e} exceeds certificate bound {bound[k]:.3e}"
         )
-    return CommutingPair(pa, pb, strategy, cnorm)
+    return [CommutingPair(a, b, strategy, c)
+            for a, b, c in zip(elements[::2], elements[1::2], cnorm.tolist())]

@@ -485,6 +485,29 @@ class TestVerify:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             assert digest == recorded[key]["change"], key
 
+    def test_more_seeds_match_the_recorded_hashes(self, tmp_path, capsys):
+        """The structured-text `--suite all --n 3` reports of seeds 1-3, and the
+        seed-0 report with `--negative-control` (which exits 1), hash as the
+        parent of the stacked commuting pairs wrote them, recorded in
+        BENCH_stacked_pairs.json.  They pin the order of the random draws past
+        seed 0, on the same numpy and BLAS as the test above."""
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "BENCH_stacked_pairs.json")
+        with open(bench) as fh:
+            recorded = json.load(fh)["report_sha256"]
+        for key, extra, exit_code in (("structured-text seed 1", ["--seed", "1"], 0),
+                                      ("structured-text seed 2", ["--seed", "2"], 0),
+                                      ("structured-text seed 3", ["--seed", "3"], 0),
+                                      ("structured-text negctl seed 0",
+                                       ["--seed", "0", "--negative-control"], 1)):
+            out = str(tmp_path / "r.txt")
+            code, _, _ = run_cli(["verify", "--suite", "all", "--n", "3", "--out", out, *extra],
+                                 capsys)
+            assert code == exit_code, key
+            with open(out, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert digest == recorded[key]["parent"], key
+
     def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         import spqs.harness
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import spqs.symplectic
 from spqs import harness
 from spqs.harness import (
     VerificationReport,
@@ -21,6 +22,7 @@ from spqs.harness import (
 )
 from spqs.maslov import maslov_dim2
 from spqs.quasistates import (
+    QuasiState,
     dim2_homogeneous_qs,
     discontinuous_qs,
     linear_combination,
@@ -30,10 +32,15 @@ from spqs.quasistates import (
 )
 from spqs.report import report_to_text
 from spqs.symplectic import (
+    SymplecticDefectError,
     SymplecticSpace,
+    commuting_pair,
     omega,
+    omega_adjoint,
     random_sp_element,
+    random_symplectic_group_element,
     rng_from,
+    skew_part,
     standard_complex_structure,
     z_element,
 )
@@ -110,6 +117,65 @@ class TestQuasiLinearity:
         assert control(A) != pytest.approx(-control(A))
         (r,) = check_quasi_linearity([(control, 1e-6)], sp1, "common-frame", 25, 5)
         assert not r.passed
+
+
+class TestStackedDraws:
+    """The checkers draw every trial in order, then build the elements as stacks."""
+
+    @staticmethod
+    def _probe(seen):
+        return QuasiState.from_batch(
+            lambda xs, memo=None: seen.extend(xs) or [(0.0, 0.0)] * len(xs), True, "probe")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_conjugates_match_the_per_trial_build(self, n):
+        space, seen = SymplecticSpace(n), []
+        check_ad_invariance(self._probe(seen), space, 7, 0.0, 150 + n)
+        rng = rng_from(150 + n)
+        for A, conj in zip(seen[::2], seen[1::2]):
+            A1 = random_sp_element(space, 1.0, rng)
+            g = random_symplectic_group_element(space, 0.6, rng)
+            assert A.mat.tobytes() == A1.mat.tobytes()
+            assert conj.mat.tobytes() == skew_part(g @ A1.mat @ omega_adjoint(g)).tobytes()
+
+    @pytest.mark.parametrize("strategy", ["common-frame", "odd-polynomial"])
+    def test_pairs_and_combinations_match_the_per_trial_draws(self, strategy):
+        seen = []
+        check_quasi_linearity([(self._probe(seen), 0.0)], sp3, strategy, 6, 160)
+        rng = rng_from(160)
+        for a, b, ab in zip(seen[::3], seen[1::3], seen[2::3]):
+            pair = commuting_pair(sp3, strategy, rng)
+            c1, c2 = rng.uniform(-2.0, 2.0, 2)
+            assert a.mat.tobytes() == pair.a.mat.tobytes()
+            assert b.mat.tobytes() == pair.b.mat.tobytes()
+            assert ab.mat.tobytes() == (c1 * pair.a.mat + c2 * pair.b.mat).tobytes()
+
+    def test_group_defect_fails_where_the_per_trial_loop_fails(self, monkeypatch):
+        monkeypatch.setattr(spqs.symplectic, "GROUP_DEFECT_TOL", 1e-17)
+
+        def per_trial():
+            rng = rng_from(170)
+            for _ in range(20):
+                random_sp_element(sp3, 1.0, rng)
+                random_symplectic_group_element(sp3, 0.6, rng)
+
+        with pytest.raises(SymplecticDefectError) as expected:
+            per_trial()
+        with pytest.raises(SymplecticDefectError) as stacked:
+            check_ad_invariance(MQ, sp3, 20, 0.0, 170)
+        assert str(stacked.value) == str(expected.value)
+
+    def test_no_trials(self):
+        for strategy in ("common-frame", "odd-polynomial"):
+            with pytest.raises(ValueError, match="need at least one trial"):
+                check_quasi_linearity([(MQ, 0.0)], sp2, strategy, 0, 1)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            check_ad_invariance(MQ, sp2, 0, 0.0, 1)
+
+    def test_common_frame_refuses_a_base(self):
+        with pytest.raises(ValueError, match="common-frame strategy takes no base"):
+            check_quasi_linearity([(MQ, 0.0)], sp2, "common-frame", 5, 1,
+                                  base=random_sp_element(sp2, 0.5, 1))
 
 
 class TestAdInvariance:

@@ -229,6 +229,10 @@ class TestStackedEvaluation:
         els = self.mixed_stack()
         stacked = maslov_evaluate(els, SHORT)
         assert stacked == [maslov_evaluate([B], SHORT)[0] for B in els]
+        # each spectral bar is 1e-8 (1 + |B|_F)
+        assert [bar for _, bar, route in stacked if route == "spectral"] == [
+            1e-8 * (1.0 + float(np.linalg.norm(B.mat)))
+            for B, (*_, route) in zip(els, stacked) if route == "spectral"]
         # the collision is one cluster of two opposite planes (value 0)
         ((_, mult),) = classify_eigenstructure([els[self.COLLISION]])[0].imag_pairs
         assert mult == 2

@@ -46,6 +46,38 @@ class TestLinear:
         assert zeta(A + B) == pytest.approx(zeta(A) + zeta(B), abs=1e-10)
 
 
+class TestStackedBatches:
+    """Values and bars of a batch, bit for bit those of each element alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_linear_batch(self, n):
+        space = SymplecticSpace(n)
+        rng = np.random.Generator(np.random.Philox(30 + n))
+        N = rng.standard_normal((space.dim, space.dim))
+        xs = SpElement.stack(space, [random_sp_element(space, s, rng).mat
+                                     for s in np.logspace(-3, 3, 200)])
+        zeta = linear_qs(N)
+        expected = [(float(np.trace(N @ x.mat)), 1e-14 * (1.0 + float(np.linalg.norm(x.mat))))
+                    for x in xs]
+        assert zeta.batch(xs) == expected
+        assert [zeta.evaluate_with_error(x) for x in xs[:5]] == expected[:5]
+        assert [zeta(x) for x in xs[:5]] == [v for v, _ in expected[:5]]
+        assert zeta.batch([]) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_discontinuous_batch(self, n):
+        space = SymplecticSpace(n)
+        A = nilpotent_jordan_sp(space)
+        zeta = discontinuous_qs(A, 1.5)
+        rng = np.random.Generator(np.random.Philox(40 + n))
+        xs = [A, SpElement(space, 0.3 * A.mat @ A.mat @ A.mat - 2.0 * A.mat)]
+        xs += [random_sp_element(space, 1.0, rng) for _ in range(20)]
+        expected = [(zeta.source.evaluate(x), 1e-12 * (1.0 + float(np.linalg.norm(x.mat))))
+                    for x in xs]
+        assert zeta.batch(xs) == expected
+        assert [zeta.evaluate_with_error(x) for x in xs] == expected
+
+
 class TestMaslovState:
     def test_anchor_values(self):
         zeta = maslov_qs()

@@ -6,14 +6,21 @@ from scipy.linalg import expm
 
 from spqs.cli import main
 from spqs.harness import _gl_inject, embed_gl, unitary_subalgebra_basis
+import spqs.symplectic
 from spqs.symplectic import (
     CommutingStrategy,
     RankOneKind,
+    SamplingError,
     SkewSymplecticityError,
     SpElement,
+    SymplecticDefectError,
     SymplecticSpace,
     _plane_blocks,
     commuting_pair,
+    commuting_pairs,
+    draw_commuting_pair,
+    frobenius_norms,
+    group_elements,
     omega,
     omega_adjoint,
     project_skew_symplectic,
@@ -22,6 +29,7 @@ from spqs.symplectic import (
     rank_one_matrix,
     rng_from,
     skew_defect,
+    skew_part,
     standard_complex_structure,
     y_element,
     z_element,
@@ -406,12 +414,12 @@ class TestCommutingPairs:
     def test_disjoint_planes_commute(self):
         Z = z_element(sp2, sp2.basis_e(0), sp2.basis_f(0))
         Y = y_element(sp2, sp2.basis_e(1), sp2.basis_f(1))
-        assert Z.commutator_norm(Y) < 1e-14
+        assert np.abs(Z.mat @ Y.mat - Y.mat @ Z.mat).max() < 1e-14
 
     def test_shared_plane_mixed_kinds_do_not_commute(self):
         Z = z_element(sp1, sp1.basis_e(0), sp1.basis_f(0))
         Y = y_element(sp1, sp1.basis_e(0), sp1.basis_f(0))
-        assert Z.commutator_norm(Y) > 0.5
+        assert np.abs(Z.mat @ Y.mat - Y.mat @ Z.mat).max() > 0.5
 
     @pytest.mark.parametrize("strategy", ["common-frame", "odd-polynomial"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -426,6 +434,180 @@ class TestCommutingPairs:
     def test_odd_polynomials_commute_exactly(self):
         pair = commuting_pair(sp2, "odd-polynomial", 17)
         assert pair.commutator_norm < 1e-12
+
+
+def _norm_one_at_a_time(M):
+    """The Frobenius norm of one matrix by np.linalg.norm, rescaled by 2^-e where
+    the squares overflow: the per-element reference for frobenius_norms."""
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(M))
+        if r == np.inf:
+            e = np.frexp(np.abs(M).max())[1]
+            r = float(np.ldexp(np.linalg.norm(np.ldexp(M, -e)), e))
+    return r
+
+
+class TestFrobeniusNorms:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_the_norm_of_each_matrix(self, d):
+        A = rng_from(100 + d).standard_normal((400, d, d)) * np.logspace(-3, 3, 400)[:, None, None]
+        r = frobenius_norms(A)
+        assert len(r) == 400 and all(type(x) is float for x in r)
+        assert all(x == float(np.linalg.norm(M)) for x, M in zip(r, A))
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_rows_are_rescaled(self, d, scale):
+        A = rng_from(d).standard_normal((40, d, d))
+        A[::2] *= scale  # overflowing rows between ordinary ones
+        r = frobenius_norms(A)
+        assert all(x == _norm_one_at_a_time(M) for x, M in zip(r, A))
+        assert np.isfinite(r).all()
+        np.testing.assert_allclose(r[::2], scale * np.array(frobenius_norms(A[::2] / scale)),
+                                   rtol=1e-14)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(A[0]) == np.inf  # the plain norm overflows on these rows
+
+    def test_empty_stack(self):
+        for empty in (np.zeros((0, 4, 4)), []):
+            r = frobenius_norms(empty)
+            assert r == []
+
+    def test_element_norm_matches_its_row(self):
+        for n in (1, 2, 3, 4):
+            x = random_sp_element(SymplecticSpace(n), 1e200, n)
+            assert x.norm() == _norm_one_at_a_time(x.mat) == frobenius_norms([x.mat])[0]
+
+
+def _pair_one_at_a_time(space, strategy, rng):
+    """One pair's matrices and commutator norm, read from rng and built with
+    per-matrix arithmetic: the reference for the stacked build."""
+    n, d = space.n, space.dim
+    if CommutingStrategy(strategy) is CommutingStrategy.ODD_POLYNOMIAL:
+        A = random_sp_element(space, 0.5, rng).mat
+        deg = max(1, min(n, 3))
+        mats = []
+        for c in (rng.uniform(-1.0, 1.0, deg), rng.uniform(-1.0, 1.0, deg)):
+            A2, out, power = A @ A, c[0] * A, A
+            for ck in c[1:]:
+                power = power @ A2
+                out = out + ck * power
+            mats.append(out)
+    else:
+        kinds = rng.integers(0, 2, size=n)
+        ca = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
+        cb = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.8)
+        D = np.zeros((2, d, d))
+        for k, blk in enumerate(_plane_blocks(n)[kinds, range(n)]):
+            D += np.multiply.outer((ca[k], cb[k]), blk)
+        g = expm(skew_part(0.5 * rng.standard_normal((d, d))))
+        mats = [g @ Dk @ omega_adjoint(g) for Dk in D]
+    a, b = (skew_part(M) for M in mats)
+    return a, b, float(np.abs(a @ b - b @ a).max())
+
+
+class TestStackedPairs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", list(CommutingStrategy))
+    def test_stack_matches_pairs_built_one_at_a_time(self, n, strategy):
+        space = SymplecticSpace(n)
+        rng, ref = rng_from(110 + n), rng_from(110 + n)
+        draws = [draw_commuting_pair(space, strategy, rng) for _ in range(12)]
+        stacked = commuting_pairs(space, draws)
+        assert len(stacked) == 12
+        for pair, draw in zip(stacked, draws):
+            a, b, cnorm = _pair_one_at_a_time(space, strategy, ref)
+            assert _same_bits(pair.a.mat, a) and _same_bits(pair.b.mat, b)
+            assert type(pair.commutator_norm) is float and pair.commutator_norm == cnorm
+            assert pair.strategy is CommutingStrategy(strategy)
+            (alone,) = commuting_pairs(space, [draw])
+            assert _same_bits(alone.a.mat, a) and _same_bits(alone.b.mat, b)
+            assert alone.commutator_norm == cnorm
+        assert rng.random() == ref.random()  # the draws read the stream as the reference
+        single = commuting_pair(space, strategy, 7)
+        (again,) = commuting_pairs(space, [draw_commuting_pair(space, strategy, rng_from(7))])
+        assert _same_bits(single.a.mat, again.a.mat) and _same_bits(single.b.mat, again.b.mat)
+
+    def test_no_draws(self):
+        assert commuting_pairs(sp2, []) == []
+
+    def test_common_frame_refuses_a_base(self):
+        base = random_sp_element(sp2, 0.5, 1)
+        with pytest.raises(ValueError, match="common-frame strategy takes no base"):
+            commuting_pair(sp2, "common-frame", 3, base=base)
+        assert commuting_pair(sp2, "odd-polynomial", 3, base=base).strategy == "odd-polynomial"
+
+    def test_group_elements_stack(self):
+        X = 0.5 * rng_from(5).standard_normal((6, 6, 6))
+        g, errors = group_elements(sp3, X)
+        assert errors == [None] * 6
+        for gi, Xi in zip(g, X):
+            assert _same_bits(gi, expm(skew_part(Xi)))
+
+
+class TestStackedPairFailures:
+    """A failing draw makes the stacked build raise what building the draws one
+    at a time, in order, raises first."""
+
+    @staticmethod
+    def _first_error(build):
+        with pytest.raises((SymplecticDefectError, SkewSymplecticityError, SamplingError)) as info:
+            build()
+        return type(info.value), str(info.value)
+
+    def _same_failure(self, space, draws):
+        def one_at_a_time():
+            for draw in draws:
+                commuting_pairs(space, [draw])
+
+        expected = self._first_error(one_at_a_time)
+        assert self._first_error(lambda: commuting_pairs(space, draws)) == expected
+        return expected[0]
+
+    @staticmethod
+    def _poisoned(draw):
+        strategy, X, ca, cb, kinds = draw
+        return strategy, np.full_like(X, np.nan), ca, cb, kinds
+
+    @staticmethod
+    def _ratios(space, draws):
+        return [p.commutator_norm / ((1.0 + p.a.norm()) * (1.0 + p.b.norm()))
+                for p in commuting_pairs(space, draws)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_group_defect(self, n, monkeypatch):
+        space = SymplecticSpace(n)
+        rng = rng_from(120 + n)
+        draws = [draw_commuting_pair(space, "common-frame", rng) for _ in range(10)]
+        O = space.omega_matrix
+        g = expm(skew_part(np.array([X for _, X, *_ in draws])))
+        ratios = [np.abs(gi.T @ O @ gi - O).max() / max(1.0, np.abs(gi).max() ** 2) for gi in g]
+        monkeypatch.setattr(spqs.symplectic, "GROUP_DEFECT_TOL", 0.5 * float(np.median(ratios)))
+        assert self._same_failure(space, draws) is SymplecticDefectError
+        draws[1] = self._poisoned(draws[1])  # a non-finite frame: no defect, a membership error
+        self._same_failure(space, draws)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", list(CommutingStrategy))
+    def test_membership(self, n, strategy):
+        space = SymplecticSpace(n)
+        rng = rng_from(130 + n)
+        draws = [draw_commuting_pair(space, strategy, rng) for _ in range(10)]
+        for k in (0, 4, 9):
+            poisoned = draws[:k] + [self._poisoned(draws[k])] + draws[k + 1:]
+            assert self._same_failure(space, poisoned) is SkewSymplecticityError
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", list(CommutingStrategy))
+    def test_commutator_bound(self, n, strategy, monkeypatch):
+        space = SymplecticSpace(n)
+        rng = rng_from(140 + n)
+        draws = [draw_commuting_pair(space, strategy, rng) for _ in range(10)]
+        worst = max(self._ratios(space, draws))
+        monkeypatch.setattr(spqs.symplectic, "COMMUTATOR_TOL", 0.5 * worst if worst else -1.0)
+        assert self._same_failure(space, draws) is SamplingError
+        for k in (0, 9):  # a membership failure before or after the first bound failure
+            self._same_failure(space, draws[:k] + [self._poisoned(draws[k])] + draws[k + 1:])
 
 
 class TestQuadrupleRelations:
