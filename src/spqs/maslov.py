@@ -19,6 +19,7 @@ DT_FLOOR = 0.05  # the derived step never goes below this
 STEP_NORM = 20.0  # above the floor, the derived step keeps ||dt*B||_2 <= this
 GROWTH_MAX = 16.0  # a doubled step keeps ||expm(dt*B)||_2 <= e^this
 MAX_STEPS = 10**6  # largest base grid a sweep takes on (the default horizon needs <= 40000)
+CHUNK = 32  # sweep steps whose phase increments one stacked eigvals takes
 METHODS = ("limit", "spectral", "dim2", "auto")
 
 
@@ -77,24 +78,27 @@ def _step_blocks(E: np.ndarray):
     return Ec, Ea, Ec.conj(), Ea.conj(), np.linalg.solve(Ec, Ea)
 
 
-def _increment(step, theta_E: np.ndarray, N: np.ndarray):
-    """Apply the step E (`_step_blocks`) to states with ratio N; returns the
-    exact phase increment and the next ratio.
+def _advance(step, N: np.ndarray):
+    """(L N, next ratio) of states with ratio N under the step E (`_step_blocks`)."""
+    Ec, Ea, Ecc, Eac, L = step
+    return L @ N, (Ecc @ N + Eac) @ np.linalg.inv(Ec + Ea @ N)
+
+
+def _increments(theta_E: np.ndarray, LN: np.ndarray) -> np.ndarray:
+    """Exact phase increments of the steps of a stack LN (any depth) of L N.
 
     One step multiplies det Zc by det(Ec + Ea N) = det Ec det(I + L N).  Along
     the step both L and N stay in the open unit ball, so every eigenvalue of
     I + L N keeps a positive real part and the principal arguments sum to the
     continuous change of the second factor; theta_E is that of the first.
     """
-    Ec, Ea, Ecc, Eac, L = step
-    eta = np.angle(np.linalg.eigvals(L @ N + np.eye(N.shape[-1]))).sum(axis=-1)
-    return theta_E + eta, (Ecc @ N + Eac) @ np.linalg.inv(Ec + Ea @ N)
+    return theta_E + np.angle(np.linalg.eigvals(LN + np.eye(LN.shape[-1]))).sum(axis=-1)
 
 
 def _doubled_phase(step, theta_E: np.ndarray) -> np.ndarray:
     """theta_E of E @ E from the step E (`_step_blocks`) and its theta_E: the
     second half adds the increment from conj(Ea) Ec^-1, the ratio of E."""
-    return theta_E + _increment(step, theta_E, step[3] @ np.linalg.inv(step[0]))[0]
+    return theta_E + _increments(theta_E, _advance(step, step[3] @ np.linalg.inv(step[0]))[0])
 
 
 def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
@@ -152,10 +156,12 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     N = conj(Za) Zc^{-1} of the accumulated product stays in the unit ball, so
     no entry of the state grows with t.  The complex-linear part factors as
     (positive Hermitian) x (unitary), so the phases of det Zc are those of the
-    unitary polar factor.  `_increment` adds their exact change over each step
-    (the universal-cover cocycle of Sp(2n, R)), so dt does not set the value:
-    the grid starts at `_step_count` steps and `_coarsen` doubles its step
-    where the batch allows.
+    unitary polar factor.  `_increments` gives their exact change over each
+    step (the universal-cover cocycle of Sp(2n, R)), so dt does not set the
+    value: the grid starts at `_step_count` steps and `_coarsen` doubles its
+    step where the batch allows.  Only the ratio N_k is advanced step by step
+    (`_advance`).  Step k's increment depends only on N_k, so each chunk of
+    up to CHUNK steps gets its phases from one stacked eigvals.
     """
     import scipy.linalg  # deferred: the spectral route never needs it
 
@@ -173,8 +179,11 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     try:
         steps, step, theta_E = _coarsen(Bs, steps, E, _step_phase(Bs, dt, norm))
         theta = np.zeros((m, steps + 1))
-        for k in range(steps):
-            theta[:, k + 1], N = _increment(step, theta_E, N)
+        LN = np.empty((min(CHUNK, steps), m, d // 2, d // 2), dtype=complex)
+        for k in range(0, steps, CHUNK):
+            for j in range(min(CHUNK, steps - k)):
+                LN[j], N = _advance(step, N)
+            theta[:, k + 1:k + j + 2] = _increments(theta_E, LN[:j + 1]).T
     except np.linalg.LinAlgError:
         raise MaslovLimitError(
             f"singular path step at ||dt*B||_2 = {t_max / steps * norm:.3g}; "
@@ -191,11 +200,9 @@ def maslov_limit_batch(
         return []
     T = cfg.t_max
     theta = _phase_path(np.stack([b.mat for b in elements]), T)
-    full, half = theta[:, -1] / T, theta[:, theta.shape[1] // 2] / (0.5 * T)
-    return [
-        MaslovEstimate(float(v), float(abs(v - h)), theta.shape[1])
-        for v, h in zip(full, half)
-    ]
+    samples = theta.shape[1]
+    full, half = theta[:, -1] / T, theta[:, samples // 2] / (0.5 * T)
+    return [MaslovEstimate(float(v), float(abs(v - h)), samples) for v, h in zip(full, half)]
 
 
 def maslov_limit(B: SpElement, cfg: MaslovLimitConfig = MaslovLimitConfig()) -> MaslovEstimate:

@@ -247,7 +247,10 @@ def krein_parameters(spectra: SpectrumStack) -> list[list[float]]:
         W = spectra.V[r, :, order[r, c]].swapaxes(-1, -2)  # the clusters' eigenvectors
         mu, _ = _krein_pairing(spectra.elements[0].space, W)
         beta[r, c] = np.copysign(keys.real[r, c].sum(axis=-1, keepdims=True) / k, mu)
-    return [row[:m] for row, m in zip(beta.tolist(), (~past).sum(axis=-1).tolist())]
+    out, live = [[] for _ in range(len(past))], ~past
+    for i, b in zip(live.nonzero()[0].tolist(), beta[live].tolist()):
+        out[i].append(b)  # the live entries lead each row
+    return out
 
 
 @dataclass(frozen=True)

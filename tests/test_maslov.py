@@ -4,11 +4,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spqs import maslov
 from spqs.kernels import sample_polar_path
 from spqs.maslov import (
     MaslovLimitConfig,
     MaslovLimitError,
-    _increment,
+    _advance,
+    _coarsen,
+    _increments,
+    _phase_path,
     _step_blocks,
     _step_count,
     _step_phase,
@@ -280,22 +284,32 @@ class TestTrace:
         assert np.all(np.diff(t) > 0)
 
 
-def base_grid_limit(els, t_max):
-    """(values, bars, samples) of the sweep on the `_step_count` grid, with
-    no step doubling: the reference for the coarsened sweep."""
-    Bs = np.stack([b.mat for b in els])
+def per_step_theta(Bs, t_max, coarsen=False):
+    """theta of the sweep with each step's increment taken by its own eigvals
+    call, on the `_step_count` grid or, with coarsen, on the grid `_coarsen`
+    doubles: the reference for the chunked sweep."""
     m, d, _ = Bs.shape
     norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
     steps = _step_count(t_max, norm)
     dt = t_max / steps
-    step, theta_E = _step_blocks(scipy.linalg.expm(dt * Bs)), _step_phase(Bs, dt, norm)
+    E, theta_E = scipy.linalg.expm(dt * Bs), _step_phase(Bs, dt, norm)
+    step = _step_blocks(E)
+    if coarsen:
+        steps, step, theta_E = _coarsen(Bs, steps, E, theta_E)
     N = np.zeros((m, d // 2, d // 2), dtype=complex)
     theta = np.zeros((m, steps + 1))
     for k in range(steps):
-        theta[:, k + 1], N = _increment(step, theta_E, N)
-    theta = np.cumsum(theta, axis=1)
-    full, half = theta[:, -1] / t_max, theta[:, steps // 2] / (0.5 * t_max)
-    return full, np.abs(full - half), steps + 1
+        LN, N = _advance(step, N)
+        theta[:, k + 1] = _increments(theta_E, LN)
+    return np.cumsum(theta, axis=1)
+
+
+def base_grid_limit(els, t_max):
+    """(values, bars, samples) of the sweep on the `_step_count` grid, with
+    no step doubling: the reference for the coarsened sweep."""
+    theta = per_step_theta(np.stack([b.mat for b in els]), t_max)
+    full, half = theta[:, -1] / t_max, theta[:, theta.shape[1] // 2] / (0.5 * t_max)
+    return full, np.abs(full - half), theta.shape[1]
 
 
 def criteria_populations():
@@ -353,6 +367,37 @@ class TestCoarseGrid:
         values, bars, samples = base_grid_limit([B], cfg.t_max)
         est = maslov_limit(B, cfg)
         assert (est.value, est.error_bar, est.samples_used) == (values[0], bars[0], samples)
+
+
+class TestChunkedPhases:
+    """`_phase_path` takes each chunk's phases with one stacked eigvals call;
+    the reference takes one step's at a time through the same two routines."""
+
+    INPUTS = {  # (stack, t_max, base grid steps, swept steps)
+        "jordan m=1": (np.stack([nilpotent_jordan_sp(SymplecticSpace(3)).mat]), 100.0, 100, 100),
+        "semi-simple m=8": (
+            np.stack([random_semisimple(SymplecticSpace(3), s)[0].mat for s in range(8)]),
+            400.0, 400, 100,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", INPUTS)
+    @pytest.mark.parametrize("seam", ["one below", "at", "one above", "chunks and odd rest"])
+    def test_matches_the_per_step_reference(self, name, seam, monkeypatch):
+        Bs, t_max, base, steps = self.INPUTS[name]
+        assert per_step_theta(Bs, t_max).shape[1] == base + 1
+        ref = per_step_theta(Bs, t_max, coarsen=True)
+        assert ref.shape == (len(Bs), steps + 1)
+        chunk = {"one below": steps + 1, "at": steps, "one above": steps - 1}.get(seam)
+        if chunk is None:  # the largest chunk leaving at least 3 full ones and an odd rest
+            chunk = next(c for c in range(steps // 3, 1, -1) if steps % c % 2)
+        monkeypatch.setattr(maslov, "CHUNK", chunk)
+        np.testing.assert_array_equal(_phase_path(Bs, t_max), ref)
+
+    def test_several_chunks_of_the_module_size(self):
+        Bs, _, _, _ = self.INPUTS["jordan m=1"]
+        t_max = 3 * maslov.CHUNK + 10.0  # an even base grid: 3 chunks and a 10-step rest
+        np.testing.assert_array_equal(_phase_path(Bs, t_max), per_step_theta(Bs, t_max))
 
 
 class TestRobustness:
