@@ -45,7 +45,6 @@ from .quasistates import (
 from .symplectic import (
     CommutingPair,
     CommutingStrategy,
-    CompatibleComplexStructure,
     RankOneKind,
     SamplingError,
     SpElement,

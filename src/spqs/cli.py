@@ -35,7 +35,6 @@ from .symplectic import (
     SymplecticSpace,
     rank_one_matrix,
     rng_from,
-    standard_complex_structure,
 )
 from .williamson import (
     ClassificationError,
@@ -139,11 +138,10 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
             )
 
     def gleason():
-        J = standard_complex_structure(space)
-        reports.append(harness.fit_gleason_on_unitary(lin, J, 1e-9, seed))
+        reports.append(harness.fit_gleason_on_unitary(lin, space, 1e-9, seed))
         reports.append(
             harness.fit_gleason_on_unitary(
-                mq, J, args.tol, seed, oracle=harness.maslov_imtrace_oracle(space)
+                mq, space, args.tol, seed, oracle=harness.maslov_imtrace_oracle(space)
             )
         )
 

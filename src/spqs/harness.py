@@ -14,7 +14,6 @@ from .maslov import maslov_spectral
 from .quasistates import QuasiState, linear_qs
 from .symplectic import (
     CommutingStrategy,
-    CompatibleComplexStructure,
     SamplingError,
     SpElement,
     SymplecticSpace,
@@ -27,6 +26,7 @@ from .symplectic import (
     rank_one_matrix,
     rng_from,
     skew_part,
+    standard_complex_structure,
 )
 from .williamson import (classify_eigenstructure, random_semisimple, williamson_decompose,
                          yz_decomposition)
@@ -195,13 +195,13 @@ def sp_basis(space: SymplecticSpace) -> list[np.ndarray]:
     return out
 
 
-def unitary_subalgebra_basis(
-    space: SymplecticSpace, J: CompatibleComplexStructure
-) -> list[SpElement]:
-    """Basis of {A in the algebra : AJ = JA}, found by solving the linear
+def unitary_subalgebra_basis(space: SymplecticSpace) -> list[SpElement]:
+    """Basis of the unitary subalgebra u(n) = {A in the algebra : A J0 = J0 A}
+    of the standard complex structure J0, found by solving the linear
     commutation constraints on an algebra basis; dimension must be n^2."""
+    J = standard_complex_structure(space)
     base = sp_basis(space)
-    rows = np.stack([(A @ J.mat - J.mat @ A).reshape(-1) for A in base])
+    rows = np.stack([(A @ J - J @ A).reshape(-1) for A in base])
     # coefficient vectors x with sum_k x_k rows[k] = 0, i.e. null(rows.T)
     _, s, Vt = np.linalg.svd(rows.T, full_matrices=True)
     tol = max(rows.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
@@ -216,22 +216,22 @@ def unitary_subalgebra_basis(
 
 def fit_gleason_on_unitary(
     zeta: QuasiState,
-    J: CompatibleComplexStructure,
+    space: SymplecticSpace,
     tol: float,
     seed: int = 0,
     oracle: Optional[Callable[[SpElement], float]] = None,
 ) -> VerificationReport:
-    """Fit zeta restricted to the unitary subalgebra by a trace form tr(H .)
+    """Fit zeta restricted to the unitary subalgebra of J0 (every compatible
+    complex structure is Sp(2n, R)-conjugate to it) by a trace form tr(H .)
     and report the held-out residual (RMS over fresh random elements).
 
     An optional oracle is compared on the same test set (max deviation goes to
     fitted_parameters['oracle_max_dev'])."""
-    space = J.space
     if space.n < 3:
         raise ValueError("hypothesis n >= 3 not met")
     if not zeta.continuous:
         raise ValueError("the trace-form fit applies to continuous-flagged states")
-    basis = unitary_subalgebra_basis(space, J)
+    basis = unitary_subalgebra_basis(space)
     y = np.array(_values(zeta, basis))
     design = np.stack([A.mat.T.reshape(-1) for A in basis])
     h, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -95,9 +95,10 @@ def _increments(theta_E: np.ndarray, LN: np.ndarray) -> np.ndarray:
     return theta_E + np.angle(np.linalg.eigvals(LN + np.eye(LN.shape[-1]))).sum(axis=-1)
 
 
-def _doubled_phase(step, theta_E: np.ndarray) -> np.ndarray:
-    """theta_E of E @ E from the step E (`_step_blocks`) and its theta_E: the
-    second half adds the increment from conj(Ea) Ec^-1, the ratio of E."""
+def _doubled_phase(E: np.ndarray, theta_E: np.ndarray) -> np.ndarray:
+    """theta_E of E @ E from the step E and its theta_E: the second half adds
+    the increment from conj(Ea) Ec^-1, the ratio of E."""
+    step = _step_blocks(E)
     return theta_E + _increments(theta_E, _advance(step, step[3] @ np.linalg.inv(step[0]))[0])
 
 
@@ -115,8 +116,7 @@ def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
         E = scipy.linalg.expm(Bs * (dt / 2**k))
     theta = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
     for _ in range(k):
-        theta = _doubled_phase(_step_blocks(E), theta)
-        E = E @ E
+        theta, E = _doubled_phase(E, theta), E @ E
     return theta
 
 
@@ -133,17 +133,14 @@ def _coarsen(Bs: np.ndarray, steps: int, E: np.ndarray, theta_E: np.ndarray):
     bound stops the doubling at hyperbolic parts.  Along Jordan chains the
     sweep loses digits at any step, so those keep the base grid.
     """
-    step = _step_blocks(E)
-    if steps % 4 or not eigvec_condition(np.linalg.eig(Bs)[1])[1].all():
-        return steps, step, theta_E
-    while steps % 4 == 0:
+    semi_simple = eigvec_condition(np.linalg.eig(Bs)[1])[1].all()
+    while semi_simple and steps % 4 == 0:
         E2 = E @ E
         if not (np.all(np.isfinite(E2))
                 and np.linalg.norm(E2, 2, axis=(1, 2)).max() <= math.exp(GROWTH_MAX)):
             break
-        E, theta_E, steps = E2, _doubled_phase(step, theta_E), steps // 2
-        step = _step_blocks(E)
-    return steps, step, theta_E
+        E, theta_E, steps = E2, _doubled_phase(E, theta_E), steps // 2
+    return steps, _step_blocks(E), theta_E
 
 
 def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:

@@ -34,8 +34,8 @@ def read_matrix(path: str) -> np.ndarray:
     if not lines or not lines[0].startswith("dim "):
         raise MatrixParseError("missing 'dim 2n' header line")
     try:
-        d = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        (d,) = map(int, lines[0].split()[1:])  # exactly one token after "dim"
+    except ValueError as exc:
         raise MatrixParseError("malformed dimension header") from exc
     if d < 2 or d % 2:
         raise MatrixParseError(f"dimension must be a positive even integer, got {d}")

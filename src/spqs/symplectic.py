@@ -258,37 +258,14 @@ def z_element(space: SymplecticSpace, xi, eta) -> SpElement:
     return _rank_one_element(space, RankOneKind.Z, xi, eta)
 
 
-@dataclass(frozen=True)
-class CompatibleComplexStructure:
-    """J with J^2 = -I such that omega(., J.) is an inner product."""
-
-    space: SymplecticSpace
-    mat: np.ndarray
-
-    def __post_init__(self):
-        J = np.asarray(self.mat, dtype=float)
-        d = self.space.dim
-        if J.shape != (d, d):
-            raise ValueError("J shape does not match the space")
-        if np.abs(J @ J + np.eye(d)).max() > 1e-8:
-            raise ValueError("J^2 = -I fails")
-        G = self.space.omega_matrix @ J
-        if np.abs(G - G.T).max() > 1e-8:
-            raise ValueError("omega(., J.) is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (G + G.T)).min() <= 0:
-            raise ValueError("omega(., J.) is not positive-definite")
-        J = J.copy()
-        J.flags.writeable = False
-        object.__setattr__(self, "mat", J)
-
-
-def standard_complex_structure(space: SymplecticSpace) -> CompatibleComplexStructure:
-    """J0 with J0 e_i = f_i, J0 f_i = -e_i; the sign makes omega(x, J0 x) > 0."""
+def standard_complex_structure(space: SymplecticSpace) -> np.ndarray:
+    """J0 with J0 e_i = f_i, J0 f_i = -e_i; the sign makes omega(x, J0 x) > 0.
+    Every compatible complex structure is Sp(2n, R)-conjugate to J0."""
     n = space.n
     J = np.zeros((2 * n, 2 * n))
     J[n:, :n] = np.eye(n)
     J[:n, n:] = -np.eye(n)
-    return CompatibleComplexStructure(space, J)
+    return J
 
 
 def random_sp_element(space: SymplecticSpace, scale: float, seed: SeedLike) -> SpElement:

@@ -37,7 +37,6 @@ from spqs.symplectic import (
     project_skew_symplectic,
     random_symplectic_group_element,
     rng_from,
-    standard_complex_structure,
     y_element,
     z_element,
 )
@@ -176,9 +175,8 @@ def test_criterion_05_ad_invariance():
 
 def test_criterion_06_gleason_fit():
     sp = SymplecticSpace(3)
-    J = standard_complex_structure(sp)
     r = fit_gleason_on_unitary(
-        maslov_qs(FULL), J, 1e-2, 500, oracle=maslov_imtrace_oracle(sp)
+        maslov_qs(FULL), sp, 1e-2, 500, oracle=maslov_imtrace_oracle(sp)
     )
     dev = r.fitted_parameters["oracle_max_dev"]
     report_line(

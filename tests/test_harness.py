@@ -211,33 +211,30 @@ class TestAdInvariance:
 class TestGleason:
     def test_basis_dimension(self):
         J = standard_complex_structure(sp3)
-        basis = unitary_subalgebra_basis(sp3, J)
+        basis = unitary_subalgebra_basis(sp3)
         assert len(basis) == 9
         for A in basis:
-            assert np.abs(A.mat @ J.mat - J.mat @ A.mat).max() < 1e-10
+            assert np.abs(A.mat @ J - J @ A.mat).max() < 1e-10
 
     def test_linear_state(self):
         rng = np.random.Generator(np.random.Philox(10))
         zeta = linear_qs(rng.standard_normal((6, 6)))
-        J = standard_complex_structure(sp3)
-        r = fit_gleason_on_unitary(zeta, J, 1e-10, 11)
+        r = fit_gleason_on_unitary(zeta, sp3, 1e-10, 11)
         assert r.passed
 
     def test_maslov_with_imtrace_oracle(self):
-        J = standard_complex_structure(sp3)
         r = fit_gleason_on_unitary(
-            MQ, J, 1e-2, 12, oracle=maslov_imtrace_oracle(sp3)
+            MQ, sp3, 1e-2, 12, oracle=maslov_imtrace_oracle(sp3)
         )
         assert r.passed
         assert r.fitted_parameters["oracle_max_dev"] <= 1e-6
 
     def test_refuses_small_n(self):
-        J = standard_complex_structure(sp1)
         zeta = dim2_homogeneous_qs(
             lambda M: maslov_dim2(M[0, 0], M[0, 1], M[1, 0]), sp1
         )
         with pytest.raises(ValueError, match="n >= 3 not met"):
-            fit_gleason_on_unitary(zeta, J, 1e-2, 13)
+            fit_gleason_on_unitary(zeta, sp1, 1e-2, 13)
 
 
 class TestEmbedding:

@@ -91,7 +91,7 @@ class TestComplexify:
 
     def test_rotation_generated_by_standard_structure(self):
         # exp(t J0) for n=1 complexifies to e^{it}: the sign convention anchor
-        J = standard_complex_structure(sp1).mat
+        J = standard_complex_structure(sp1)
         for t in (0.3, 1.2):
             U = expm(t * J)
             z = complexify_orthosymplectic(U)
@@ -100,7 +100,7 @@ class TestComplexify:
 
     def test_blockwise_phases(self):
         # independent rotations in two Darboux planes give a diagonal unitary
-        J = standard_complex_structure(sp2).mat
+        J = standard_complex_structure(sp2)
         t1, t2 = 0.4, -1.1
         gen = np.zeros((4, 4))
         gen[0, 2], gen[2, 0] = -t1, t1
@@ -113,7 +113,7 @@ class TestComplexify:
 
     def test_homomorphism(self):
         rng = np.random.Generator(np.random.Philox(4))
-        J = standard_complex_structure(sp2).mat
+        J = standard_complex_structure(sp2)
         for _ in range(5):
             X1 = rng.standard_normal((4, 4))
             X2 = rng.standard_normal((4, 4))
@@ -147,7 +147,7 @@ class TestDetComplex:
         assert det_complex(Q) * det_complex(Q.conj().T) == pytest.approx(1.0, abs=1e-8)
 
     def test_multiplicativity_through_complexification(self):
-        J = standard_complex_structure(sp2).mat
+        J = standard_complex_structure(sp2)
         rng = np.random.Generator(np.random.Philox(10))
         X = rng.standard_normal((4, 4))
         X = 0.5 * (X - X.T)

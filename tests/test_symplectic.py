@@ -282,7 +282,7 @@ class TestStackedBuilds:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_gleason_test_elements(self, n):
         space = SymplecticSpace(n)
-        basis = unitary_subalgebra_basis(space, standard_complex_structure(space))
+        basis = unitary_subalgebra_basis(space)
         coeffs = rng_from(70 + n).standard_normal((8, len(basis)))
         mats = [sum(c * b.mat for c, b in zip(cs, basis)) for cs in coeffs]
         for x, M in zip(SpElement.stack(space, mats), mats):
@@ -375,15 +375,15 @@ class TestRankOneOperators:
 class TestComplexStructure:
     def test_standard_matrix_n1(self):
         J = standard_complex_structure(sp1)
-        np.testing.assert_allclose(J.mat, np.array([[0.0, -1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(J, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_square_is_minus_identity(self):
         J = standard_complex_structure(sp3)
-        np.testing.assert_allclose(J.mat @ J.mat, -np.eye(6), atol=1e-14)
+        np.testing.assert_allclose(J @ J, -np.eye(6), atol=1e-14)
 
     def test_positivity_sign(self):
         J = standard_complex_structure(sp2)
-        assert omega(sp2, sp2.basis_e(0), J.mat @ sp2.basis_e(0)) == pytest.approx(1.0)
+        assert omega(sp2, sp2.basis_e(0), J @ sp2.basis_e(0)) == pytest.approx(1.0)
 
 
 class TestRandomGenerators:
