@@ -285,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max,
             help=f"limit-route horizon T > 0 (default {MaslovLimitConfig.t_max}); its base grid "
             f"of T to T/{maslov.DT_FLOOR} steps, by the input norm, must stay within "
-            f"{maslov.MAX_STEPS} steps. A step costs about 20 us for one element, so --t-max "
-            "1e5 takes about 2 s",
+            f"{maslov.MAX_STEPS} steps. A step costs about 15-30 us for one element, so --t-max "
+            "1e5 takes about 1.5-3 s",
         )
     for parser, what in (
         (pd, "directory for <stem>_frame.txt"),

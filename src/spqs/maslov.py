@@ -57,7 +57,7 @@ class MaslovEstimate:
     samples_used: int
 
     def __post_init__(self):
-        if self.error_bar < 0:
+        if not self.error_bar >= 0:  # a NaN bar fails too
             raise ValueError("error_bar must be non-negative")
 
 
@@ -73,15 +73,18 @@ def _step_count(t_max: float, norm: float) -> int:
 
 
 def _step_blocks(E: np.ndarray):
-    """(Ec, Ea, conj Ec, conj Ea, L = Ec^-1 Ea) of a stack of steps E."""
+    """(M = [L; conj Ec; Ea], C = [conj Ea; Ec]) of a stack of steps E, L = Ec^-1 Ea."""
     Ec, Ea = complex_blocks(E)
-    return Ec, Ea, Ec.conj(), Ea.conj(), np.linalg.solve(Ec, Ea)
+    return (np.concatenate([np.linalg.solve(Ec, Ea), Ec.conj(), Ea], axis=1),
+            np.concatenate([Ea.conj(), Ec], axis=1))
 
 
-def _advance(step, N: np.ndarray):
-    """(L N, next ratio) of states with ratio N under the step E (`_step_blocks`)."""
-    Ec, Ea, Ecc, Eac, L = step
-    return L @ N, (Ecc @ N + Eac) @ np.linalg.inv(Ec + Ea @ N)
+def _advance(step, N: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Next ratio (conj Ec N + conj Ea) (Ec + Ea N)^-1 of states with ratio N
+    under the step E (`_step_blocks`); writes M N, whose top rows are L N, into out."""
+    h = N.shape[-1]
+    Q = np.matmul(step[0], N, out=out)[:, h:] + step[1]
+    return Q[:, :h] @ np.linalg.inv(Q[:, h:])
 
 
 def _increments(theta_E: np.ndarray, LN: np.ndarray) -> np.ndarray:
@@ -98,8 +101,10 @@ def _increments(theta_E: np.ndarray, LN: np.ndarray) -> np.ndarray:
 def _doubled_phase(E: np.ndarray, theta_E: np.ndarray) -> np.ndarray:
     """theta_E of E @ E from the step E and its theta_E: the second half adds
     the increment from conj(Ea) Ec^-1, the ratio of E."""
-    step = _step_blocks(E)
-    return theta_E + _increments(theta_E, _advance(step, step[3] @ np.linalg.inv(step[0]))[0])
+    M, C = step = _step_blocks(E)
+    h, P = C.shape[-1], np.empty_like(M)
+    _advance(step, C[:, :h] @ np.linalg.inv(C[:, h:]), P)
+    return theta_E + _increments(theta_E, P[:, :h])
 
 
 def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
@@ -157,8 +162,8 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     step (the universal-cover cocycle of Sp(2n, R)), so dt does not set the
     value: the grid starts at `_step_count` steps and `_coarsen` doubles its
     step where the batch allows.  Only the ratio N_k is advanced step by step
-    (`_advance`).  Step k's increment depends only on N_k, so each chunk of
-    up to CHUNK steps gets its phases from one stacked eigvals.
+    (`_advance`: one stacked product M N).  Step k's increment depends only on
+    N_k, so one stacked eigvals of the L N rows, read in place, phases a chunk.
     """
     import scipy.linalg  # deferred: the spectral route never needs it
 
@@ -176,11 +181,11 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     try:
         steps, step, theta_E = _coarsen(Bs, steps, E, _step_phase(Bs, dt, norm))
         theta = np.zeros((m, steps + 1))
-        LN = np.empty((min(CHUNK, steps), m, d // 2, d // 2), dtype=complex)
+        P = np.empty((min(CHUNK, steps), *step[0].shape), dtype=complex)
         for k in range(0, steps, CHUNK):
             for j in range(min(CHUNK, steps - k)):
-                LN[j], N = _advance(step, N)
-            theta[:, k + 1:k + j + 2] = _increments(theta_E, LN[:j + 1]).T
+                N = _advance(step, N, P[j])
+            theta[:, k + 1:k + j + 2] = _increments(theta_E, P[:j + 1, :, :d // 2]).T
     except np.linalg.LinAlgError:
         raise MaslovLimitError(
             f"singular path step at ||dt*B||_2 = {t_max / steps * norm:.3g}; "

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spqs import maslov
-from spqs.kernels import sample_polar_path
+from spqs.kernels import complex_blocks, sample_polar_path
 from spqs.maslov import (
+    MaslovEstimate,
     MaslovLimitConfig,
     MaslovLimitError,
     _advance,
@@ -97,6 +100,11 @@ class TestLimit:
         est = maslov_limit(B, SHORT)
         assert est.error_bar >= 0
         assert est.samples_used == len(phase_trace(B, SHORT)[0])
+
+    @pytest.mark.parametrize("bar", [-1.0, float("nan")])
+    def test_estimate_rejects_a_negative_or_nan_bar(self, bar):
+        with pytest.raises(ValueError, match="non-negative"):
+            MaslovEstimate(0.0, bar, 3)
 
     def test_against_closed_form_random(self):
         rng = np.random.Generator(np.random.Philox(2))
@@ -297,10 +305,50 @@ def per_step_theta(Bs, t_max, coarsen=False):
     if coarsen:
         steps, step, theta_E = _coarsen(Bs, steps, E, theta_E)
     N = np.zeros((m, d // 2, d // 2), dtype=complex)
+    P = np.empty_like(step[0])
     theta = np.zeros((m, steps + 1))
     for k in range(steps):
-        LN, N = _advance(step, N)
-        theta[:, k + 1] = _increments(theta_E, LN)
+        N = _advance(step, N, P)
+        theta[:, k + 1] = _increments(theta_E, P[:, :d // 2])
+    return np.cumsum(theta, axis=1)
+
+
+def separate_products_theta(Bs, t_max, swept):
+    """theta of the sweep on its grid of `swept` steps, with the step in the
+    literal form of separate products, L N and (conj Ec N + conj Ea)
+    (Ec + Ea N)^-1, from blocks split here, and each increment by its own
+    eigvals.  theta_E and the step doubling follow `_step_phase` and
+    `_coarsen` through the same products: the reference that pins the
+    stacked step of `_advance` bit for bit."""
+    def blocks(E):
+        Ec, Ea = complex_blocks(E)
+        return Ec, Ea, Ec.conj(), Ea.conj(), np.linalg.solve(Ec, Ea)
+
+    def advance(E_blocks, N):
+        Ec, Ea, Ecc, Eac, L = E_blocks
+        return L @ N, (Ecc @ N + Eac) @ np.linalg.inv(Ec + Ea @ N)
+
+    def doubled(E, theta_E):
+        b = blocks(E)
+        return theta_E + _increments(theta_E, advance(b, b[3] @ np.linalg.inv(b[0]))[0])
+
+    m, d, _ = Bs.shape
+    norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
+    steps = _step_count(t_max, norm)
+    dt = t_max / steps
+    k = math.ceil(math.log2(max(1.0, 2.0 * dt * norm)))
+    E = scipy.linalg.expm(Bs * (dt / 2**k))
+    theta_E = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
+    for _ in range(k):
+        theta_E, E = doubled(E, theta_E), E @ E
+    E = scipy.linalg.expm(dt * Bs)
+    while steps > swept:
+        theta_E, E, steps = doubled(E, theta_E), E @ E, steps // 2
+    b, N = blocks(E), np.zeros((m, d // 2, d // 2), dtype=complex)
+    theta = np.zeros((m, steps + 1))
+    for j in range(steps):
+        LN, N = advance(b, N)
+        theta[:, j + 1] = _increments(theta_E, LN)
     return np.cumsum(theta, axis=1)
 
 
@@ -398,6 +446,25 @@ class TestChunkedPhases:
         Bs, _, _, _ = self.INPUTS["jordan m=1"]
         t_max = 3 * maslov.CHUNK + 10.0  # an even base grid: 3 chunks and a 10-step rest
         np.testing.assert_array_equal(_phase_path(Bs, t_max), per_step_theta(Bs, t_max))
+
+
+class TestSeparateProductStep:
+    """`_advance` takes each step as one stacked product [L; conj Ec; Ea] N,
+    one add and one inverse; the form with separate products pins it bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_jordan_base_grid_across_a_chunk_seam(self, n):
+        Bs = nilpotent_jordan_sp(SymplecticSpace(n)).mat[None]
+        t_max = maslov.CHUNK + 10.0  # one full chunk and a 10-step rest
+        theta = _phase_path(Bs, t_max)
+        assert theta.shape == (1, maslov.CHUNK + 11)
+        np.testing.assert_array_equal(theta, separate_products_theta(Bs, t_max, maslov.CHUNK + 10))
+
+    def test_semisimple_batch_on_the_coarsened_grid(self):
+        Bs, t_max, _, swept = TestChunkedPhases.INPUTS["semi-simple m=8"]
+        theta = _phase_path(Bs, t_max)
+        assert theta.shape == (8, swept + 1)
+        np.testing.assert_array_equal(theta, separate_products_theta(Bs, t_max, swept))
 
 
 class TestRobustness:
