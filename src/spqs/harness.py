@@ -28,8 +28,8 @@ from .symplectic import (
     skew_part,
     standard_complex_structure,
 )
-from .williamson import (classify_eigenstructure, random_semisimple, williamson_decompose,
-                         yz_decomposition)
+from .williamson import (classify_eigenstructure, draw_semisimple, semisimple_elements,
+                         williamson_decompose, yz_decomposition)
 
 TRAIN_FRACTION = 0.7
 SAMPLES_PER_UNKNOWN = 10
@@ -440,9 +440,10 @@ def fit_main_theorem(
     ys = SpElement.stack(space, rank_one_matrix(space, "Y", *cone))
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
     zs = SpElement.stack(space, rank_one_matrix(space, "Z", *np.swapaxes(pairs2, 0, 1)))
-    Bs = [random_semisimple(space, rng)[0] for _ in range(STAGE3_SAMPLES)]
+    draws = [draw_semisimple(space, rng) for _ in range(STAGE3_SAMPLES)]
+    Bs = [B for B, _ in semisimple_elements(space, draws)]
     spectra = classify_eigenstructure(Bs)
-    terms = [yz_decomposition(B, dec) for B, dec in zip(Bs, williamson_decompose(spectra))]
+    terms = yz_decomposition(Bs, williamson_decompose(spectra))
     term_elements = iter(SpElement.stack(space, [M for ts in terms for *_, M in ts]))
     samples3 = [x for B, ts in zip(Bs, terms) for x in (*(next(term_elements) for _ in ts), B)]
     spectral = maslov_spectral(spectra)

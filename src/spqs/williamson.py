@@ -4,6 +4,7 @@ commuting Y/Z representation."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -15,11 +16,12 @@ from .symplectic import (
     RankOneKind,
     SpElement,
     SymplecticSpace,
+    _random_gaussian,
+    group_elements,
     omega_adjoint,
-    project_skew_symplectic,
-    random_symplectic_group_element,
     rank_one_matrix,
     rng_from,
+    skew_part,
 )
 
 AXIS_BAND = 1e-8          # |Re| or |Im| below band*(1+|lambda|) counts as on-axis
@@ -31,6 +33,7 @@ COMMUTE_TOL = 1e-8
 SEMISIMPLE_PARAM_RANGE = (0.3, 2.0)  # block parameters drawn by random_semisimple
 SEMISIMPLE_FRAME_SCALE = 0.4         # scale of its random symplectic frame
 BLOCK_KINDS = ("real", "imag", "quad")  # normal-form block kinds, in block order
+_GROUP_KINDS = (*BLOCK_KINDS, "zero")  # eigenvalue group kinds, in group order
 
 
 class NonSemisimpleError(RuntimeError):
@@ -136,24 +139,37 @@ class SpectrumStack(Sequence):
         return len(self.lam)
 
     def __getitem__(self, i: int) -> SpectrumReport:
-        r, cond = self.ranked, float(self.eigvec_cond[i])
-        zeros = tuple(r.order[_ZERO, i][~r.past[_ZERO, i]].tolist())
+        zeros, cond = int(np.count_nonzero(~self.ranked.past[_ZERO, i])), float(self.eigvec_cond[i])
         if not self.semi_simple[i]:
-            return SpectrumReport((), (), (), len(zeros), False, cond)
-        real, imag, quad = groups = [], [], []
-        for k, kind, found in zip((_REAL_POS, _IMAG, _QUAD), BLOCK_KINDS, groups):
-            c = np.count_nonzero(~r.past[k, i])
-            cut = np.flatnonzero(r.start[k, i, :c]).tolist() + [c]
-            for s, e in zip(cut, cut[1:]):  # a cluster, and kind k + 1 at the same positions
-                p, q = r.order[k, i, s:e].tolist(), r.order[k + 1, i, s:e].tolist()
-                a = 0.0 if k == _IMAG else float(np.mean(abs(self.lam[i, p].real)))
-                b = 0.0 if k == _REAL_POS else float(np.mean(self.lam[i, p].imag))
-                found.append(_EigGroup(kind, tuple(p), () if k == _IMAG else tuple(q), a, b))
+            return SpectrumReport((), (), (), zeros, False, cond)
+        groups = [g for *_, g in sorted((_GROUP_KINDS.index(kind), int(first[j]), _EigGroup(
+            kind, tuple(p[j].tolist()), tuple(q[j].tolist()) if kind in ("real", "quad") else (),
+            float(a[j]), float(b[j]))) for kind, rows, first, p, q, a, b in self.clusters
+            for j in np.flatnonzero(rows == i).tolist())]  # by kind, then ranked position
+        real, imag, quad = ([g for g in groups if g.kind == kind] for kind in BLOCK_KINDS)
         return SpectrumReport(
             tuple((g.a, len(g.indices)) for g in real), tuple((g.b, len(g.indices)) for g in imag),
-            tuple((g.a, g.b, len(g.indices)) for g in quad), len(zeros), True, cond,
-            (*real, *imag, *quad) + ((_EigGroup("zero", zeros, (), 0.0, 0.0),) if zeros else ()),
-        )
+            tuple((g.a, g.b, len(g.indices)) for g in quad), zeros, True, cond, tuple(groups))
+
+    @functools.cached_property
+    def clusters(self) -> list[tuple]:
+        """The eigenvalue groups of the semi-simple rows, enumerated once for the stack: per
+        kind (_GROUP_KINDS order) and group size k, the kind, each group's row and ranked
+        position, its (c, k) eigenvalue indices p (real: +a side; quad: -a+ib) and partners q
+        (real: -a side; quad: +a+ib), and its a and b, groups in row order."""
+        r, out = self.ranked, []
+        for k, kind in zip((_REAL_POS, _IMAG, _QUAD, _ZERO), _GROUP_KINDS):
+            live = self.semi_simple[:, None] & ~r.past[k]
+            rows, cols = (r.start[k, :, :-1] & live).nonzero()  # each cluster's first position
+            sizes = (r.start[k, :, 1:] & live).nonzero()[1] + 1 - cols  # its last + 1 - first
+            for s in sorted(set(sizes.tolist())):
+                rr, cc = rows[sizes == s, None], cols[sizes == s, None] + np.arange(s)
+                p, z = r.order[k, rr, cc], np.zeros(len(rr))
+                lam = self.lam[rr, p]
+                out.append((kind, rr[:, 0], cc[:, 0], p, r.order[k + 1, rr, cc],
+                            abs(lam.real).mean(axis=-1) if k in (_REAL_POS, _QUAD) else z,
+                            lam.imag.mean(axis=-1) if k in (_IMAG, _QUAD) else z))
+        return out
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
         """The classification of the given rows alone."""
@@ -218,12 +234,19 @@ def _omega_form(space: SymplecticSpace, X: np.ndarray, Y: np.ndarray) -> np.ndar
     return X.swapaxes(-1, -2) @ (space.omega_matrix @ Y)
 
 
-def _krein_pairing(space: SymplecticSpace, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pairing(space: SymplecticSpace, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues mu and eigenvectors T of the pairing (i/2) omega(w_j, conj(w_k))
-    of a column family W (2n x k) or of each in a stack; NormalizationError if one is degenerate."""
+    of a column family W (2n x k) or of each in a stack, and which mu are degenerate (a
+    family with one is degenerate)."""
     mu, T = np.linalg.eigh(0.5j * _omega_form(space, W, W.conj()))
     size = abs(mu)
-    if (size <= 1e-10 * size.max(axis=-1, keepdims=True, initial=1.0)).any():
+    return mu, T, size <= 1e-10 * size.max(axis=-1, keepdims=True, initial=1.0)
+
+
+def _krein_pairing(space: SymplecticSpace, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu and T of _pairing; NormalizationError if a family is degenerate."""
+    mu, T, degenerate = _pairing(space, W)
+    if degenerate.any():
         raise NormalizationError("degenerate orientation pairing")
     return mu, T
 
@@ -273,17 +296,6 @@ class WilliamsonBlock:
             return f"imag_pair b={self.b!r}"
         return f"quadruple a={self.a!r} b={self.b!r}"
 
-    def matrix(self) -> np.ndarray:
-        """The block on the coordinates (e_p for p in planes, then f_p)."""
-        a, b = self.a, self.b
-        if self.kind == "real":
-            return np.array([[-a, 0.0], [0.0, a]])
-        if self.kind == "imag":
-            return np.array([[0.0, b], [-b, 0.0]])
-        return np.array(
-            [[-a, b, 0.0, 0.0], [-b, -a, 0.0, 0.0], [0.0, 0.0, a, b], [0.0, 0.0, -b, a]]
-        )
-
     def yz_terms(self, frames) -> list[tuple[float, RankOneKind, np.ndarray, np.ndarray]]:
         """Commuting rank-one terms (coefficient, kind, e, f) summing to the
         block, given the (e, f) frame of each of its planes: a * Z for a real
@@ -315,81 +327,88 @@ class WilliamsonDecomposition:
 
     def assemble(self) -> np.ndarray:
         """Block-diagonal matrix D with B = S D S^{-1}."""
-        n = self.space.n
-        D = np.zeros((2 * n, 2 * n))
-        for blk in self.blocks:
-            idx = np.array([*blk.planes, *(n + p for p in blk.planes)])
-            D[idx[:, None], idx] = blk.matrix()
-        return D
+        return _assemble(self.space.n, [self.blocks])[0]
 
 
-def _realify_eigenspace(V: np.ndarray, m: int) -> np.ndarray:
-    """Real orthonormal basis (2n x m) of the span of Re/Im of complex columns."""
-    stacked = np.hstack([V.real, V.imag])
-    Q, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-10))
-    if rank != m:
-        raise NormalizationError(
-            f"real eigenspace rank {rank} does not match multiplicity {m}"
-        )
-    return Q[:, :m]
+# each block kind's nonzero entries (i, j, sign, parameter) on its coordinates
+# (e_p for p in planes, then f_p); its other entries are 0.0
+_BLOCK_ENTRIES = {
+    "real": ((0, 0, -1, "a"), (1, 1, 1, "a")), "imag": ((0, 1, 1, "b"), (1, 0, -1, "b")),
+    "quad": ((0, 0, -1, "a"), (0, 1, 1, "b"), (1, 0, -1, "b"), (1, 1, -1, "a"),
+             (2, 2, 1, "a"), (2, 3, 1, "b"), (3, 2, -1, "b"), (3, 3, 1, "a"))}
 
 
-def _planes_real(space, V, g) -> list[tuple[np.ndarray, np.ndarray]]:
-    Vm = _realify_eigenspace(V[:, list(g.partner_indices)], len(g.partner_indices))
-    Vp = _realify_eigenspace(V[:, list(g.indices)], len(g.indices))
+def _assemble(n: int, blocks: Sequence) -> np.ndarray:
+    """The block-diagonal matrix D of each list of blocks, as one (m, 2n, 2n) stack."""
+    at, values = [], []  # flat positions in D and their entries
+    for row, blks in enumerate(blocks):
+        for blk in blks:
+            idx = (*blk.planes, *(n + p for p in blk.planes))
+            for i, j, sign, param in _BLOCK_ENTRIES[blk.kind]:
+                at.append((2 * n * row + idx[i]) * 2 * n + idx[j])
+                values.append(sign * getattr(blk, param))
+    D = np.zeros((len(blocks), 2 * n, 2 * n))
+    D.reshape(-1)[at] = values
+    return D
+
+
+# Plane builders: from the eigenvector columns W (c, 2n, k) of one kind's groups and their
+# partners Wq, the frames [(E, F)] of each group's k blocks (one (c, k, 2n) pair per block
+# plane), the sign of each block's b, and the checks (failed, message, value) in order.
+
+def _realify_eigenspace(V: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Real orthonormal bases (c, 2n, k) of the spans of Re/Im of each family of k complex
+    columns of the stack V, and the check that each span has rank k."""
+    Q, s, _ = np.linalg.svd(np.concatenate([V.real, V.imag], axis=-1), full_matrices=False)
+    rank, k = (s > s[..., :1] * 1e-10).sum(axis=-1), V.shape[-1]
+    return Q[..., :k], (rank != k, f"real eigenspace rank {{}} does not match multiplicity {k}",
+                        rank)
+
+
+def _planes_real(space, W, Wq):
+    """e from the realified -a eigenspace Vm, f = Vp G^-1 from the +a one, G = omega(Vm, Vp)."""
+    (Vm, rank_m), (Vp, rank_p) = _realify_eigenspace(Wq), _realify_eigenspace(W)
     G = _omega_form(space, Vm, Vp).real
-    if abs(np.linalg.det(G)) < 1e-12:
-        raise NormalizationError("degenerate pairing on a real eigenvalue pair")
-    F = Vp @ np.linalg.inv(G)
-    return [(Vm[:, j], F[:, j]) for j in range(Vm.shape[1])]
+    singular = abs(np.linalg.det(G)) < 1e-12
+    F = Vp @ np.linalg.inv(np.where(singular[:, None, None], np.eye(G.shape[-1]), G))
+    return [(Vm.swapaxes(1, 2), F.swapaxes(1, 2))], 1.0, [
+        rank_m, rank_p, (singular, "degenerate pairing on a real eigenvalue pair", singular)]
 
 
-def _krein_planes(space, W) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """[(sign, e, f)] Darboux planes spanning the columns W, one per eigenvalue
-    of their _krein_pairing, whose sign orients the plane: omega(e, f) = 1."""
-    mu, T = _krein_pairing(space, W)
-    out = []
-    for j in range(len(mu)):
-        w = (W @ np.conj(T[:, j])) / np.sqrt(abs(mu[j]))
-        out.append((1.0, w.real, w.imag) if mu[j] > 0 else (-1.0, w.imag, w.real))
-    return out
+@np.errstate(divide="ignore", invalid="ignore")  # a degenerate family is refused, not used
+def _planes_imag(space, W, Wq=None):
+    """Darboux planes (e_j, f_j) spanning W, one per eigenvalue mu_j of its _pairing, whose
+    sign orients the plane: omega(e, f) = 1."""
+    mu, T, degenerate = _pairing(space, W)
+    degenerate = degenerate.any(axis=-1)
+    Tc = T.conj().swapaxes(1, 2).copy()[..., None]  # conj(T[:, j]), one vector per j
+    w = (W[:, None] @ Tc)[..., 0] / np.sqrt(abs(mu))[..., None]
+    pos = mu[..., None] > 0
+    return [(np.where(pos, w.real, w.imag), np.where(pos, w.imag, w.real))], np.where(
+        pos[..., 0], 1.0, -1.0), [(degenerate, "degenerate orientation pairing", degenerate)]
 
 
-def _planes_quad(space, V, g):
-    """[((e_k, f_k), (e_l, f_l))] two-plane frames for one quadruple group."""
-    W1 = V[:, list(g.indices)]
-    W2 = V[:, list(g.partner_indices)]
-    P = _omega_form(space, W1, W2.conj())
-    if abs(np.linalg.det(P)) < 1e-12:
-        raise NormalizationError("degenerate pairing on a quadruple")
-    W2 = W2 @ np.conj(2.0 * np.linalg.inv(P))
-    out = []
-    for j in range(W1.shape[1]):
-        w1, w2 = W1[:, j], W2[:, j]
-        out.append(((w1.real, w2.real), (w1.imag, w2.imag)))
-    return out
+def _planes_quad(space, W, Wq):
+    """Planes (Re w1, Re w2) and (Im w1, Im w2): w1 from W, w2 from Wq normalized by the
+    pairing P = omega(W, conj Wq) as Wq conj(2 P^-1)."""
+    P = _omega_form(space, W, Wq.conj())
+    singular = abs(np.linalg.det(P)) < 1e-12
+    P = np.where(singular[:, None, None], np.eye(P.shape[-1]), P)  # inverted where regular
+    W1, W2 = W.swapaxes(1, 2), (Wq @ np.conj(2.0 * np.linalg.inv(P))).swapaxes(1, 2)
+    return [(W1.real, W2.real), (W1.imag, W2.imag)], 1.0, [
+        (singular, "degenerate pairing on a quadruple", singular)]
 
 
-def _planes_zero(space, V, g) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Darboux planes of the classified kernel: its realified eigenvectors split by
-    _krein_planes, keeping the positively oriented planes (the others span the same
-    space again)."""
-    W = _realify_eigenspace(V[:, list(g.indices)], len(g.indices))
-    return [(e, f) for sign, e, f in _krein_planes(space, W) if sign > 0]
+def _planes_zero(space, W, Wq):
+    """The kernel's realified eigenvectors split by _planes_imag; the caller keeps the
+    positively oriented planes (the others span the same space again)."""
+    R, rank = _realify_eigenspace(W)
+    planes, sign, checks = _planes_imag(space, R)
+    return planes, sign, [rank, *checks]
 
 
-def _group_blocks(space, V, g) -> list[tuple[str, float, float, list]]:
-    """(kind, a, b, [(e, f) per plane]) for each block of one eigenvalue group;
-    kernel planes enter as real blocks with a = 0."""
-    if g.kind == "real":
-        return [("real", g.a, 0.0, [ef]) for ef in _planes_real(space, V, g)]
-    if g.kind == "imag":
-        planes = _krein_planes(space, V[:, list(g.indices)])
-        return [("imag", 0.0, sign * g.b, [(e, f)]) for sign, e, f in planes]
-    if g.kind == "quad":
-        return [("quad", g.a, g.b, list(frames)) for frames in _planes_quad(space, V, g)]
-    return [("real", 0.0, 0.0, [ef]) for ef in _planes_zero(space, V, g)]
+_PLANE_BUILDERS = {"real": _planes_real, "imag": _planes_imag, "quad": _planes_quad,
+                   "zero": _planes_zero}
 
 
 def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition]:
@@ -399,123 +418,172 @@ def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition
     Blocks are sorted by kind (real, imag, quad) then parameter magnitude,
     ties by smallest originating eigenvalue index; imaginary parameters carry
     the plane orientation in their sign, so b and -b blocks are distinct.
+    The stack is built at once: one plane builder per kind and size of
+    SpectrumStack.clusters, then the frame check, D and round trip as stacks.
     """
-    return [_decompose(spectra, i) for i in range(len(spectra))]
+    if not spectra:
+        return []
+    space, m = spectra.elements[0].space, len(spectra)
+    n, O = space.n, space.omega_matrix
+    errors = []  # ((row, check, ...), error): a row's failures sort in its check order
+    try:
+        _require_semisimple(spectra.semi_simple, spectra.eigvec_cond)
+    except NonSemisimpleError as exc:
+        errors.append(((int(spectra.semi_simple.argmin()), 0), exc))
+    parts = []  # per batch and block plane t: each plane's row, block sort key, t, e and f
+    for kind, rows, first, p, q, a, b in spectra.clusters:
+        W, Wq = (spectra.V.swapaxes(1, 2)[rows[:, None], x].swapaxes(1, 2)
+                 for x in (p, q))  # the groups' eigenvector columns, by one gather
+        planes, sign, checks = _PLANE_BUILDERS[kind](space, W, Wq)
+        errors += [((int(rows[g]), 1, _GROUP_KINDS.index(kind), int(first[g]), step),
+                    NormalizationError(message.format(value[g])))
+                   for step, (bad, message, value) in enumerate(checks)
+                   for g in np.flatnonzero(bad)]
+        g, j = np.nonzero(np.broadcast_to(sign > 0 if kind == "zero" else True, p.shape))
+        key = (rows[g], np.full(len(g), _GROUP_KINDS.index(kind) % 3), a[g],  # kernel: real
+               np.broadcast_to(b[:, None] * sign, p.shape)[g, j], p.min(axis=-1)[g], j)
+        parts += [(*key, np.full(len(g), t), E[g, j], F[g, j]) for t, (E, F) in enumerate(planes)]
+    if not parts:  # no row is semi-simple
+        raise errors[0][1]
+    row, kind, a, b, first, j, t, E, F = (np.concatenate(x) for x in zip(*parts))
+    failed = np.zeros(m, bool)
+    failed[[key[0] for key, _ in errors]] = True
+    order = np.lexsort((t, j, first, abs(b), abs(a), kind, row))
+    row, kind, a, b, t, E, F = (x[order[~failed[row[order]]]] for x in (row, kind, a, b, t, E, F))
+    plane, count = np.arange(len(row)) - np.searchsorted(row, row), np.bincount(row, minlength=m)
+    good = ~failed & (count == n)
+    at = good[row]
+    S = np.zeros((m, 2 * n, 2 * n))
+    S[row[at], :, plane[at]], S[row[at], :, n + plane[at]] = E[at], F[at]
+    blocks = [[] for _ in range(m)]
+    for i, k, x, y, p in zip(*(v[at & (t == 0)].tolist() for v in (row, kind, a, b, plane))):
+        blocks[i].append(WilliamsonBlock(BLOCK_KINDS[k], x, y, tuple(range(p, p + 1 + (k == 2)))))
+    Bm = np.array([B.mat for B in spectra.elements])
+    sdef = np.abs(S.swapaxes(1, 2) @ O @ S - O).max(axis=(1, 2))
+    resid = np.abs(S @ _assemble(n, blocks) @ omega_adjoint(S) - Bm).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(Bm).max(axis=(1, 2)))
+    errors += [((i, check), NormalizationError(message.format(value[i])))
+               for check, bad, message, value in (
+        (2, ~failed & (count != n), f"planes cover {{}} of {n} slots", count),
+        (3, good & (sdef > FRAME_SYMPLECTIC_TOL), "frame symplectic defect {:.3e}", sdef),
+        (4, good & (resid > ROUNDTRIP_TOL * scale), "round-trip residual {:.3e}", resid),
+    ) for i in np.flatnonzero(bad).tolist()]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [WilliamsonDecomposition(space, S[i], tuple(blocks[i]), float(resid[i] / scale[i]))
+            for i in range(m)]
 
 
-def _decompose(spectra: SpectrumStack, i: int) -> WilliamsonDecomposition:
-    _require_semisimple(spectra.semi_simple[i : i + 1], spectra.eigvec_cond[i : i + 1])
-    B, report, V = spectra.elements[i], spectra[i], spectra.V[i]
-    space = B.space
-    entries = []  # (sort_key, orig_index, kind, a, b, [(e, f), ...])
-    for g in report._groups:
-        for kind, a, b, frames in _group_blocks(space, V, g):
-            sort_key = (BLOCK_KINDS.index(kind), abs(a), abs(b))
-            entries.append((sort_key, min(g.indices), kind, a, b, frames))
-    entries.sort(key=lambda t: t[:2])
-
-    n = space.n
-    S = np.zeros((2 * n, 2 * n))
-    blocks = ()
-    plane = 0
-    for _, _, kind, a, b, frames in entries:
-        planes = tuple(range(plane, plane + len(frames)))
-        for p, (e, f) in zip(planes, frames):
-            S[:, p] = e
-            S[:, n + p] = f
-        blocks += (WilliamsonBlock(kind=kind, a=a, b=b, planes=planes),)
-        plane += len(frames)
-    if plane != n:
-        raise NormalizationError(f"planes cover {plane} of {n} slots")
-
-    O = space.omega_matrix
-    sdef = float(np.abs(S.T @ O @ S - O).max())
-    if sdef > FRAME_SYMPLECTIC_TOL:
-        raise NormalizationError(f"frame symplectic defect {sdef:.3e}")
-    D = WilliamsonDecomposition(space, S, blocks).assemble()
-    resid, scale = np.abs(S @ D @ omega_adjoint(S) - B.mat).max(), max(1.0, np.abs(B.mat).max())
-    if resid > ROUNDTRIP_TOL * scale:
-        raise NormalizationError(f"round-trip residual {resid:.3e}")
-    return WilliamsonDecomposition(space, S, blocks, float(resid / scale))
+def _commute(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Whether each pair of the stacks X, Y commutes within COMMUTE_TOL max(1, |X| |Y|)."""
+    tol = COMMUTE_TOL * np.maximum(1.0, np.abs(X).max(axis=(1, 2)) * np.abs(Y).max(axis=(1, 2)))
+    return np.abs(X @ Y - Y @ X).max(axis=(1, 2)) <= tol
 
 
-def _commutes(X: np.ndarray, Y: np.ndarray) -> bool:
-    tol = COMMUTE_TOL * max(1.0, np.abs(X).max() * np.abs(Y).max())
-    return np.abs(X @ Y - Y @ X).max() <= tol
-
-
-def yz_decomposition(
-    B: SpElement, decomposition: WilliamsonDecomposition
-) -> list[tuple[float, RankOneKind, np.ndarray]]:
-    """Pairwise commuting rank-one terms summing to B, block by block (see
-    WilliamsonBlock.yz_terms), from B's decomposition: (coefficient, kind,
-    the term's plain matrix) per term."""
-    space, S = decomposition.space, decomposition.S
-    terms: list[tuple[float, RankOneKind, np.ndarray]] = []
-    realized = []  # per block: [(term index, term matrix)]
-    total = np.zeros_like(B.mat)
-    for blk in decomposition.blocks:
-        realized.append([])
-        frames = [(S[:, p], S[:, space.n + p]) for p in blk.planes]
-        for c, kind, e, f in blk.yz_terms(frames):
-            M = rank_one_matrix(space, kind, e, f)
-            total = total + c * M
-            realized[-1].append((len(terms), M))
-            terms.append((c, kind, M))
-    resid = np.abs(total - B.mat).max()
-    if resid > ROUNDTRIP_TOL * max(1.0, np.abs(B.mat).max()):
-        raise NormalizationError(f"term sum residual {resid:.3e}")
-
+def yz_decomposition(Bs: list[SpElement], decompositions: list[WilliamsonDecomposition]
+                     ) -> list[list[tuple[float, RankOneKind, np.ndarray]]]:
+    """Each element's pairwise commuting rank-one terms summing to it, block by
+    block (see WilliamsonBlock.yz_terms), from its decomposition: (coefficient,
+    kind, the term's plain matrix) per term.  The terms of all elements are built
+    with one rank_one_matrix per kind, and summed and checked as stacks; the first
+    element whose terms fail raises what it raises alone."""
+    if not Bs:
+        return []
+    space = decompositions[0].space
+    terms, quads, pairs = [], [], []  # (element, coefficient, kind, e, f); quadruples; pairs
+    for i, dec in enumerate(decompositions):
+        realized, base = [], len(terms)  # per block: the indices of its terms
+        for bi, blk in enumerate(dec.blocks):
+            new = blk.yz_terms([(dec.S[:, p], dec.S[:, space.n + p]) for p in blk.planes])
+            realized.append(range(len(terms), len(terms) + len(new)))
+            quads += [(i, bi, len(terms), blk.a, blk.b)] if blk.kind == "quad" else []
+            terms += [(i, *term) for term in new]
+        pairs += [(i, x, y, base) for first, second in itertools.combinations(realized, 2)
+                  for x, y in itertools.product(first, second)]
+    elem, coef = (np.array([term[k] for term in terms]) for k in (0, 1))
+    M = np.empty((len(terms), space.dim, space.dim))
+    for kind in RankOneKind:
+        at = [t for t, term in enumerate(terms) if term[2] is kind]
+        if at:
+            e, f = (np.array([terms[t][k] for t in at]) for k in (3, 4))
+            M[at] = rank_one_matrix(space, kind, e, f)
+    total = np.zeros((len(Bs), space.dim, space.dim))
+    np.add.at(total, elem, coef[:, None, None] * M)  # each element's terms, in order
+    Bm = np.array([B.mat for B in Bs])
+    resid = np.abs(total - Bm).max(axis=(1, 2))
+    bad = resid > ROUNDTRIP_TOL * np.maximum(1.0, np.abs(Bm).max(axis=(1, 2)))
+    errors = [((i,), f"term sum residual {resid[i]:.3e}") for i in np.flatnonzero(bad).tolist()]
     # Terms of distinct blocks commute outright.  Inside a quadruple the four
     # terms only satisfy the three relations: the Z-sum commutes with the
     # signed Y-combination, the two Z's commute, and the two Y's commute.
-    for first, second in itertools.combinations(realized, 2):
-        for (i, X), (j, Y) in itertools.product(first, second):
-            if not _commutes(X, Y):
-                raise NormalizationError(f"terms {i}, {j} fail to commute")
-    for bi, (blk, mats) in enumerate(zip(decomposition.blocks, realized)):
-        if blk.kind == "quad":
-            (_, z1), (_, z2), (_, y1), (_, y2) = mats
-            relations = ((blk.a * (z1 + z2), blk.b * (y2 - y1)), (z1, z2), (y1, y2))
-            if not all(_commutes(lhs, rhs) for lhs, rhs in relations):
-                raise NormalizationError(f"quadruple relations fail on block {bi}")
-    return terms
+    if pairs:
+        e, x, y, base = np.array(pairs).T
+        errors += [((e[t], 1, t), f"terms {x[t] - base[t]}, {y[t] - base[t]} fail to commute")
+                   for t in np.flatnonzero(~_commute(M[x], M[y])).tolist()]
+    if quads:
+        e, bi, z, a, b = (np.array(v) for v in zip(*quads))
+        z1, z2, y1, y2 = (M[z + k] for k in range(4))
+        holds = (_commute(a[:, None, None] * (z1 + z2), b[:, None, None] * (y2 - y1))
+                 & _commute(z1, z2) & _commute(y1, y2))
+        errors += [((e[t], 2, t), f"quadruple relations fail on block {bi[t]}")
+                   for t in np.flatnonzero(~holds).tolist()]
+    if errors:
+        raise NormalizationError(min(errors)[1])
+    out = [[] for _ in Bs]
+    for t, (i, c, kind, *_) in enumerate(terms):
+        out[i].append((c, kind, M[t]))
+    return out
 
 
-def random_semisimple(
-    space: SymplecticSpace,
-    seed,
-    kinds: tuple = BLOCK_KINDS,
-) -> tuple[SpElement, list[WilliamsonBlock]]:
-    """Random semi-simple element with known block content: draw typed blocks
-    with parameters in SEMISIMPLE_PARAM_RANGE, then conjugate by a random
-    symplectic matrix of scale SEMISIMPLE_FRAME_SCALE.  Returns the element
-    and its generating blocks (canonical truth for round-trip tests)."""
+def random_semisimple(space: SymplecticSpace, seed,
+                      kinds: tuple = BLOCK_KINDS) -> tuple[SpElement, list[WilliamsonBlock]]:
+    """Random semi-simple element with known block content: `semisimple_elements`
+    of one `draw_semisimple`.  Returns the element and its generating blocks
+    (canonical truth for round-trip tests)."""
+    return semisimple_elements(space, [draw_semisimple(space, rng_from(seed), kinds)])[0]
+
+
+def draw_semisimple(space: SymplecticSpace, rng: np.random.Generator,
+                    kinds: tuple = BLOCK_KINDS) -> tuple[list[WilliamsonBlock], np.ndarray]:
+    """The random numbers of one semi-simple element, read from rng: typed blocks
+    with parameters in SEMISIMPLE_PARAM_RANGE, then the Gaussian of its random
+    symplectic frame of scale SEMISIMPLE_FRAME_SCALE."""
+    if not kinds:
+        raise ValueError("at least one block kind is needed")
     unknown = [k for k in kinds if k not in BLOCK_KINDS]
     if unknown:
         raise ValueError(f"unknown block kind {unknown[0]!r}; expected one of {BLOCK_KINDS}")
     if space.n % 2 and set(kinds) <= {"quad"}:
         raise ValueError(f"odd n = {space.n} needs a one-plane kind ('real' or 'imag')")
-    rng = rng_from(seed)
-    n = space.n
     lo, hi = SEMISIMPLE_PARAM_RANGE
-    blocks = []
-    plane = 0
-    while plane < n:
-        kind = rng.choice([k for k in kinds if k != "quad" or plane + 1 < n])
+    blocks, plane = [], 0
+    while plane < space.n:
+        options = [k for k in kinds if k != "quad" or plane + 1 < space.n]
+        kind = options[rng.integers(len(options))]  # what rng.choice(options) reads, faster
         if kind == "quad":
             a, b = rng.uniform(lo, hi, 2)
-            blocks.append(WilliamsonBlock("quad", float(a), float(b), (plane, plane + 1)))
-            plane += 2
         elif kind == "imag":
-            b = rng.uniform(lo, hi) * rng.choice([-1.0, 1.0])
-            blocks.append(WilliamsonBlock("imag", 0.0, float(b), (plane,)))
-            plane += 1
+            a, b = 0.0, rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(2)]
         else:
-            a = rng.uniform(lo, hi)
-            blocks.append(WilliamsonBlock("real", float(a), 0.0, (plane,)))
-            plane += 1
-    D = WilliamsonDecomposition(space, np.eye(2 * n), tuple(blocks)).assemble()
-    g = random_symplectic_group_element(space, SEMISIMPLE_FRAME_SCALE, rng)
-    M = g @ D @ omega_adjoint(g)
-    return project_skew_symplectic(space, M), blocks
+            a, b = rng.uniform(lo, hi), 0.0
+        size = 2 if kind == "quad" else 1
+        blocks.append(WilliamsonBlock(kind, float(a), float(b), tuple(range(plane, plane + size))))
+        plane += size
+    return blocks, _random_gaussian(space, SEMISIMPLE_FRAME_SCALE, rng)
+
+
+def semisimple_elements(space: SymplecticSpace, draws: list) -> list[tuple[SpElement, list]]:
+    """The elements and blocks of draws (`draw_semisimple`), built as one stack:
+    one expm of the frames g, one g D g^omega, one skew_part and one membership
+    check.  A failing draw raises the error that building the draws one at a
+    time, in order, raises first."""
+    if not draws:
+        return []
+    blocks, X = zip(*draws)
+    g, errors = group_elements(space, np.array(X))
+    k = next((t for t, error in enumerate(errors) if error), len(errors))
+    D = _assemble(space.n, blocks[:k])
+    elements = SpElement.stack(space, skew_part(g[:k] @ D @ omega_adjoint(g[:k])))
+    if k < len(errors):
+        raise errors[k]
+    return list(zip(elements, blocks))

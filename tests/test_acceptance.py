@@ -278,7 +278,7 @@ def test_criterion_10_williamson_round_trip():
             ).max() / max(1e-30, np.abs(B.mat).max())
             worst_frame = max(worst_frame, frame)
             worst_resid = max(worst_resid, resid)
-            terms = yz_decomposition(B, dec)
+            (terms,) = yz_decomposition([B], [dec])
             mats = [(c, M) for c, _, M in terms]
             idx = 0
             for blk in dec.blocks:

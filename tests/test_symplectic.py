@@ -295,7 +295,7 @@ class TestStackedBuilds:
         rng = rng_from(80 + n)
         Bs = [random_semisimple(space, rng)[0] for _ in range(6)]
         decs = williamson_decompose(classify_eigenstructure(Bs))
-        terms = [t for B, dec in zip(Bs, decs) for t in yz_decomposition(B, dec)]
+        terms = [t for ts in yz_decomposition(Bs, decs) for t in ts]
         for x, (_, _, M) in zip(SpElement.stack(space, [M for *_, M in terms]), terms):
             assert _same_bits(x.mat, SpElement(space, M).mat)
             assert not x.mat.flags.writeable

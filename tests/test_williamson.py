@@ -1,13 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import spqs.symplectic
 from spqs.maslov import MaslovLimitConfig, maslov_limit, maslov_spectral
 from spqs.quasistates import linear_qs, maslov_qs, nilpotent_jordan_sp
 from spqs.symplectic import (
+    SkewSymplecticityError,
     SpElement,
+    SymplecticDefectError,
     SymplecticSpace,
     omega_adjoint,
     random_symplectic_group_element,
+    rank_one_matrix,
+    rng_from,
+    skew_part,
     y_element,
     z_element,
 )
@@ -20,11 +29,13 @@ from spqs.williamson import (
     WilliamsonDecomposition,
     _krein_pairing,
     classify_eigenstructure,
+    draw_semisimple,
     random_semisimple,
+    semisimple_elements,
     williamson_decompose,
     yz_decomposition,
 )
-from test_classification_oracle import _match_clusters, stacked_match
+from test_classification_oracle import RECIPES, _match_clusters, element, stacked_match
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -238,6 +249,68 @@ class TestDecompose:
                 random_semisimple(space, 0, kinds=("quad",))
         _, blocks = random_semisimple(sp3, 0, kinds=("quad", "imag"))
         assert sum(len(b.planes) for b in blocks) == 3
+        for space in (sp2, sp3):  # no kind at all is refused before any draw
+            with pytest.raises(ValueError, match="^at least one block kind is needed$"):
+                random_semisimple(space, 0, kinds=())
+
+
+def block_bits(blocks):
+    return [(b.kind, b.a.hex(), b.b.hex(), b.planes) for b in blocks]
+
+
+class TestStackedDraws:
+    """semisimple_elements builds draw_semisimple draws as one stack: the elements
+    and blocks of one random_semisimple call per draw, bit for bit, and the
+    first failing draw's error."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_stack_is_its_draws_one_at_a_time(self, n):
+        space = SymplecticSpace(n)
+        for kinds in (BLOCK_KINDS, ("imag",)) + ((("quad",),) if n % 2 == 0 else ()):
+            shared, alone = rng_from(90 + n), rng_from(90 + n)
+            stacked = semisimple_elements(space, [draw_semisimple(space, shared, kinds)
+                                                  for _ in range(12)])
+            for B, blocks in stacked:
+                B1, blocks1 = random_semisimple(space, alone, kinds)
+                assert B.mat.tobytes() == B1.mat.tobytes()
+                assert block_bits(blocks) == block_bits(blocks1)
+            # both generators read the same numbers, so their next draws agree
+            (B, blocks), (B1, blocks1) = (random_semisimple(space, r, kinds)
+                                          for r in (shared, alone))
+            assert B.mat.tobytes() == B1.mat.tobytes() and block_bits(blocks) == block_bits(blocks1)
+
+    @staticmethod
+    def _first_error(build):
+        with pytest.raises((SymplecticDefectError, SkewSymplecticityError)) as info:
+            build()
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_group_defect(self, n, monkeypatch):
+        space = SymplecticSpace(n)
+        rng = rng_from(100 + n)
+        draws = [draw_semisimple(space, rng) for _ in range(10)]
+        O = space.omega_matrix
+        g = expm(skew_part(np.array([X for _, X in draws])))
+        ratios = [np.abs(gi.T @ O @ gi - O).max() / max(1.0, np.abs(gi).max() ** 2) for gi in g]
+        # the tolerance passes the draws before the first new maximum ratio and fails that one
+        first = next(t for t in range(1, len(ratios)) if ratios[t] > max(ratios[:t]))
+        monkeypatch.setattr(spqs.symplectic, "GROUP_DEFECT_TOL", max(ratios[:first]))
+
+        def one_at_a_time():
+            for draw in draws:
+                semisimple_elements(space, [draw])
+
+        expected = self._first_error(one_at_a_time)
+        assert expected[0] is SymplecticDefectError
+        assert self._first_error(lambda: semisimple_elements(space, draws)) == expected
+        for k in (first - 1, first + 1):  # a non-finite frame: no defect, a membership error
+            blocks, X = draws[k]
+            poisoned = draws[:k] + [(blocks, np.full_like(X, np.nan))] + draws[k + 1:]
+            expected = self._first_error(
+                lambda: [semisimple_elements(space, [draw]) for draw in poisoned])
+            assert expected[0] is (SkewSymplecticityError if k < first else SymplecticDefectError)
+            assert self._first_error(lambda: semisimple_elements(space, poisoned)) == expected
 
 
 class TestYZDecomposition:
@@ -246,7 +319,7 @@ class TestYZDecomposition:
             sp1, np.eye(2), (WilliamsonBlock("real", 2.0, 0.0, (0,)),)
         ).assemble()
         B = SpElement(sp1, D)
-        terms = yz_decomposition(B, decompose(B))
+        (terms,) = yz_decomposition([B], [decompose(B)])
         assert len(terms) == 1
         coef, kind, _ = terms[0]
         assert coef == pytest.approx(2.0, abs=1e-9)
@@ -257,7 +330,7 @@ class TestYZDecomposition:
             sp1, np.eye(2), (WilliamsonBlock("imag", 0.0, 3.0, (0,)),)
         ).assemble()
         B = SpElement(sp1, D)
-        terms = yz_decomposition(B, decompose(B))
+        (terms,) = yz_decomposition([B], [decompose(B)])
         assert len(terms) == 1
         coef, kind, _ = terms[0]
         assert coef == pytest.approx(3.0, abs=1e-9)
@@ -267,7 +340,7 @@ class TestYZDecomposition:
         blocks = (WilliamsonBlock("quad", 1.0, 1.0, (0, 1)),)
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
         B = SpElement(sp2, D)
-        terms = yz_decomposition(B, decompose(B))
+        (terms,) = yz_decomposition([B], [decompose(B)])
         assert len(terms) == 4
         total = sum(c * M for c, _, M in terms)
         np.testing.assert_allclose(total, D, atol=1e-9)
@@ -278,7 +351,7 @@ class TestYZDecomposition:
         rng = np.random.Generator(np.random.Philox(60 + n))
         for _ in range(10):
             B, _ = random_semisimple(space, rng)
-            terms = yz_decomposition(B, decompose(B))
+            (terms,) = yz_decomposition([B], [decompose(B)])
             total = sum(c * M for c, _, M in terms)
             SpElement.stack(space, [M for *_, M in terms])  # every term lies in the algebra
             assert np.abs(total - B.mat).max() <= 1e-6 * max(1, np.abs(B.mat).max())
@@ -290,7 +363,61 @@ class TestYZDecomposition:
         states = [linear_qs(N), maslov_qs()]
         for _ in range(5):
             B, _ = random_semisimple(sp3, rng)
-            terms = yz_decomposition(B, decompose(B))
+            (terms,) = yz_decomposition([B], [decompose(B)])
             for zeta in states:
                 via = sum(c * zeta(SpElement(sp3, M)) for c, _, M in terms)
                 assert via == pytest.approx(zeta(B), abs=1e-6)
+
+
+def reference_terms(B, dec):
+    """B's terms built one element, one block and one term at a time, each matrix
+    from its own vectors: the per-element build that the stacked one replaced."""
+    S, n = dec.S, dec.space.n
+    return [(c, kind, rank_one_matrix(dec.space, kind, e, f)) for blk in dec.blocks
+            for c, kind, e, f in blk.yz_terms([(S[:, p], S[:, n + p]) for p in blk.planes])]
+
+
+class TestStackedTerms:
+    """yz_decomposition builds, sums and checks the terms of a list as stacks: the
+    terms of each element as the per-element build, bit for bit, and the first
+    failing element's error."""
+
+    @staticmethod
+    def decomposable(n):
+        """The RECIPES elements at seeds 7 and 8 that decompose, and their decompositions."""
+        space, found = SymplecticSpace(n), []
+        for B in (element(space, recipe, seed) for recipe in RECIPES for seed in (7, 8)):
+            try:
+                found.append((B, decompose(B)))
+            except (ClassificationError, NonSemisimpleError, NormalizationError):
+                continue
+        return [B for B, _ in found], [dec for _, dec in found]
+
+    @staticmethod
+    def bits(terms):
+        return [(c.hex(), str(kind.value), M.tobytes()) for c, kind, M in terms]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_list_gives_each_elements_terms(self, n):
+        Bs, decs = self.decomposable(n)
+        want = [self.bits(reference_terms(B, dec)) for B, dec in zip(Bs, decs)]
+        assert [self.bits(ts) for ts in yz_decomposition(Bs, decs)] == want
+        assert [self.bits(yz_decomposition([B], [dec])[0]) for B, dec in zip(Bs, decs)] == want
+
+    # a frame column moved by eps: 1e-3 breaks the term sum, 1e-7 keeps it within
+    # ROUNDTRIP_TOL and breaks the commutation of distinct blocks' terms
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps, message", [(1e-3, "^term sum residual "),
+                                              (1e-7, "^terms 0, [0-9]+ fail to commute$")])
+    def test_a_failing_element_fails_a_list_as_alone(self, n, eps, message):
+        Bs, decs = self.decomposable(n)
+        i = next(i for i, dec in enumerate(decs) if len(dec.blocks) > 1)
+        S = decs[i].S.copy()
+        S[:, 0] += eps * rng_from(n).standard_normal(S.shape[0])
+        bad = replace(decs[i], S=S)
+        with pytest.raises(NormalizationError, match=message) as alone:
+            yz_decomposition([Bs[i]], [bad])
+        mid = len(Bs) // 2
+        with pytest.raises(NormalizationError) as listed:
+            yz_decomposition(Bs[:mid] + [Bs[i]] + Bs[mid:], decs[:mid] + [bad] + decs[mid:])
+        assert str(listed.value) == str(alone.value)
