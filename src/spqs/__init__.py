@@ -60,7 +60,6 @@ from .symplectic import (
     z_element,
 )
 from .williamson import (
-    SpectrumReport,
     WilliamsonBlock,
     WilliamsonDecomposition,
     classify_eigenstructure,

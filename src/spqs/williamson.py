@@ -4,10 +4,9 @@ commuting Y/Z representation."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,33 +45,6 @@ class ClassificationError(RuntimeError):
 
 class NormalizationError(RuntimeError):
     """A candidate invariant plane could not be symplectically normalized."""
-
-
-@dataclass(frozen=True)
-class _EigGroup:
-    kind: str               # "zero" | "real" | "imag" | "quad"
-    indices: tuple          # eigenvalue indices with Im >= 0 representative(s)
-    partner_indices: tuple  # paired indices (real: -a side; quad: +a+ib side)
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalue classification of a skew-symplectic matrix.
-
-    real pairs carry a > 0; imaginary pairs the eigenvalue magnitude b > 0
-    (orientation data lives in the decomposition, not here); quadruples carry
-    a, b > 0; zeros are counted.  semi-simplicity is the eigenvector-condition
-    proxy."""
-
-    real_pairs: tuple          # (a, multiplicity)
-    imag_pairs: tuple          # (b, multiplicity)
-    quadruples: tuple          # (a, b, multiplicity)
-    zero_multiplicity: int
-    semi_simple: bool
-    eigvec_cond: float
-    _groups: tuple = field(repr=False, default=())
 
 
 def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +97,10 @@ def _check_pairing(r: _Ranked, ctol: np.ndarray, semi_simple: np.ndarray) -> Non
 
 
 @dataclass(eq=False)
-class SpectrumStack(Sequence):
-    """A stack's classification; item i is element i's SpectrumReport."""
+class SpectrumStack:
+    """A stack's classification: each element's eigenvalues lam and eigenvectors V, their
+    condition and semi-simple flag, and every kind's ranked keys, whose eigenvalue groups
+    `clusters` enumerates."""
 
     elements: tuple  # the classified SpElements
     lam: np.ndarray
@@ -138,37 +112,27 @@ class SpectrumStack(Sequence):
     def __len__(self) -> int:
         return len(self.lam)
 
-    def __getitem__(self, i: int) -> SpectrumReport:
-        zeros, cond = int(np.count_nonzero(~self.ranked.past[_ZERO, i])), float(self.eigvec_cond[i])
-        if not self.semi_simple[i]:
-            return SpectrumReport((), (), (), zeros, False, cond)
-        groups = [g for *_, g in sorted((_GROUP_KINDS.index(kind), int(first[j]), _EigGroup(
-            kind, tuple(p[j].tolist()), tuple(q[j].tolist()) if kind in ("real", "quad") else (),
-            float(a[j]), float(b[j]))) for kind, rows, first, p, q, a, b in self.clusters
-            for j in np.flatnonzero(rows == i).tolist())]  # by kind, then ranked position
-        real, imag, quad = ([g for g in groups if g.kind == kind] for kind in BLOCK_KINDS)
-        return SpectrumReport(
-            tuple((g.a, len(g.indices)) for g in real), tuple((g.b, len(g.indices)) for g in imag),
-            tuple((g.a, g.b, len(g.indices)) for g in quad), zeros, True, cond, tuple(groups))
-
-    @functools.cached_property
-    def clusters(self) -> list[tuple]:
-        """The eigenvalue groups of the semi-simple rows, enumerated once for the stack: per
-        kind (_GROUP_KINDS order) and group size k, the kind, each group's row and ranked
-        position, its (c, k) eigenvalue indices p (real: +a side; quad: -a+ib) and partners q
-        (real: -a side; quad: +a+ib), and its a and b, groups in row order."""
-        r, out = self.ranked, []
+    def clusters(self, kinds: tuple = _GROUP_KINDS) -> list[tuple]:
+        """The eigenvalue groups of the semi-simple rows: per kind asked for (_GROUP_KINDS
+        order) and group size k, the kind, each group's row and ranked position, its (c, k)
+        eigenvalue indices p (real: +a side; quad: -a+ib) and partners q (real: -a side;
+        quad: +a+ib; None for the other kinds), and its a and b, groups in row order."""
+        r, out, skip = self.ranked, [], ~self.semi_simple[:, None]
         for k, kind in zip((_REAL_POS, _IMAG, _QUAD, _ZERO), _GROUP_KINDS):
-            live = self.semi_simple[:, None] & ~r.past[k]
-            rows, cols = (r.start[k, :, :-1] & live).nonzero()  # each cluster's first position
-            sizes = (r.start[k, :, 1:] & live).nonzero()[1] + 1 - cols  # its last + 1 - first
+            if kind not in kinds:
+                continue
+            past = r.past[k] | skip
+            rows, cols = (r.start[k, :, :-1] > past).nonzero()  # each cluster's first position
+            sizes = (r.start[k, :, 1:] > past).nonzero()[1] + 1 - cols  # its last + 1 - first
             for s in sorted(set(sizes.tolist())):
-                rr, cc = rows[sizes == s, None], cols[sizes == s, None] + np.arange(s)
+                at = sizes == s
+                rr, cc = rows[at, None], cols[at, None] + np.arange(s)
                 p, z = r.order[k, rr, cc], np.zeros(len(rr))
                 lam = self.lam[rr, p]
-                out.append((kind, rr[:, 0], cc[:, 0], p, r.order[k + 1, rr, cc],
-                            abs(lam.real).mean(axis=-1) if k in (_REAL_POS, _QUAD) else z,
-                            lam.imag.mean(axis=-1) if k in (_IMAG, _QUAD) else z))
+                paired = k in (_REAL_POS, _QUAD)
+                out.append((kind, rr[:, 0], cc[:, 0], p, r.order[k + 1, rr, cc] if paired else None,
+                            abs(lam.real).sum(axis=-1) / s if paired else z,
+                            lam.imag.sum(axis=-1) / s if k in (_IMAG, _QUAD) else z))
         return out
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
@@ -184,8 +148,8 @@ def classify_eigenstructure(Bs: list[SpElement]) -> SpectrumStack:
     real pairs, imaginary pairs, quadruples and zeros, and semi-simplicity
     flagged via the eigenvector condition number.
 
-    A non-semi-simple input is not grouped (its pair tuples are empty): no
-    decomposition accepts it, and its clusters need not pair up.
+    A non-semi-simple input is not grouped (SpectrumStack.clusters skips its
+    row): no decomposition accepts it, and its clusters need not pair up.
     ClassificationError names the first semi-simple element whose real or
     quadruple clusters do not pair up."""
     if not Bs:
@@ -253,26 +217,21 @@ def _krein_pairing(space: SymplecticSpace, W: np.ndarray) -> tuple[np.ndarray, n
 
 def krein_parameters(spectra: SpectrumStack) -> list[list[float]]:
     """Each classified element's signed imaginary-pair parameters, one per
-    invariant plane, by ascending |b|: each imaginary cluster's planes carry its
-    mean b, signed by the eigenvalues of its _krein_pairing (one call per cluster
-    size in the stack).  Raises NonSemisimpleError at the first non-semi-simple
-    element."""
+    invariant plane, by ascending |b|: each imaginary cluster of
+    SpectrumStack.clusters carries its mean b on its planes, signed by the
+    eigenvalues of its _krein_pairing (one call per cluster size in the stack).
+    Raises NonSemisimpleError at the first non-semi-simple element."""
     if not spectra:
         return []
     _require_semisimple(spectra.semi_simple, spectra.eigvec_cond)
-    order, keys, past, start = [x[_IMAG] for x in spectra.ranked]
-    rows, cols = (start[:, :-1] > past).nonzero()  # each cluster's first position
-    sizes = (start[:, 1:] > past).nonzero()[1] + 1 - cols  # its last position + 1 - first
-    beta = np.zeros(past.shape)
-    for k in sorted(set(sizes.tolist())):
-        at = sizes == k
-        r, c = rows[at, None], cols[at, None] + np.arange(k)
-        W = spectra.V[r, :, order[r, c]].swapaxes(-1, -2)  # the clusters' eigenvectors
+    found = []  # (row, ranked position, the cluster's signed parameters)
+    for _, rows, first, p, _, _, b in spectra.clusters(("imag",)):
+        W = spectra.V.swapaxes(1, 2)[rows[:, None], p].swapaxes(1, 2)  # the clusters' columns
         mu, _ = _krein_pairing(spectra.elements[0].space, W)
-        beta[r, c] = np.copysign(keys.real[r, c].sum(axis=-1, keepdims=True) / k, mu)
-    out, live = [[] for _ in range(len(past))], ~past
-    for i, b in zip(live.nonzero()[0].tolist(), beta[live].tolist()):
-        out[i].append(b)  # the live entries lead each row
+        found += zip(rows.tolist(), first.tolist(), np.copysign(b[:, None], mu).tolist())
+    out = [[] for _ in range(len(spectra))]
+    for i, _, beta in sorted(found):
+        out[i] += beta
     return out
 
 
@@ -419,7 +378,7 @@ def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition
     ties by smallest originating eigenvalue index; imaginary parameters carry
     the plane orientation in their sign, so b and -b blocks are distinct.
     The stack is built at once: one plane builder per kind and size of
-    SpectrumStack.clusters, then the frame check, D and round trip as stacks.
+    SpectrumStack.clusters(), then the frame check, D and round trip as stacks.
     """
     if not spectra:
         return []
@@ -431,8 +390,8 @@ def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition
     except NonSemisimpleError as exc:
         errors.append(((int(spectra.semi_simple.argmin()), 0), exc))
     parts = []  # per batch and block plane t: each plane's row, block sort key, t, e and f
-    for kind, rows, first, p, q, a, b in spectra.clusters:
-        W, Wq = (spectra.V.swapaxes(1, 2)[rows[:, None], x].swapaxes(1, 2)
+    for kind, rows, first, p, q, a, b in spectra.clusters():
+        W, Wq = (None if x is None else spectra.V.swapaxes(1, 2)[rows[:, None], x].swapaxes(1, 2)
                  for x in (p, q))  # the groups' eigenvector columns, by one gather
         planes, sign, checks = _PLANE_BUILDERS[kind](space, W, Wq)
         errors += [((int(rows[g]), 1, _GROUP_KINDS.index(kind), int(first[g]), step),

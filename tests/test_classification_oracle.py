@@ -3,9 +3,12 @@
 `reference_reports` and `reference_spectral` are the per-element classification
 and orientation that the stacked ones replaced: each element's eigenvalues are
 grouped in a Python loop (`_classify_one`, `_cluster`, `_match_clusters`), and
-each imaginary group is oriented on its own by `reference_orientation`.  The
-stacked code must give the same reports, the same values bit for bit, and the
-same first failure."""
+each imaginary group is oriented on its own by `reference_orientation`.  Both
+sides are read as one `Row` per element (`rows_of` reads a SpectrumStack's
+clusters).  The stacked code must give the same rows, the same values bit for
+bit, and the same first failure."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from spqs.symplectic import (
     z_element,
 )
 from spqs.williamson import (
+    _GROUP_KINDS,
     _KIND_OF_BITS,
     _QUAD,
     _REAL_POS,
@@ -36,12 +40,10 @@ from spqs.williamson import (
     ClassificationError,
     NonSemisimpleError,
     NormalizationError,
-    SpectrumReport,
     WilliamsonBlock,
     WilliamsonDecomposition,
     SpectrumStack,
     _check_pairing,
-    _EigGroup,
     _rank,
     classify_eigenstructure,
     eigvec_condition,
@@ -49,6 +51,49 @@ from spqs.williamson import (
     random_semisimple,
     williamson_decompose,
 )
+
+# --------------------------------------------------------------------- rows
+
+
+class Group(NamedTuple):
+    kind: str         # "real" | "imag" | "quad" | "zero"
+    indices: tuple    # eigenvalue indices (real: +a side; quad: -a+ib)
+    partners: tuple   # paired indices (real: -a side; quad: +a+ib); () otherwise
+    a: float
+    b: float
+
+
+class Row(NamedTuple):
+    """One element's classification: its groups by kind (real, imag, quad, zero),
+    then key; none when it is not semi-simple."""
+
+    groups: tuple
+    zero_multiplicity: int
+    semi_simple: bool
+    eigvec_cond: float
+
+
+def rows_of(spectra: SpectrumStack) -> list[Row]:
+    """Each classified element's Row, its groups read from spectra.clusters()."""
+    found = [[] for _ in range(len(spectra))]
+    for kind, rows, first, p, q, a, b in spectra.clusters():
+        for j, i in enumerate(rows.tolist()):
+            found[i].append(((_GROUP_KINDS.index(kind), int(first[j])), Group(
+                kind, tuple(p[j].tolist()), () if q is None else tuple(q[j].tolist()),
+                float(a[j]), float(b[j]))))
+    zeros = np.count_nonzero(~spectra.ranked.past[_ZERO], axis=-1).tolist()
+    # by kind, then ranked position: unique in a row, so groups are never compared
+    return [Row(tuple(g for _, g in sorted(gs)), z, bool(s), float(c))
+            for gs, z, s, c in zip(found, zeros, spectra.semi_simple, spectra.eigvec_cond)]
+
+
+def pairs(row: Row, kind: str) -> tuple:
+    """(a, multiplicity) of each real group of a row, (b, multiplicity) of each
+    imaginary one, or (a, b, multiplicity) of each quadruple."""
+    params = {"real": ("a",), "imag": ("b",), "quad": ("a", "b")}[kind]
+    return tuple((*(getattr(g, x) for x in params), len(g.indices))
+                 for g in row.groups if g.kind == kind)
+
 
 # ---------------------------------------------------------------- reference
 
@@ -81,13 +126,13 @@ def _mean(xs: list[float]) -> float:
     return xs[0] if len(xs) == 1 else float(np.mean(xs))
 
 
-def _classify_one(lam, V, cond, semi_simple, scale, kind) -> SpectrumReport:
-    """One element's report from its row of the stacked eigensolve."""
+def _classify_one(lam, V, cond, semi_simple, scale, kind) -> Row:
+    """One element's Row from its row of the stacked eigensolve."""
     zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner, _ = at = [[] for _ in range(7)]
     for i, k in enumerate(kind.tolist()):
         at[k].append(i)
     if not semi_simple:
-        return SpectrumReport((), (), (), len(zero_idx), False, float(cond))
+        return Row((), len(zero_idx), False, float(cond))
     ctol = float(CLUSTER_TOL * (1.0 + scale))
     z = lam.tolist()
 
@@ -95,32 +140,23 @@ def _classify_one(lam, V, cond, semi_simple, scale, kind) -> SpectrumReport:
     if real_pos or real_neg:
         pos, neg = [z[i].real for i in real_pos], [-z[i].real for i in real_neg]
         for p, q in _match_clusters(pos, real_pos, neg, real_neg, ctol, "real-pair"):
-            groups.append(_EigGroup("real", tuple(p), tuple(q), _mean([z[i].real for i in p]), 0.0))
+            groups.append(Group("real", tuple(p), tuple(q), _mean([z[i].real for i in p]), 0.0))
     for cl in _cluster([z[i].imag for i in imag_pos], ctol):
         idx = [imag_pos[i] for i in cl]
-        groups.append(_EigGroup("imag", tuple(idx), (), 0.0, _mean([z[i].imag for i in idx])))
+        groups.append(Group("imag", tuple(idx), (), 0.0, _mean([z[i].imag for i in idx])))
     if quad or quad_partner:  # pair lambda = -a+ib with +a+ib
         keys, partners = [-z[i].conjugate() for i in quad], [z[i] for i in quad_partner]
         for grp, par in _match_clusters(keys, quad, partners, quad_partner, ctol, "quadruple"):
             a, b = _mean([-z[i].real for i in grp]), _mean([z[i].imag for i in grp])
-            groups.append(_EigGroup("quad", tuple(grp), tuple(par), a, b))
-
-    return SpectrumReport(
-        real_pairs=tuple((g.a, len(g.indices)) for g in groups if g.kind == "real"),
-        imag_pairs=tuple((g.b, len(g.indices)) for g in groups if g.kind == "imag"),
-        quadruples=tuple((g.a, g.b, len(g.indices)) for g in groups if g.kind == "quad"),
-        zero_multiplicity=len(zero_idx),
-        semi_simple=True,
-        eigvec_cond=float(cond),
-        _groups=tuple(groups) + (
-            (_EigGroup("zero", tuple(zero_idx), (), 0.0, 0.0),) if zero_idx else ()
-        ),
-    )
+            groups.append(Group("quad", tuple(grp), tuple(par), a, b))
+    if zero_idx:
+        groups.append(Group("zero", tuple(zero_idx), (), 0.0, 0.0))
+    return Row(tuple(groups), len(zero_idx), True, float(cond))
 
 
-def reference_reports(Bs: list[SpElement]) -> tuple[list[SpectrumReport], np.ndarray]:
-    """The reports of Bs, one element at a time after one stacked eigensolve,
-    and the eigenvectors."""
+def reference_reports(Bs: list[SpElement]) -> tuple[list[Row], np.ndarray]:
+    """The Rows of Bs, one element at a time after one stacked eigensolve, and
+    the eigenvectors."""
     lam, V = np.linalg.eig(np.stack([b.mat for b in Bs]))
     cond, semi_simple = eigvec_condition(V)
     re, im = lam.real, lam.imag
@@ -143,8 +179,8 @@ def reference_orientation(space: SymplecticSpace, W: np.ndarray, b: float) -> li
     return [b if m > 0 else -b for m in mu.tolist()]
 
 
-def reference_spectral(Bs: list[SpElement]) -> list[float]:
-    """Minus the summed signed imaginary-pair parameters of each element, each
+def reference_krein(Bs: list[SpElement]) -> list[list[float]]:
+    """The signed imaginary-pair parameters of each element by ascending b, each
     imaginary group oriented on its own by `reference_orientation`."""
     reports, V = reference_reports(Bs)
     for rep in reports:
@@ -152,12 +188,21 @@ def reference_spectral(Bs: list[SpElement]) -> list[float]:
             raise NonSemisimpleError(
                 f"eigenvector condition {rep.eigvec_cond:.3e} exceeds {EIGVEC_COND_MAX:.1e}"
             )
-    out = []
-    for B, rep, v in zip(Bs, reports, V):
-        betas = [beta for g in rep._groups if g.kind == "imag"
-                 for beta in reference_orientation(B.space, v[:, list(g.indices)], g.b)]
-        out.append(-float(sum(betas)) + 0.0)
-    return out
+    return [[beta for g in rep.groups if g.kind == "imag"
+             for beta in reference_orientation(B.space, v[:, list(g.indices)], g.b)]
+            for B, rep, v in zip(Bs, reports, V)]
+
+
+def reference_spectral(Bs: list[SpElement]) -> list[float]:
+    """Minus the summed signed imaginary-pair parameters of each element."""
+    return [-float(sum(betas)) + 0.0 for betas in reference_krein(Bs)]
+
+
+def hexed(x):
+    """Floats by their bits, in lists of any depth; anything else as it is."""
+    if isinstance(x, float):
+        return x.hex()
+    return [hexed(v) for v in x] if isinstance(x, list) else x
 
 
 def outcome(f, *args):
@@ -168,15 +213,14 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def public(rep: SpectrumReport) -> tuple:
-    """Every field of a report, floats by their bits."""
+def public(row: Row) -> tuple:
+    """Every field of a row, floats by their bits."""
     def bits(x):
         if isinstance(x, float):
             return x.hex()
         return tuple(map(bits, x)) if isinstance(x, tuple) else x
 
-    return bits((rep.real_pairs, rep.imag_pairs, rep.quadruples, rep.zero_multiplicity,
-                 rep.semi_simple, rep.eigvec_cond)), rep._groups
+    return bits(row)
 
 
 # ------------------------------------------------------------------ pairing
@@ -194,12 +238,12 @@ def stacked_match(keys_a, idx_a, keys_b, idx_b, tol, what):
     ctol = np.array([[tol]])
     ranked = _rank(keys, member, ctol)
     _check_pairing(ranked, ctol, np.array([True]))
-    # the report's groups of that kind, read from the ranking alone
-    report = SpectrumStack((None,), np.zeros(keys.shape[1:]), None, np.ones(1), np.ones(1, bool),
-                           ranked)[0]
+    # the row's groups of that kind, read from the ranking alone
+    (row,) = rows_of(SpectrumStack((None,), np.zeros(keys.shape[1:]), None, np.ones(1),
+                                   np.ones(1, bool), ranked))
     kind = "real" if what == "real-pair" else "quad"
-    return [([idx_a[i] for i in g.indices], [idx_b[j] for j in g.partner_indices])
-            for g in report._groups if g.kind == kind]
+    return [([idx_a[i] for i in g.indices], [idx_b[j] for j in g.partners])
+            for g in row.groups if g.kind == kind]
 
 
 class TestPairing:
@@ -317,12 +361,12 @@ class TestStackedClassification:
         space = SymplecticSpace(n)
         Bs = [element(space, recipe, seed) for recipe, seed in recipes]
 
-        # the reports, or the first failing element's exception
-        got = outcome(lambda: [public(rep) for rep in classify_eigenstructure(Bs)])
+        # the rows, or the first failing element's exception
+        got = outcome(lambda: [public(row) for row in rows_of(classify_eigenstructure(Bs))])
         want = outcome(lambda: [public(rep) for rep in reference_reports(Bs)[0]])
         assert got == want
         for B in Bs:  # a stack of one gives the same row as the stack
-            assert outcome(lambda: public(classify_eigenstructure([B])[0])) == outcome(
+            assert outcome(lambda: public(rows_of(classify_eigenstructure([B]))[0])) == outcome(
                 lambda: public(reference_reports([B])[0][0]))
 
         # the spectral values bit for bit, or the same first failure
@@ -332,6 +376,21 @@ class TestStackedClassification:
         alone = [B for B in Bs if not isinstance(outcome(reference_spectral, [B]), tuple)]
         if alone:
             assert bits(spectral(alone)) == bits(reference_spectral(alone))
+        # and each element's signed parameters, in order
+        krein = lambda Bs: krein_parameters(classify_eigenstructure(Bs))  # noqa: E731
+        assert hexed(outcome(krein, Bs)) == hexed(outcome(reference_krein, Bs))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_parameters_ascend_across_cluster_sizes(self, n):
+        # a repeated imaginary cluster below the simple ones, then above them
+        space = SymplecticSpace(n)
+        for low, high in ((0.5, 1.5), (1.5, 0.5)):
+            blocks = [WilliamsonBlock("imag", 0.0, low, (p,)) for p in (0, 1)] + [
+                WilliamsonBlock("imag", 0.0, high + 0.1 * p, (p,)) for p in range(2, n)]
+            B = conjugated(space, blocks, 7)
+            (got,) = krein_parameters(classify_eigenstructure([B]))
+            assert hexed(got) == hexed(reference_krein([B])[0])
+            assert [abs(b) for b in got] == sorted(abs(b) for b in got)
 
     def test_every_recipe_classifies_at_every_n(self):
         # each recipe gives an element the reference accepts or refuses alike,
@@ -342,7 +401,7 @@ class TestStackedClassification:
             space = SymplecticSpace(n)
             Bs = [element(space, recipe, 7) for recipe in RECIPES]
             for B in Bs:
-                assert outcome(lambda: public(classify_eigenstructure([B])[0])) == outcome(
+                assert outcome(lambda: public(rows_of(classify_eigenstructure([B]))[0])) == outcome(
                     lambda: public(reference_reports([B])[0][0]))
                 assert bits(outcome(spectral, [B])) == bits(outcome(reference_spectral, [B]))
             assert bits(outcome(spectral, Bs)) == bits(outcome(reference_spectral, Bs))

@@ -18,6 +18,7 @@ from spqs.williamson import (
     WilliamsonDecomposition,
     classify_eigenstructure,
 )
+from test_classification_oracle import pairs, rows_of
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -118,15 +119,15 @@ class TestClassificationBands:
         eps = 0.9e-8
         blocks = (WilliamsonBlock("quad", eps, eps, (0, 1)),)
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
-        rep = classify_eigenstructure([SpElement(sp2, D)])[0]
+        (rep,) = rows_of(classify_eigenstructure([SpElement(sp2, D)]))
         assert rep.zero_multiplicity == 4
-        assert not rep.quadruples
+        assert not pairs(rep, "quad")
 
     def test_small_but_resolved_quadruple_is_typed(self):
         blocks = (WilliamsonBlock("quad", 1.0, 5e-7, (0, 1)),)
         D = WilliamsonDecomposition(sp2, np.eye(4), blocks).assemble()
-        rep = classify_eigenstructure([SpElement(sp2, D)])[0]
-        assert len(rep.quadruples) == 1
+        (rep,) = rows_of(classify_eigenstructure([SpElement(sp2, D)]))
+        assert len(pairs(rep, "quad")) == 1
 
 
 class TestRunOptions:

@@ -406,6 +406,29 @@ class TestMainTheoremFit:
         assert "caveat" in r.fitted_parameters
 
 
+class TestFitNegativeControls:
+    """Each fit of `spqs verify` at n = 3 and tol 1e-2 (the rank-one fit on the
+    embedding of seed + 2) fails on the Maslov state plus eps |A|_F at eps = 1e-2
+    and passes at eps = 0."""
+
+    FITS = {
+        "main-theorem": lambda zeta, seed: fit_main_theorem([zeta], sp3, 1e-2, seed)[0],
+        "gleason": lambda zeta, seed: fit_gleason_on_unitary(zeta, sp3, 1e-2, seed),
+        "rank-one": lambda zeta, seed: fit_rank_one_trace(zeta, embed_gl(sp3, seed + 2), 40,
+                                                          1e-2, seed),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fit", FITS)
+    def test_fails_on_a_perturbed_maslov_state(self, fit, seed):
+        def passes(eps):
+            zeta = linear_combination([(1.0, maslov_qs()), (eps, frobenius_pseudo_state(sp3))])
+            return self.FITS[fit](zeta, seed).passed
+
+        assert passes(0.0)
+        assert not passes(1e-2)
+
+
 class TestBases:
     def test_sp_basis_dimension_and_membership(self):
         from spqs.symplectic import skew_defect

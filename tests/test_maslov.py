@@ -47,6 +47,7 @@ from spqs.williamson import (
     krein_parameters,
     random_semisimple,
 )
+from test_classification_oracle import pairs, rows_of
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -246,7 +247,7 @@ class TestStackedEvaluation:
             1e-8 * (1.0 + float(np.linalg.norm(B.mat)))
             for B, (*_, route) in zip(els, stacked) if route == "spectral"]
         # the collision is one cluster of two opposite planes (value 0)
-        ((_, mult),) = classify_eigenstructure([els[self.COLLISION]])[0].imag_pairs
+        ((_, mult),) = pairs(rows_of(classify_eigenstructure([els[self.COLLISION]]))[0], "imag")
         assert mult == 2
         assert stacked[self.COLLISION][0] == pytest.approx(0.0, abs=1e-9)
         # auto sent only the nilpotent input to the limit route, with the

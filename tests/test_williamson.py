@@ -35,7 +35,8 @@ from spqs.williamson import (
     williamson_decompose,
     yz_decomposition,
 )
-from test_classification_oracle import RECIPES, _match_clusters, element, stacked_match
+from test_classification_oracle import (RECIPES, _match_clusters, element, pairs, rows_of,
+                                        stacked_match)
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
@@ -55,31 +56,31 @@ def block_multiset(blocks, digits=6):
 class TestClassify:
     def test_real_pair_with_zero_padding(self):
         B = z_element(sp2, sp2.basis_e(0), sp2.basis_f(0))
-        rep = classify_eigenstructure([B])[0]
-        assert rep.real_pairs == ((pytest.approx(1.0), 1),)
-        assert rep.imag_pairs == ()
+        (rep,) = rows_of(classify_eigenstructure([B]))
+        assert pairs(rep, "real") == ((pytest.approx(1.0), 1),)
+        assert pairs(rep, "imag") == ()
         assert rep.zero_multiplicity == 2
         assert rep.semi_simple
 
     def test_imaginary_pair(self):
         B = y_element(sp1, sp1.basis_e(0), sp1.basis_f(0))
-        rep = classify_eigenstructure([B])[0]
-        assert len(rep.imag_pairs) == 1
-        b, mult = rep.imag_pairs[0]
+        (rep,) = rows_of(classify_eigenstructure([B]))
+        assert len(pairs(rep, "imag")) == 1
+        b, mult = pairs(rep, "imag")[0]
         assert b == pytest.approx(1.0)
         assert mult == 1
 
     def test_zero_matrix(self):
-        rep = classify_eigenstructure([SpElement(sp2, np.zeros((4, 4)))])[0]
+        (rep,) = rows_of(classify_eigenstructure([SpElement(sp2, np.zeros((4, 4)))]))
         assert rep.zero_multiplicity == 4
         assert rep.semi_simple
-        assert not rep.real_pairs and not rep.imag_pairs and not rep.quadruples
+        assert not pairs(rep, "real") and not pairs(rep, "imag") and not pairs(rep, "quad")
 
     def test_quadruple(self):
         B, blocks = random_semisimple(sp2, 123, kinds=("quad",))
-        rep = classify_eigenstructure([B])[0]
-        assert len(rep.quadruples) == 1
-        a, b, mult = rep.quadruples[0]
+        (rep,) = rows_of(classify_eigenstructure([B]))
+        assert len(pairs(rep, "quad")) == 1
+        a, b, mult = pairs(rep, "quad")[0]
         assert a == pytest.approx(blocks[0].a, abs=1e-8)
         assert b == pytest.approx(blocks[0].b, abs=1e-8)
 
