@@ -123,7 +123,7 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
             ([(discontinuous_qs(A, 1.0), 1e-9)], "odd-polynomial", A),
         ]
         if args.negative_control:
-            control = harness.frobenius_pseudo_state(space)
+            control = harness.frobenius_pseudo_state()
             calls.append(([(control, args.tol)], "common-frame", None))
         for states, strat, base in calls:
             reports.extend(
@@ -141,14 +141,14 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
         reports.append(harness.fit_gleason_on_unitary(lin, space, 1e-9, seed))
         reports.append(
             harness.fit_gleason_on_unitary(
-                mq, space, args.tol, seed, oracle=harness.maslov_imtrace_oracle(space)
+                mq, space, args.tol, seed, oracle=harness.maslov_imtrace_oracle()
             )
         )
 
     def rankone():
         emb = harness.embed_gl(space, seed + 2)
-        reports.append(harness.fit_rank_one_trace(lin, emb, args.trials, 1e-9, seed))
-        reports.append(harness.fit_rank_one_trace(mq, emb, args.trials, args.tol, seed))
+        reports.append(harness.fit_rank_one_trace(lin, emb, 1e-9, seed))
+        reports.append(harness.fit_rank_one_trace(mq, emb, args.tol, seed))
 
     def isotropic():
         rng = rng_from(seed + 3)
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, default=3, help="half-dimension for suites")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tol", type=float, default=1e-2)
-    pv.add_argument("--trials", type=int, default=50)
+    pv.add_argument("--trials", type=int, default=50,
+                    help="samples per quasi-linearity, ad-invariance and isotropic check")
     pv.add_argument(
         "--format",
         choices=["structured-text", "comma-separated"],
@@ -285,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--t-max", dest="t_max", type=float, default=MaslovLimitConfig.t_max,
             help=f"limit-route horizon T > 0 (default {MaslovLimitConfig.t_max}); its base grid "
             f"of T to T/{maslov.DT_FLOOR} steps, by the input norm, must stay within "
-            f"{maslov.MAX_STEPS} steps. A step costs about 15-30 us for one element, so --t-max "
-            "1e5 takes about 1.5-3 s",
+            f"{maslov.MAX_STEPS} steps; the run time grows with the step count",
         )
     for parser, what in (
         (pd, "directory for <stem>_frame.txt"),

@@ -315,12 +315,11 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
 def fit_rank_one_trace(
     zeta: QuasiState,
     embedding: GlEmbedding,
-    trials: int,
     tol: float,
     seed: int = 0,
 ) -> VerificationReport:
-    """Fit zeta on embedded rank-one elements by (N xi, eta) and report the
-    held-out RMS residual.
+    """Fit zeta on SAMPLES_PER_UNKNOWN n^2 embedded rank-one elements by
+    (N xi, eta) and report the held-out RMS residual.
 
     Sampling rejects nearly orthogonal (xi, eta): those rank-one maps are
     nilpotent and sit on the semi-simplicity boundary of the evaluators.
@@ -332,7 +331,7 @@ def fit_rank_one_trace(
     if not zeta.continuous:
         raise ValueError("the rank-one fit applies to continuous-flagged states")
     rng = rng_from(seed)
-    m = max(trials, SAMPLES_PER_UNKNOWN * n * n)
+    m = SAMPLES_PER_UNKNOWN * n * n
     xs, ys = [], []
     while len(xs) < m:
         xi = rng.standard_normal(n)
@@ -492,7 +491,7 @@ def fit_main_theorem(
     return [fit(zeta) for zeta in zetas]
 
 
-def frobenius_pseudo_state(space: SymplecticSpace) -> QuasiState:
+def frobenius_pseudo_state() -> QuasiState:
     """Deliberately broken 'quasi-state' zeta(A) = |A|_F: the negative control.
 
     It fails quasi-linearity for every n: through mixed signs at n = 1 (norms
@@ -503,7 +502,7 @@ def frobenius_pseudo_state(space: SymplecticSpace) -> QuasiState:
                                                         for x in xs], True, "negative-control")
 
 
-def maslov_imtrace_oracle(space: SymplecticSpace) -> Callable[[SpElement], float]:
+def maslov_imtrace_oracle() -> Callable[[SpElement], float]:
     """Independent check on the unitary subalgebra of the standard complex
     structure: there exp(tA) stays orthogonal-symplectic, the positive polar
     factor is trivial, and the winding rate is the imaginary trace of the

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import SymplecticSpace
-
 POLAR_COND_MAX = 1e12     # refuse polar factorization beyond this condition number
 ORTHO_TOL = 1e-8
 EXPM_TOL = 1e-10          # relative residual allowed between exp(A) and exp(A/2)^2
@@ -161,9 +159,7 @@ class PolarSample:
     theta: float
 
 
-def sample_polar_path(
-    space: SymplecticSpace, B: np.ndarray, times: np.ndarray
-) -> list[PolarSample]:
+def sample_polar_path(B: np.ndarray, times: np.ndarray) -> list[PolarSample]:
     """Polar samples of t -> exp(tB) at the given times (monotone, starting
     near 0).  Intended for moderate t where exp(tB) is representable; the
     asymptotic evaluator uses a bounded reformulation instead."""

@@ -128,11 +128,11 @@ class SpectrumStack:
                 at = sizes == s
                 rr, cc = rows[at, None], cols[at, None] + np.arange(s)
                 p, z = r.order[k, rr, cc], np.zeros(len(rr))
-                lam = self.lam[rr, p]
-                paired = k in (_REAL_POS, _QUAD)
+                lam, e = self.lam[rr, p], 2.0 ** (s - 1).bit_length()  # e >= s, a power of two
+                paired = k in (_REAL_POS, _QUAD)  # each mean sums x / e: exact, and cannot overflow
                 out.append((kind, rr[:, 0], cc[:, 0], p, r.order[k + 1, rr, cc] if paired else None,
-                            abs(lam.real).sum(axis=-1) / s if paired else z,
-                            lam.imag.sum(axis=-1) / s if k in (_IMAG, _QUAD) else z))
+                            (abs(lam.real) / e).sum(axis=-1) / s * e if paired else z,
+                            (lam.imag / e).sum(axis=-1) / s * e if k in (_IMAG, _QUAD) else z))
         return out
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
@@ -424,8 +424,8 @@ def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition
     errors += [((i, check), NormalizationError(message.format(value[i])))
                for check, bad, message, value in (
         (2, ~failed & (count != n), f"planes cover {{}} of {n} slots", count),
-        (3, good & (sdef > FRAME_SYMPLECTIC_TOL), "frame symplectic defect {:.3e}", sdef),
-        (4, good & (resid > ROUNDTRIP_TOL * scale), "round-trip residual {:.3e}", resid),
+        (3, good & ~(sdef <= FRAME_SYMPLECTIC_TOL), "frame symplectic defect {:.3e}", sdef),
+        (4, good & ~(resid <= ROUNDTRIP_TOL * scale), "round-trip residual {:.3e}", resid),
     ) for i in np.flatnonzero(bad).tolist()]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]

@@ -147,7 +147,7 @@ def test_criterion_04_quasi_linearity_suite():
     ok &= r.passed
     details.append(f"discontinuous: defect {r.max_defect:.1e}")
     (r,) = check_quasi_linearity(
-        [(frobenius_pseudo_state(SymplecticSpace(2)), 1e-6)],
+        [(frobenius_pseudo_state(), 1e-6)],
         SymplecticSpace(2),
         "common-frame",
         50,
@@ -176,7 +176,7 @@ def test_criterion_05_ad_invariance():
 def test_criterion_06_gleason_fit():
     sp = SymplecticSpace(3)
     r = fit_gleason_on_unitary(
-        maslov_qs(FULL), sp, 1e-2, 500, oracle=maslov_imtrace_oracle(sp)
+        maslov_qs(FULL), sp, 1e-2, 500, oracle=maslov_imtrace_oracle()
     )
     dev = r.fitted_parameters["oracle_max_dev"]
     report_line(
@@ -190,9 +190,9 @@ def test_criterion_06_gleason_fit():
 def test_criterion_07_rank_one_trace_fit():
     sp = SymplecticSpace(3)
     emb = embed_gl(sp, 600)
-    r_m = fit_rank_one_trace(maslov_qs(FULL), emb, 90, 1e-2, 601)
+    r_m = fit_rank_one_trace(maslov_qs(FULL), emb, 1e-2, 601)
     lin = linear_qs(rng_from(9).standard_normal((6, 6)))
-    r_l = fit_rank_one_trace(lin, emb, 90, 1e-9, 602)
+    r_l = fit_rank_one_trace(lin, emb, 1e-9, 602)
     report_line(
         7,
         r_m.passed and r_l.passed,

@@ -302,8 +302,7 @@ class TestSubcommandOptions:
             text = " ".join(capsys.readouterr().out.split())
             assert "--t-max T_MAX limit-route horizon T > 0 (default 2000.0)" in text
             assert "T to T/0.05 steps" in text and "within 1000000 steps" in text
-            assert "A step costs about 15-30 us for one element" in text
-            assert "--t-max 1e5 takes about 1.5-3 s" in text
+            assert "the run time grows with the step count" in text
 
 
 class TestAutoDispatch:
@@ -674,6 +673,15 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["method: spectral", "False"]
+
+    def test_a_module_loads_only_what_it_imports(self):
+        # the package root re-exports nothing, so `import spqs.maslov` loads
+        # neither the harness nor the quasi-state zoo
+        code = "import sys, spqs.maslov\nprint(sorted(m for m in sys.modules if 'spqs' in m))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == str(["spqs", "spqs.kernels", "spqs.maslov", "spqs.symplectic",
+                                   "spqs.williamson"]) + "\n"
 
     def test_installed_entry_point(self, rotation_file):
         proc = subprocess.run(

@@ -104,14 +104,14 @@ class TestQuasiLinearity:
         assert r.passed
 
     def test_negative_control_fails(self):
-        control = frobenius_pseudo_state(sp2)
+        control = frobenius_pseudo_state()
         (r,) = check_quasi_linearity([(control, 1e-6)], sp2, "common-frame", 25, 4)
         assert not r.passed
 
     def test_negative_control_fails_at_n1_via_sign(self):
         # at n = 1 commuting pairs are proportional, so the norm only betrays
         # itself through mixed signs: zeta(-A) != -zeta(A)
-        control = frobenius_pseudo_state(sp1)
+        control = frobenius_pseudo_state()
         A = random_sp_element(sp1, 1.0, 5)
         assert control(-1.0 * A) == pytest.approx(control(A))
         assert control(A) != pytest.approx(-control(A))
@@ -224,7 +224,7 @@ class TestGleason:
 
     def test_maslov_with_imtrace_oracle(self):
         r = fit_gleason_on_unitary(
-            MQ, sp3, 1e-2, 12, oracle=maslov_imtrace_oracle(sp3)
+            MQ, sp3, 1e-2, 12, oracle=maslov_imtrace_oracle()
         )
         assert r.passed
         assert r.fitted_parameters["oracle_max_dev"] <= 1e-6
@@ -266,12 +266,12 @@ class TestRankOneTrace:
         rng = np.random.Generator(np.random.Philox(18))
         zeta = linear_qs(rng.standard_normal((6, 6)))
         emb = embed_gl(sp3, 18)
-        r = fit_rank_one_trace(zeta, emb, 90, 1e-9, 19)
+        r = fit_rank_one_trace(zeta, emb, 1e-9, 19)
         assert r.passed
 
     def test_maslov_state_fits_zero(self):
         emb = embed_gl(sp3, 20)
-        r = fit_rank_one_trace(MQ, emb, 90, 1e-2, 21)
+        r = fit_rank_one_trace(MQ, emb, 1e-2, 21)
         assert r.passed
         assert np.abs(r.fitted_parameters["N"]).max() <= 1e-6
 
@@ -414,15 +414,15 @@ class TestFitNegativeControls:
     FITS = {
         "main-theorem": lambda zeta, seed: fit_main_theorem([zeta], sp3, 1e-2, seed)[0],
         "gleason": lambda zeta, seed: fit_gleason_on_unitary(zeta, sp3, 1e-2, seed),
-        "rank-one": lambda zeta, seed: fit_rank_one_trace(zeta, embed_gl(sp3, seed + 2), 40,
-                                                          1e-2, seed),
+        "rank-one": lambda zeta, seed: fit_rank_one_trace(zeta, embed_gl(sp3, seed + 2), 1e-2,
+                                                          seed),
     }
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("fit", FITS)
     def test_fails_on_a_perturbed_maslov_state(self, fit, seed):
         def passes(eps):
-            zeta = linear_combination([(1.0, maslov_qs()), (eps, frobenius_pseudo_state(sp3))])
+            zeta = linear_combination([(1.0, maslov_qs()), (eps, frobenius_pseudo_state())])
             return self.FITS[fit](zeta, seed).passed
 
         assert passes(0.0)

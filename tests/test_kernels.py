@@ -189,7 +189,7 @@ class TestPolarPath:
         rng = np.random.Generator(np.random.Philox(12))
         B = random_sp_element(sp2, 0.8, rng)
         times = np.linspace(0.1, 6.0, 40)
-        samples = sample_polar_path(sp2, B.mat, times)
+        samples = sample_polar_path(B.mat, times)
         O = sp2.omega_matrix
         for s in samples[::7]:
             assert isinstance(s, PolarSample)
@@ -204,6 +204,6 @@ class TestPolarPath:
     def test_theta_continuity(self):
         B = random_sp_element(sp1, 1.0, 13)
         times = np.linspace(0.05, 8.0, 160)
-        samples = sample_polar_path(sp1, B.mat, times)
+        samples = sample_polar_path(B.mat, times)
         thetas = np.array([s.theta for s in samples])
         assert np.abs(np.diff(thetas)).max() < np.pi

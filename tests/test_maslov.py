@@ -129,7 +129,7 @@ class TestLimit:
             B = random_sp_element(space, 0.6, seed)
             t, theta = phase_trace(B, MaslovLimitConfig(t_max=12.0))
             grid = np.linspace(0.0, t[-1], fine * (len(t) - 1) + 1)
-            direct = sample_polar_path(space, B.mat, grid[1:])[fine - 1 :: fine]
+            direct = sample_polar_path(B.mat, grid[1:])[fine - 1 :: fine]
             np.testing.assert_allclose([s.t for s in direct], t[1:], rtol=1e-12)
             np.testing.assert_allclose(
                 theta[1:], [s.theta for s in direct], atol=1e-7
