@@ -63,6 +63,13 @@ SUITES = (
     "all",
 )
 
+# --format name -> (writer in spqs.report, default file extension); the writer
+# is looked up by name on each call, so a rebound `spqs.report` attribute is used
+FORMATS = {
+    "structured-text": ("reports_to_text", "txt"),
+    "comma-separated": ("reports_to_csv", "csv"),
+}
+
 
 def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
@@ -114,8 +121,7 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
     mq = maslov_qs(cfg)
     lin = linear_qs(rng_from(seed + 1).standard_normal((space.dim, space.dim)))
     reports = []
-
-    def qlin():
+    if args.suite in ("quasi-linearity", "all"):
         A = nilpotent_jordan_sp(space)
         calls = [
             ([(lin, 1e-10), (mq, args.tol)], "common-frame", None),
@@ -129,28 +135,22 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
             reports.extend(
                 harness.check_quasi_linearity(states, space, strat, args.trials, seed, base=base)
             )
-
-    def adinv():
+    if args.suite in ("ad-invariance", "all"):
         reports.append(harness.check_ad_invariance(mq, space, args.trials, args.tol, seed))
         if args.negative_control:
-            reports.append(
-                harness.check_ad_invariance(lin, space, args.trials, args.tol, seed)
-            )
-
-    def gleason():
+            reports.append(harness.check_ad_invariance(lin, space, args.trials, args.tol, seed))
+    if args.suite in ("gleason", "all"):
         reports.append(harness.fit_gleason_on_unitary(lin, space, 1e-9, seed))
         reports.append(
             harness.fit_gleason_on_unitary(
                 mq, space, args.tol, seed, oracle=harness.maslov_imtrace_oracle()
             )
         )
-
-    def rankone():
+    if args.suite in ("rank-one", "all"):
         emb = harness.embed_gl(space, seed + 2)
         reports.append(harness.fit_rank_one_trace(lin, emb, 1e-9, seed))
         reports.append(harness.fit_rank_one_trace(mq, emb, args.tol, seed))
-
-    def isotropic():
+    if args.suite in ("isotropic", "all"):
         rng = rng_from(seed + 3)
         cov = rng.standard_normal(space.dim)
         xi = rng.standard_normal(space.dim)
@@ -164,24 +164,9 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
             phis.append((lambda vs: [float(np.linalg.norm(v)) for v in vs], args.tol))
         for phi, tol in phis:
             reports.append(harness.check_isotropic_linearity(phi, space, args.trials, tol, seed))
-
-    def maintheorem():
+    if args.suite in ("main-theorem", "all"):
         composite = linear_combination([(2.0, mq), (1.0, lin)])
         reports.extend(harness.fit_main_theorem([lin, mq, composite], space, args.tol, seed))
-
-    steps = {
-        "quasi-linearity": qlin,
-        "ad-invariance": adinv,
-        "gleason": gleason,
-        "rank-one": rankone,
-        "isotropic": isotropic,
-        "main-theorem": maintheorem,
-    }
-    if args.suite == "all":
-        for fn in steps.values():
-            fn()
-    else:
-        steps[args.suite]()
     return reports
 
 
@@ -197,14 +182,9 @@ def cmd_verify(args) -> int:
     except SamplingError as exc:
         print(f"error: sampling failed at --seed {args.seed}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if args.format == "comma-separated":
-        text = reportmod.reports_to_csv(reports)
-        default_name = f"verify_{args.suite}.csv"
-    else:
-        text = reportmod.reports_to_text(reports)
-        default_name = f"verify_{args.suite}.txt"
-    out_path = args.out or os.path.join(_default_out_dir(), default_name)
-    atomic_write(out_path, text)
+    writer, ext = FORMATS[args.format]
+    out_path = args.out or os.path.join(_default_out_dir(), f"verify_{args.suite}.{ext}")
+    atomic_write(out_path, getattr(reportmod, writer)(reports))
     npass = sum(r.passed for r in reports)
     total = len(reports)
     print(f"report: {out_path}")
@@ -265,11 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", type=float, default=1e-2)
     pv.add_argument("--trials", type=int, default=50,
                     help="samples per quasi-linearity, ad-invariance and isotropic check")
-    pv.add_argument(
-        "--format",
-        choices=["structured-text", "comma-separated"],
-        default="structured-text",
-    )
+    pv.add_argument("--format", choices=FORMATS, default="structured-text")
     pv.add_argument(
         "--negative-control",
         action="store_true",

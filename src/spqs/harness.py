@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .maslov import maslov_spectral
-from .quasistates import QuasiState, linear_qs
+from .quasistates import QuasiState
 from .symplectic import (
     CommutingStrategy,
     SamplingError,
@@ -242,7 +242,8 @@ def fit_gleason_on_unitary(
         sum(c * b.mat for c, b in zip(rng.standard_normal(len(basis)), basis))
         for _ in range(GLEASON_TEST_SAMPLES)
     ])
-    values = zip(_values(zeta, tests), _values(linear_qs(H), tests))
+    predicted = np.trace(H @ np.array([A.mat for A in tests]), axis1=1, axis2=2)  # tr(H A)
+    values = zip(_values(zeta, tests), predicted.tolist())
     records = [{"trial": t, "actual": a, "predicted": p} for t, (a, p) in enumerate(values)]
     residual = float(np.sqrt(np.mean(np.square([r["actual"] - r["predicted"] for r in records]))))
     params = {"H": H, "basis_dimension": len(basis)}

@@ -246,6 +246,16 @@ def maslov_spectral(spectra: SpectrumStack) -> list[float]:
     return [-float(sum(b)) + 0.0 for b in krein_parameters(spectra)]
 
 
+def _spectral_bar(B: SpElement) -> float:
+    """1e-8 (1 + |B|_F), a crude bound on the eigensolve roundoff; where that
+    overflows, it is taken of B scaled by 2^-e (exact) and scaled back."""
+    bar = 1e-8 * (1.0 + B.norm())
+    if bar == math.inf:
+        e = np.frexp(np.abs(B.mat).max())[1]
+        bar = float(np.ldexp(1e-8 * (np.ldexp(1.0, -e) + np.linalg.norm(np.ldexp(B.mat, -e))), e))
+    return bar
+
+
 def maslov_evaluate(
     Bs: list[SpElement], cfg: MaslovLimitConfig, method: str = "auto"
 ) -> list[tuple[float, float, str]]:
@@ -270,8 +280,8 @@ def maslov_evaluate(
             sub = spectra if len(rows) == len(idx) else spectra.take(rows)
             spectral.update(zip([idx[j] for j in rows.tolist()], maslov_spectral(sub)))
     limit = {k: maslov_limit(B, cfg) for k, B in enumerate(Bs) if k not in spectral}
-    return [  # the spectral bar is a crude bound on the eigensolve roundoff
-        (spectral[k], 1e-8 * (1.0 + B.norm()), "spectral") if k in spectral
+    return [
+        (spectral[k], _spectral_bar(B), "spectral") if k in spectral
         else (limit[k].value, limit[k].error_bar, "limit")
         for k, B in enumerate(Bs)
     ]

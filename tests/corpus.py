@@ -9,11 +9,12 @@ the repository root,
     PYTHONPATH=src python tests/corpus.py --digest > digest.txt
 
 prints one line per input, and two versions' digests can be `diff`ed.  A line
-holds the input's maslov_evaluate (value and bar bits, route) under `auto` and
-under `spectral`, and its williamson_decompose (frame digest, residual bits,
-blocks), or the exception raised: each alone, then in one stack per n of the
-inputs that succeed alone; an input that fails alone is placed in the middle of
-that stack and the stack's exception is printed."""
+holds the input's maslov_evaluate (value and bar bits, route) under `auto`,
+`spectral` and `limit` (the path sweep alone, at t_max = 400), and its
+williamson_decompose (frame digest, residual bits, blocks), or the exception
+raised: each alone, then in one stack per n of the inputs that succeed alone;
+an input that fails alone is placed in the middle of that stack and the
+stack's exception is printed."""
 
 import argparse
 import hashlib
@@ -24,7 +25,7 @@ from spqs.symplectic import SpElement, SymplecticSpace, rng_from, y_element, z_e
 from spqs.williamson import classify_eigenstructure, williamson_decompose
 from test_classification_oracle import RECIPES, element, outcome
 
-CFG = MaslovLimitConfig(t_max=400.0)  # the limit route of `auto` on non-semi-simple inputs
+CFG = MaslovLimitConfig(t_max=400.0)  # `limit`'s horizon, and `auto`'s off semi-simple inputs
 
 
 def corpus() -> list[tuple[int, str, SpElement]]:
@@ -52,7 +53,7 @@ def _decompose(Bs):
 
 
 OPERATIONS = {"auto": _evaluate("auto"), "spectral": _evaluate("spectral"),
-              "decompose": _decompose}
+              "limit": _evaluate("limit"), "decompose": _decompose}
 
 
 def digest(inputs) -> list[str]:

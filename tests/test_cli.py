@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spqs.cli import build_parser, main
+from spqs.cli import SUITES, build_parser, main
 from spqs.harness import fit_main_theorem
 from spqs.matrixio import MatrixParseError, read_matrix, write_matrix
 from spqs.maslov import METHODS, MaslovLimitConfig, maslov_evaluate
@@ -513,6 +513,20 @@ class TestVerify:
             with open(out, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             assert digest == recorded[key]["parent"], key
+
+    @pytest.mark.parametrize("extra, count", [([], 15), (["--negative-control"], 18)])
+    def test_the_suites_one_by_one_write_the_all_report(self, extra, count, tmp_path, capsys):
+        # each single suite's reports, in SUITES order, are the `--suite all` report
+        def text(suite):
+            out = str(tmp_path / f"{suite}.txt")
+            run_cli(["verify", "--suite", suite, "--n", "3", "--seed", "0", "--out", out, *extra],
+                    capsys)
+            with open(out) as fh:
+                return fh.read()
+
+        singles = "\n---\n".join(text(suite) for suite in SUITES[:-1])
+        assert singles == text("all")
+        assert singles.count("\n---\n") == count - 1
 
     def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         import spqs.harness

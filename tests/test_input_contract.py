@@ -70,13 +70,24 @@ class TestOverflowingClusterMeans:
             williamson_decompose(classify_eigenstructure([rotations((1, -1), 1.0)]))
 
 
+def test_a_norm_past_the_largest_float_keeps_a_finite_bar(tmp_path, capsys):
+    # |B|_F = 2e308 overflows, but the value 0 is finite and so is its bar
+    p = str(tmp_path / "b.txt")
+    write_matrix(p, rotations((1, -1), 1e308).mat)
+    code, out, err = run_cli(["eval", p], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "value: 0.0" and lines[2] == "method: spectral"
+    assert np.isfinite(float(lines[1].removeprefix("error_bar: ")))
+
+
 def test_a_sum_past_the_largest_float_exits_4(tmp_path, capsys):
     # truth 2e308: the value overflows, and cmd_eval refuses it
     p = str(tmp_path / "b.txt")
     write_matrix(p, rotations((1, 1), 1e308).mat)
     code, out, err = run_cli(["eval", p], capsys)
     assert (code, out) == (4, "")
-    assert err == "error: non-finite value inf or error bar inf\n"
+    assert err == "error: non-finite value inf or error bar 2e+300\n"
 
 
 def projected(n, seed, lo, hi):
