@@ -33,7 +33,7 @@ from .williamson import (classify_eigenstructure, draw_semisimple, semisimple_el
 
 TRAIN_FRACTION = 0.7
 SAMPLES_PER_UNKNOWN = 10
-CONE_MARGIN = 0.1  # reject |omega(xi,eta)| below this fraction of |xi||eta|
+CONE_MARGIN = 0.1  # reject |omega(xi,eta)| (or |xi . eta|) below this fraction of |xi||eta|
 QLIN_BAR_MULTIPLIER = 3.0  # error-bar multiples a quasi-linearity defect may use
 ADINV_BAR_MULTIPLIER = 2.0  # the same for an ad-invariance defect
 GLEASON_TEST_SAMPLES = 40  # held-out elements for the unitary trace-form fit
@@ -53,14 +53,13 @@ class VerificationReport:
     trials: int
     max_defect: float
     tolerance_used: float
-    passed: bool
     seed: int
     fitted_parameters: Optional[dict] = None
     per_trial_records: tuple = ()
 
-    def __post_init__(self):
-        if self.passed != (self.max_defect <= self.tolerance_used):
-            raise ValueError("pass flag inconsistent with defect/tolerance")
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_defect <= self.tolerance_used)
 
 
 def _report(name, trials, max_defect, tol, seed, params=None, records=()):
@@ -69,7 +68,6 @@ def _report(name, trials, max_defect, tol, seed, params=None, records=()):
         trials=trials,
         max_defect=float(max_defect),
         tolerance_used=float(tol),
-        passed=bool(max_defect <= tol),
         seed=int(seed),
         fitted_parameters=params,
         per_trial_records=tuple(records),
@@ -276,23 +274,19 @@ class GlEmbedding:
         """Second frame: the last n columns of g."""
         return self.g[:, self.space.n :]
 
-    def inject(self, M: np.ndarray) -> SpElement:
-        return _gl_inject(self.space, self.g, [M])[0]
+    def inject(self, Ms) -> list[SpElement]:
+        """Injections of the stack of n x n matrices Ms, projected and checked as one stack."""
+        n = self.space.n
+        Ms = np.asarray(Ms, dtype=float)
+        if Ms.shape[1:] != (n, n):
+            raise ValueError(f"expected a stack of {n} x {n} matrices, got shape {Ms.shape}")
+        Z = np.zeros_like(Ms)
+        D = np.block([[Ms, Z], [Z, -Ms.swapaxes(1, 2)]])
+        return SpElement.stack(self.space, skew_part(self.g @ D @ omega_adjoint(self.g)))
 
     def rank_one(self, xi: np.ndarray, eta: np.ndarray) -> SpElement:
         """Injection of the rank-one map x -> (x, eta) xi."""
-        return self.inject(np.outer(xi, eta))
-
-
-def _gl_inject(space: SymplecticSpace, g: np.ndarray, Ms) -> list[SpElement]:
-    """Injections of the n x n matrices Ms, projected and checked as one stack."""
-    n = space.n
-    Ms = np.asarray(Ms, dtype=float)
-    if Ms.shape[1:] != (n, n):
-        raise ValueError(f"expected an {n} x {n} matrix")
-    Z = np.zeros_like(Ms)
-    D = np.block([[Ms, Z], [Z, -Ms.swapaxes(1, 2)]])
-    return SpElement.stack(space, skew_part(g @ D @ omega_adjoint(g)))
+        return self.inject([np.outer(xi, eta)])[0]
 
 
 def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
@@ -305,7 +299,7 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
     if np.linalg.cond(g) > 1e6:
         raise SamplingError("transversality failure; re-draw with another seed")
     M1, M2 = np.swapaxes(rng.standard_normal((20, 2, n, n)), 0, 1)  # 20 pairs, drawn in turn
-    injected = _gl_inject(space, g, np.concatenate([M1 @ M2 - M2 @ M1, M1, M2]))
+    injected = GlEmbedding(space, g).inject(np.concatenate([M1 @ M2 - M2 @ M1, M1, M2]))
     lhs, a, b = np.reshape([x.mat for x in injected], (3, 20, space.dim, space.dim))
     defect = float(np.abs(lhs - (a @ b - b @ a)).max())
     if defect > 1e-9 * (1.0 + np.linalg.cond(g) ** 2):
@@ -325,33 +319,24 @@ def fit_rank_one_trace(
     Sampling rejects nearly orthogonal (xi, eta): those rank-one maps are
     nilpotent and sit on the semi-simplicity boundary of the evaluators.
     """
-    space = embedding.space
-    n = space.n
+    n = embedding.space.n
     if n < 3:
         raise ValueError("hypothesis n >= 3 not met")
     if not zeta.continuous:
         raise ValueError("the rank-one fit applies to continuous-flagged states")
     rng = rng_from(seed)
     m = SAMPLES_PER_UNKNOWN * n * n
-    xs, ys = [], []
-    while len(xs) < m:
-        xi = rng.standard_normal(n)
-        eta = rng.standard_normal(n)
-        if abs(xi @ eta) < CONE_MARGIN * np.linalg.norm(xi) * np.linalg.norm(eta):
-            continue
-        xs.append(xi)
-        ys.append(eta)
-    vals = _values(zeta, _gl_inject(space, embedding.g, np.einsum("ij,ik->ijk", xs, ys)))
+    xs, ys = np.swapaxes([_cone_sample(rng, n, np.matmul) for _ in range(m)], 0, 1)
+    vals = _values(zeta, embedding.inject(np.einsum("ij,ik->ijk", xs, ys)))
     design = np.stack([np.outer(e, x).reshape(-1) for x, e in zip(xs, ys)])
     sol, cut, residual = _held_out_fit(design, np.asarray(vals))
-    N = sol.reshape(n, n)
     return _report(
         f"rank-one-trace[{zeta.provenance}]",
         m,
         residual,
         tol,
         seed,
-        {"N": N, "train": cut, "holdout": m - cut},
+        {"N": sol.reshape(n, n), "train": cut, "holdout": m - cut},
     )
 
 
@@ -389,11 +374,12 @@ def check_isotropic_linearity(
     return _trial_check("isotropic-linearity", tol, seed, None, results)
 
 
-def _cone_sample(space, rng):
+def _cone_sample(rng, dim: int, pairing: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian (xi, eta) of length dim, drawn in turn until |pairing(xi, eta)| is at
+    least CONE_MARGIN |xi| |eta|."""
     while True:
-        xi = rng.standard_normal(space.dim)
-        eta = rng.standard_normal(space.dim)
-        if abs(omega(space, xi, eta)) >= CONE_MARGIN * np.linalg.norm(xi) * np.linalg.norm(eta):
+        xi, eta = rng.standard_normal(dim), rng.standard_normal(dim)
+        if abs(pairing(xi, eta)) >= CONE_MARGIN * np.linalg.norm(xi) * np.linalg.norm(eta):
             return xi, eta
 
 
@@ -435,7 +421,8 @@ def fit_main_theorem(
     m = SAMPLES_PER_UNKNOWN * (len(base) + 1)
     O = space.omega_matrix
 
-    cone = np.swapaxes([_cone_sample(space, rng) for _ in range(m)], 0, 1)  # (xis, etas)
+    cone = np.swapaxes([_cone_sample(rng, space.dim, lambda x, y: omega(space, x, y))
+                        for _ in range(m)], 0, 1)  # (xis, etas)
     rows = _stage1_rows(space, *cone)
     ys = SpElement.stack(space, rank_one_matrix(space, "Y", *cone))
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]

@@ -236,6 +236,7 @@ def maslov_dim2(a: float, b: float, c: float) -> float:
     return 0.0
 
 
+@np.errstate(over="ignore")  # a scaled-back sum past the largest float is inf, silently
 def maslov_spectral(spectra: SpectrumStack) -> list[float]:
     """Spectral evaluation of each classified element: each purely imaginary
     eigenvalue pair contributes minus its oriented block parameter (summed by
@@ -243,7 +244,14 @@ def maslov_spectral(spectra: SpectrumStack) -> list[float]:
 
     Requires numerically semi-simple inputs; otherwise `krein_parameters`
     raises NonSemisimpleError and only the path evaluator applies."""
-    return [-float(sum(b)) + 0.0 for b in krein_parameters(spectra)]
+    values = []
+    for b in krein_parameters(spectra):
+        total = sum(b)
+        if not math.isfinite(total) and np.isfinite(b).all():  # overflowed: sum b / 2^e, scale back
+            e = np.frexp(np.abs(b).max())[1]
+            total = float(np.ldexp(sum(np.ldexp(b, -e).tolist()), e))
+        values.append(-total + 0.0)
+    return values
 
 
 def _spectral_bar(B: SpElement) -> float:

@@ -116,7 +116,8 @@ class SpectrumStack:
         """The eigenvalue groups of the semi-simple rows: per kind asked for (_GROUP_KINDS
         order) and group size k, the kind, each group's row and ranked position, its (c, k)
         eigenvalue indices p (real: +a side; quad: -a+ib) and partners q (real: -a side;
-        quad: +a+ib; None for the other kinds), and its a and b, groups in row order."""
+        quad: +a+ib; None for the other kinds), its a and b, and the (c, 2n, k) eigenvector
+        columns W of p and Wq of q (None with q), groups in row order."""
         r, out, skip = self.ranked, [], ~self.semi_simple[:, None]
         for k, kind in zip((_REAL_POS, _IMAG, _QUAD, _ZERO), _GROUP_KINDS):
             if kind not in kinds:
@@ -130,9 +131,13 @@ class SpectrumStack:
                 p, z = r.order[k, rr, cc], np.zeros(len(rr))
                 lam, e = self.lam[rr, p], 2.0 ** (s - 1).bit_length()  # e >= s, a power of two
                 paired = k in (_REAL_POS, _QUAD)  # each mean sums x / e: exact, and cannot overflow
-                out.append((kind, rr[:, 0], cc[:, 0], p, r.order[k + 1, rr, cc] if paired else None,
+                q = r.order[k + 1, rr, cc] if paired else None
+                W, Wq = (None if x is None else self.V.swapaxes(1, 2)[rr, x].swapaxes(1, 2)
+                         for x in (p, q))  # the groups' eigenvector columns, by one gather
+                out.append((kind, rr[:, 0], cc[:, 0], p, q,
                             (abs(lam.real) / e).sum(axis=-1) / s * e if paired else z,
-                            (lam.imag / e).sum(axis=-1) / s * e if k in (_IMAG, _QUAD) else z))
+                            (lam.imag / e).sum(axis=-1) / s * e if k in (_IMAG, _QUAD) else z,
+                            W, Wq))
         return out
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
@@ -179,11 +184,11 @@ _KIND_OF_BITS = np.array([_SKIP, _SKIP, _QUAD, _QUAD_PARTNER, _SKIP, _SKIP, _IMA
                          + [_REAL_NEG, _REAL_POS] * 2 + [_ZERO] * 4)
 _BITS = np.array([4, 8, 1, 2])[:, None, None]  # |Re|, |Im| in band; Re, Im > 0
 _PAST = np.finfo(float).max  # sorts after every key, as their real parts are >= 0
-_KINDS = np.arange(7)[:, None, None]
+_KINDS = np.arange(_SKIP)[:, None, None]  # ranked: clusters and _check_pairing read no _SKIP
 # each kind's key re * _KEY_RE + im * _KEY_IM, exactly: a of a real pair from
 # either side, b of an imaginary one, a + ib of both members -a + ib, a + ib of a quadruple
-_KEY_RE = np.array([0, 1, -1, 0, -1, 1, 0], dtype=complex)[:, None, None]
-_KEY_IM = np.array([0, 0, 0, 1, 1j, 1j, 0])[:, None, None]
+_KEY_RE = np.array([0, 1, -1, 0, -1, 1], dtype=complex)[:, None, None]
+_KEY_IM = np.array([0, 0, 0, 1, 1j, 1j])[:, None, None]
 
 
 def _require_semisimple(semi_simple: np.ndarray, eigvec_cond: np.ndarray) -> None:
@@ -225,8 +230,7 @@ def krein_parameters(spectra: SpectrumStack) -> list[list[float]]:
         return []
     _require_semisimple(spectra.semi_simple, spectra.eigvec_cond)
     found = []  # (row, ranked position, the cluster's signed parameters)
-    for _, rows, first, p, _, _, b in spectra.clusters(("imag",)):
-        W = spectra.V.swapaxes(1, 2)[rows[:, None], p].swapaxes(1, 2)  # the clusters' columns
+    for _, rows, first, _, _, _, b, W, _ in spectra.clusters(("imag",)):
         mu, _ = _krein_pairing(spectra.elements[0].space, W)
         found += zip(rows.tolist(), first.tolist(), np.copysign(b[:, None], mu).tolist())
     out = [[] for _ in range(len(spectra))]
@@ -390,9 +394,7 @@ def williamson_decompose(spectra: SpectrumStack) -> list[WilliamsonDecomposition
     except NonSemisimpleError as exc:
         errors.append(((int(spectra.semi_simple.argmin()), 0), exc))
     parts = []  # per batch and block plane t: each plane's row, block sort key, t, e and f
-    for kind, rows, first, p, q, a, b in spectra.clusters():
-        W, Wq = (None if x is None else spectra.V.swapaxes(1, 2)[rows[:, None], x].swapaxes(1, 2)
-                 for x in (p, q))  # the groups' eigenvector columns, by one gather
+    for kind, rows, first, p, _, a, b, W, Wq in spectra.clusters():
         planes, sign, checks = _PLANE_BUILDERS[kind](space, W, Wq)
         errors += [((int(rows[g]), 1, _GROUP_KINDS.index(kind), int(first[g]), step),
                     NormalizationError(message.format(value[g])))

@@ -76,7 +76,7 @@ class Row(NamedTuple):
 def rows_of(spectra: SpectrumStack) -> list[Row]:
     """Each classified element's Row, its groups read from spectra.clusters()."""
     found = [[] for _ in range(len(spectra))]
-    for kind, rows, first, p, q, a, b in spectra.clusters():
+    for kind, rows, first, p, q, a, b, _, _ in spectra.clusters():
         for j, i in enumerate(rows.tolist()):
             found[i].append(((_GROUP_KINDS.index(kind), int(first[j])), Group(
                 kind, tuple(p[j].tolist()), () if q is None else tuple(q[j].tolist()),
@@ -239,8 +239,9 @@ def stacked_match(keys_a, idx_a, keys_b, idx_b, tol, what):
     ranked = _rank(keys, member, ctol)
     _check_pairing(ranked, ctol, np.array([True]))
     # the row's groups of that kind, read from the ranking alone
-    (row,) = rows_of(SpectrumStack((None,), np.zeros(keys.shape[1:]), None, np.ones(1),
-                                   np.ones(1, bool), ranked))
+    lam = np.zeros(keys.shape[1:])
+    (row,) = rows_of(SpectrumStack((None,), lam, lam[:, None], np.ones(1), np.ones(1, bool),
+                                   ranked))
     kind = "real" if what == "real-pair" else "quad"
     return [([idx_a[i] for i in g.indices], [idx_b[j] for j in g.partners])
             for g in row.groups if g.kind == kind]

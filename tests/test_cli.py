@@ -67,6 +67,16 @@ class TestMatrixIO:
         with pytest.raises(MatrixParseError):
             read_matrix(str(p))
 
+    @pytest.mark.parametrize("text, line", [
+        ("dim 3\n0 1 0\n0 0 0\n0 0 0", "dimension must be a positive even integer, got 3"),
+        ("dim 2\n0 x\n-1 0", "non-numeric entry in row: '0 x'"),
+        ("dim 2\n0 1 2\n-1 0", "row has 3 entries, expected 2"),
+    ])
+    def test_malformed_files_exit_2(self, text, line, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text(text + "\n")
+        assert run_cli(["eval", str(p)], capsys) == (2, "", f"error: {line}\n")
+
     def test_non_utf8_is_a_parse_error(self, tmp_path, capsys):
         p = tmp_path / "latin.txt"
         p.write_bytes(b"dim 2\n0 \xff\n1 0\n")

@@ -4,24 +4,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spqs import kernels, williamson
 from spqs.cli import main
-from spqs.maslov import MaslovLimitConfig, MaslovLimitError, maslov_limit
-from spqs.quasistates import nilpotent_jordan_sp
+from spqs.harness import embed_gl, fit_gleason_on_unitary, fit_rank_one_trace, maslov_imtrace_oracle
+from spqs.maslov import MaslovLimitConfig, MaslovLimitError, maslov_evaluate, maslov_limit
+from spqs.quasistates import (discontinuous_qs, linear_combination, linear_qs, maslov_qs,
+                              nilpotent_jordan_sp)
 from spqs.symplectic import (
     SpElement,
     SymplecticSpace,
     omega_adjoint,
+    random_sp_element,
     random_symplectic_group_element,
 )
 from spqs.williamson import (
+    NormalizationError,
     WilliamsonBlock,
     WilliamsonDecomposition,
     classify_eigenstructure,
+    williamson_decompose,
 )
-from test_classification_oracle import pairs, rows_of
+from test_classification_oracle import outcome, pairs, rows_of
 
 sp1 = SymplecticSpace(1)
 sp2 = SymplecticSpace(2)
+sp3 = SymplecticSpace(3)
 
 
 class TestLimitConfig:
@@ -166,3 +173,61 @@ class TestVerifyAllSuite:
         assert "PASS" in captured
         text = open(out).read()
         assert "main-theorem" in text and "gleason" in text
+
+
+def _discontinuous():
+    return discontinuous_qs(nilpotent_jordan_sp(sp3), 1.0)
+
+
+def _two_block_nilpotent():
+    """q_1 -> p_1 on sp(4, R): nilpotent, with A^3 = 0 of rank 0, not 1."""
+    A = np.zeros((4, 4))
+    A[0, 2] = 1.0
+    return SpElement(sp2, A)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # expm of the overflowing input
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: maslov_evaluate([], MaslovLimitConfig(), "exact"), ValueError, "unknown method"),
+    (lambda: kernels.expm(np.diag([1e3, -1e3])), OverflowError, "overflowed"),
+    (lambda: kernels.polar_decompose(np.zeros((2, 3))), ValueError, "square matrix"),
+    (lambda: kernels.complexify_orthosymplectic(np.eye(3)), ValueError, "even-dimensional"),
+    (lambda: kernels.complexify_orthosymplectic(2.0 * np.eye(2)), ValueError, "not orthogonal"),
+    (lambda: kernels.det_complex(2.0 * np.eye(1)), ValueError, "is not 1"),
+    (lambda: kernels.lift_argument(np.array([])), ValueError, "non-empty 1-d"),
+    (lambda: kernels.sample_polar_path(np.zeros((2, 2)), [0.0, 0.0]), ValueError, "increasing"),
+    (lambda: fit_gleason_on_unitary(_discontinuous(), sp3, 1e-2), ValueError, "continuous"),
+    (lambda: fit_rank_one_trace(maslov_qs(), embed_gl(sp2, 0), 1e-2), ValueError, "n >= 3"),
+    (lambda: fit_rank_one_trace(_discontinuous(), embed_gl(sp3, 0), 1e-2), ValueError,
+     "continuous"),
+    (lambda: embed_gl(sp3, 0).inject(np.eye(3)), ValueError, "a stack of 3 x 3 matrices"),
+    (lambda: maslov_imtrace_oracle()(SpElement(sp1, np.diag([1.0, -1.0]))), ValueError,
+     "does not commute"),
+    (lambda: linear_qs(np.zeros((2, 3))), ValueError, "square"),
+    (lambda: discontinuous_qs(_two_block_nilpotent(), 1.0), ValueError, "not rank one"),
+    (lambda: linear_combination([]), ValueError, "at least one component"),
+    (lambda: SymplecticSpace(0), ValueError, "half-dimension must be positive"),
+    (lambda: omega_adjoint(np.zeros((3, 3))), ValueError, "even-dimensional"),
+    (lambda: random_sp_element(sp1, -1.0, 0), ValueError, "non-negative"),
+])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_a_failing_plane_check_raises_what_its_element_raises_alone(monkeypatch):
+    imag = williamson._PLANE_BUILDERS["imag"]
+
+    def builder(space, W, Wq=None):  # one more check, failing on each group of two planes
+        planes, sign, checks = imag(space, W, Wq)
+        size = np.full(len(W), W.shape[-1])
+        return planes, sign, [*checks, (size == 2, "patched check on {} planes", size)]
+
+    monkeypatch.setitem(williamson._PLANE_BUILDERS, "imag", builder)
+    one, two = (SpElement(sp2, WilliamsonDecomposition(sp2, np.eye(4), tuple(
+        WilliamsonBlock("imag", 0.0, b, (p,)) for p, b in enumerate(bs))).assemble())
+        for bs in ((1.0, 2.0), (1.0, 1.0)))
+    assert len(williamson_decompose(classify_eigenstructure([one]))) == 1
+    alone = outcome(lambda: williamson_decompose(classify_eigenstructure([two])))
+    assert alone == (NormalizationError, "patched check on 2 planes")
+    assert outcome(lambda: williamson_decompose(classify_eigenstructure([one, two, one]))) == alone

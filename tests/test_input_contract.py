@@ -81,6 +81,7 @@ def test_a_norm_past_the_largest_float_keeps_a_finite_bar(tmp_path, capsys):
     assert np.isfinite(float(lines[1].removeprefix("error_bar: ")))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the one error line
 def test_a_sum_past_the_largest_float_exits_4(tmp_path, capsys):
     # truth 2e308: the value overflows, and cmd_eval refuses it
     p = str(tmp_path / "b.txt")
@@ -88,6 +89,17 @@ def test_a_sum_past_the_largest_float_exits_4(tmp_path, capsys):
     code, out, err = run_cli(["eval", p], capsys)
     assert (code, out) == (4, "")
     assert err == "error: non-finite value inf or error bar 2e+300\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the one error line
+def test_a_sum_that_overflows_midway_reads_its_finite_value(tmp_path, capsys):
+    # parameters -1e308, -1e308, 1e308 (by ascending |b|): their running sum overflows
+    p = str(tmp_path / "b.txt")
+    write_matrix(p, rotations((1, 1, -1), 1e308).mat)
+    code, out, err = run_cli(["eval", p], capsys)
+    assert (code, err) == (0, "")
+    value, bar = (float(line.split(": ")[1]) for line in out.splitlines()[:2])
+    assert abs(value - 1e308) <= bar
 
 
 def projected(n, seed, lo, hi):

@@ -16,7 +16,6 @@ def _hand_reports():
         trials=2,
         max_defect=1 / 3,
         tolerance_used=0.1,
-        passed=False,
         seed=7,
         fitted_parameters={
             "c_fit": 1e-300,
@@ -29,7 +28,7 @@ def _hand_reports():
             {"trial": 1, "defect": 1 / 3, "ok": False, "M": np.eye(2)},
         ),
     )
-    r2 = VerificationReport("ad-invariance", 1, 1e-300, 0.1, True, 0)
+    r2 = VerificationReport("ad-invariance", 1, 1e-300, 0.1, 0)
     return r1, r2
 
 

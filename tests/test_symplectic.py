@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spqs.cli import main
-from spqs.harness import _gl_inject, embed_gl, unitary_subalgebra_basis
+from spqs.harness import embed_gl, unitary_subalgebra_basis
 import spqs.symplectic
 from spqs.symplectic import (
     CommutingStrategy,
@@ -210,9 +210,14 @@ class TestMembershipStack:
         assert _error_of(lambda: SpElement(space, skew))[1] == (
             f"matrix is not skew-symplectic (defect {skew_defect(skew):.3e})"
         )
+        stack = np.array([good[0], skew, inf, good[1]])  # one defect per matrix, NaN where inf
+        assert _same_bits(skew_defect(stack), np.array([skew_defect(M) for M in stack]))
+        assert np.isnan(skew_defect(inf)) and skew_defect(skew) > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the one error line
     @pytest.mark.parametrize("text, line", [
         ("1 2\n3 4", "error: matrix is not skew-symplectic (defect 1.000e+00)\n"),
+        ("1e308 1e308\n1e308 1e308", "error: matrix is not skew-symplectic (defect inf)\n"),
         ("nan 0\n0 0", "error: matrix has non-finite entries\n"),
         ("inf 0\n0 -inf", "error: matrix has non-finite entries\n"),
     ])
@@ -269,7 +274,7 @@ class TestStackedBuilds:
         emb = embed_gl(space, 60 + n)
         g, Z = emb.g, np.zeros((n, n))
         xs, ys = rng_from(60 + n).standard_normal((2, 15, n))
-        stacked = _gl_inject(space, g, np.einsum("ij,ik->ijk", xs, ys))
+        stacked = emb.inject(np.einsum("ij,ik->ijk", xs, ys))
         for x, xi, eta in zip(stacked, xs, ys):
             M = np.outer(xi, eta)
             alone = project_skew_symplectic(
