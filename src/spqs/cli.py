@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -91,12 +92,10 @@ def cmd_eval(args) -> int:
             raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if not (np.isfinite(value) and np.isfinite(error_bar)):
+    if not (math.isfinite(value) and math.isfinite(error_bar)):
         print(f"error: non-finite value {value!r} or error bar {error_bar!r}", file=sys.stderr)
         return EXIT_PRECONDITION
-    print(f"value: {value!r}")
-    print(f"error_bar: {error_bar!r}")
-    print(f"method: {method}")
+    print(f"value: {value!r}\nerror_bar: {error_bar!r}\nmethod: {method}")
     return EXIT_OK
 
 

@@ -236,7 +236,6 @@ def maslov_dim2(a: float, b: float, c: float) -> float:
     return 0.0
 
 
-@np.errstate(over="ignore")  # a scaled-back sum past the largest float is inf, silently
 def maslov_spectral(spectra: SpectrumStack) -> list[float]:
     """Spectral evaluation of each classified element: each purely imaginary
     eigenvalue pair contributes minus its oriented block parameter (summed by
@@ -249,7 +248,8 @@ def maslov_spectral(spectra: SpectrumStack) -> list[float]:
         total = sum(b)
         if not math.isfinite(total) and np.isfinite(b).all():  # overflowed: sum b / 2^e, scale back
             e = np.frexp(np.abs(b).max())[1]
-            total = float(np.ldexp(sum(np.ldexp(b, -e).tolist()), e))
+            with np.errstate(over="ignore"):  # a scaled-back sum past the largest float is inf
+                total = float(np.ldexp(sum(np.ldexp(b, -e).tolist()), e))
         values.append(-total + 0.0)
     return values
 
@@ -283,10 +283,10 @@ def maslov_evaluate(
     for dim in dict.fromkeys(B.space.dim for B in Bs) if method != "limit" else ():
         idx = [k for k, B in enumerate(Bs) if B.space.dim == dim]
         spectra = classify_eigenstructure([Bs[k] for k in idx])
-        rows = np.arange(len(idx)) if method == "spectral" else spectra.semi_simple.nonzero()[0]
-        if len(rows):
-            sub = spectra if len(rows) == len(idx) else spectra.take(rows)
-            spectral.update(zip([idx[j] for j in rows.tolist()], maslov_spectral(sub)))
+        if method == "auto" and not spectra.semi_simple.all():
+            rows = spectra.semi_simple.nonzero()[0]
+            idx, spectra = [idx[j] for j in rows.tolist()], spectra.take(rows)
+        spectral.update(zip(idx, maslov_spectral(spectra) if idx else ()))
     limit = {k: maslov_limit(B, cfg) for k, B in enumerate(Bs) if k not in spectral}
     return [
         (spectral[k], _spectral_bar(B), "spectral") if k in spectral

@@ -27,8 +27,8 @@ def write_matrix(path: str, M: np.ndarray) -> None:
 
 def read_matrix(path: str) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        with open(path, "rb") as fh:  # one decode: a text-mode reader costs more per file
+            lines = [ln for ln in fh.read().decode("utf-8").splitlines() if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     if not lines or not lines[0].startswith("dim "):

@@ -52,55 +52,61 @@ def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack V: the ratio of its extreme singular values (inf when singular),
     and whether that is at most EIGVEC_COND_MAX."""
     sv = np.linalg.svd(V, compute_uv=False)
-    big, small = sv[..., 0], sv[..., -1]
-    cond = np.divide(big, small, out=np.full(small.shape, np.inf), where=small > 0)
+    with np.errstate(divide="ignore"):  # the largest is positive: V has unit columns
+        cond = sv[..., 0] / sv[..., -1]
     return cond, cond <= EIGVEC_COND_MAX
 
 
 class _Ranked(NamedTuple):
-    """Each kind k's eigenvalues in each row by ascending (real, imag) key, ties
-    by index: order[k, row] and keys[k, row] hold their indices and keys (then
-    _PAST), past[k, row] marks the positions after them, and start[k, row, j]
-    whether position j starts a single-linkage cluster (True from there on)."""
+    """Each row's eigenvalue indices `order` by one stable sort on (kind, key), their kinds,
+    keys, and whether each position starts a cluster (a single-linkage run of one kind; True
+    at 0 and d).  Partners, keyed by minus their partners' keys, sit at d - 1 - j if matched."""
 
     order: np.ndarray
-    keys: np.ndarray
-    past: np.ndarray
+    kind: np.ndarray
+    key: np.ndarray
     start: np.ndarray
 
 
-def _rank(keys: np.ndarray, member: np.ndarray, ctol: np.ndarray) -> _Ranked:
-    """Rank the member keys of each (kind, row); clusters break at gaps > ctol."""
-    keys = np.where(member, keys, _PAST)
-    order = keys.argsort(axis=-1, kind="stable")
-    keys.sort(axis=-1)
-    past = keys == _PAST
-    start = np.empty(keys.shape[:-1] + (keys.shape[-1] + 1,), dtype=bool)
-    start[..., :: keys.shape[-1]] = True  # positions 0 and d
-    np.greater(abs(keys[..., 1:] - keys[..., :-1]), ctol, out=start[..., 1:-1])
-    start[..., 1:-1] |= past[..., 1:]
-    return _Ranked(order, keys, past, start)
+def _rank(parts: np.ndarray, kind: np.ndarray, ctol: np.ndarray) -> _Ranked:
+    """Rank the eigenvalues parts = [re, im] of each row; clusters break at gaps > ctol."""
+    key = np.add.reduce(parts * _KEY[:, kind])
+    order = np.lexsort((key.imag, key.real, kind))
+    flat = order + np.arange(0, kind.size, kind.shape[-1])[:, None]
+    kind, key = kind.take(flat), key.take(flat)
+    start = np.ones((len(kind), kind.shape[-1] + 1), dtype=bool)  # True at 0 and d
+    np.greater(abs(key[:, 1:] - key[:, :-1]), ctol, out=start[:, 1:-1])
+    start[:, 1:-1] |= kind[:, 1:] != kind[:, :-1]
+    return _Ranked(order, kind, key, start)
 
 
 def _check_pairing(r: _Ranked, ctol: np.ndarray, semi_simple: np.ndarray) -> None:
-    """Raise ClassificationError at the first semi-simple row whose clusters of kind
-    1 (4) do not pair up in order with kind 2 (5): equal sizes, keys within 10 ctol."""
-    a, b = slice(_REAL_POS, None, 3), slice(_REAL_NEG, None, 3)  # kinds 1, 4 and 2, 5
-    unmatched = (r.past[a] != r.past[b]) | (r.start[a] != r.start[b])[..., :-1]
-    fault = unmatched | (abs(r.keys[a] - r.keys[b]) > 10 * ctol)
-    bad = semi_simple & fault.any(axis=(0, 2))
-    if bad.any():
-        row = bad.argmax()
-        k, what = (0, "real-pair") if fault[0, row].any() else (1, "quadruple")
-        raise ClassificationError(f"unmatched {what} eigenvalue clusters" if unmatched[k, row].any()
-                                  else f"{what} eigenvalues do not pair up")
+    """Raise ClassificationError at the first semi-simple row whose real-pair (quadruple)
+    clusters do not pair up in order with their partners': equal sizes, keys within 10 ctol."""
+    side = _SIDE[r.kind]
+    if not side.any():
+        return
+    one, start, count = side > 0, r.start[:, :-1] != r.start[:, :0:-1], side + side[:, ::-1]
+    fault = np.logical_or(count, one & (start | (abs(r.key + r.key[:, ::-1]) > 10 * ctol)))
+    if fault[semi_simple].any():
+        i = (semi_simple & fault.any(axis=-1)).argmax()
+        at = abs(side[i]) == 1  # the real pairs, where they fail, else the quadruples
+        what, at = ("real-pair", at) if fault[i, at].any() else ("quadruple", ~at)
+        raise ClassificationError(f"unmatched {what} eigenvalue clusters" if (
+            (count[i] != 0) | one[i] & start[i])[at].any() else f"{what} eigenvalues do not pair up")
+
+
+def _mean(x: np.ndarray) -> np.ndarray:
+    """Each row's mean sum(x / e) / k * e, k = row length <= e a power of two: x / e is
+    exact and the sum cannot overflow."""
+    k, e = x.shape[-1], 2.0 ** (x.shape[-1] - 1).bit_length()
+    return np.add.reduce(x / e, axis=-1) / k * e
 
 
 @dataclass(eq=False)
 class SpectrumStack:
     """A stack's classification: each element's eigenvalues lam and eigenvectors V, their
-    condition and semi-simple flag, and every kind's ranked keys, whose eigenvalue groups
-    `clusters` enumerates."""
+    condition and semi-simple flag, and their ranking, whose groups `clusters` enumerates."""
 
     elements: tuple  # the classified SpElements
     lam: np.ndarray
@@ -113,82 +119,75 @@ class SpectrumStack:
         return len(self.lam)
 
     def clusters(self, kinds: tuple = _GROUP_KINDS) -> list[tuple]:
-        """The eigenvalue groups of the semi-simple rows: per kind asked for (_GROUP_KINDS
-        order) and group size k, the kind, each group's row and ranked position, its (c, k)
-        eigenvalue indices p (real: +a side; quad: -a+ib) and partners q (real: -a side;
-        quad: +a+ib; None for the other kinds), its a and b, and the (c, 2n, k) eigenvector
-        columns W of p and Wq of q (None with q), groups in row order."""
-        r, out, skip = self.ranked, [], ~self.semi_simple[:, None]
-        for k, kind in zip((_REAL_POS, _IMAG, _QUAD, _ZERO), _GROUP_KINDS):
-            if kind not in kinds:
-                continue
-            past = r.past[k] | skip
-            rows, cols = (r.start[k, :, :-1] > past).nonzero()  # each cluster's first position
-            sizes = (r.start[k, :, 1:] > past).nonzero()[1] + 1 - cols  # its last + 1 - first
+        """The eigenvalue groups of the semi-simple rows: per kind asked for (in the order
+        asked) and group size k, the kind, each group's row and first sorted position, its
+        (c, k) eigenvalue indices p (real: +a side; quad: -a+ib) and partners q (real: -a
+        side; quad: +a+ib; None for the other kinds), its a and b, and the (c, 2n, k)
+        eigenvector columns W of p and Wq of q (None with q), groups in row order."""
+        r, out, Vt = self.ranked, [], self.V.swapaxes(1, 2)
+        for name in kinds:
+            k = _GROUP_KIND[name]
+            of_kind = (r.kind == k) & self.semi_simple[:, None]
+            rows, cols = (r.start[:, :-1] & of_kind).nonzero()  # each group's first position
+            sizes = (r.start[:, 1:] & of_kind).nonzero()[1] + 1 - cols  # its last + 1 - first
             for s in sorted(set(sizes.tolist())):
-                at = sizes == s
-                rr, cc = rows[at, None], cols[at, None] + np.arange(s)
-                p, z = r.order[k, rr, cc], np.zeros(len(rr))
-                lam, e = self.lam[rr, p], 2.0 ** (s - 1).bit_length()  # e >= s, a power of two
-                paired = k in (_REAL_POS, _QUAD)  # each mean sums x / e: exact, and cannot overflow
-                q = r.order[k + 1, rr, cc] if paired else None
-                W, Wq = (None if x is None else self.V.swapaxes(1, 2)[rr, x].swapaxes(1, 2)
-                         for x in (p, q))  # the groups' eigenvector columns, by one gather
-                out.append((kind, rr[:, 0], cc[:, 0], p, q,
-                            (abs(lam.real) / e).sum(axis=-1) / s * e if paired else z,
-                            (lam.imag / e).sum(axis=-1) / s * e if k in (_IMAG, _QUAD) else z,
-                            W, Wq))
+                of_size = sizes == s
+                rr, first = rows[of_size], cols[of_size]
+                at = rr[:, None], first[:, None] + np.arange(s)  # the groups' sorted positions
+                p, key, z = r.order[at], r.key[at], np.zeros(len(rr))
+                x, q, Wq = _mean(key.real) if k != _ZERO else z, None, None  # a; imaginary: b
+                if k in (_REAL_POS, _QUAD):  # partners at the mirror positions, by key then index
+                    mirror = at[0], r.order.shape[-1] - 1 - at[1]
+                    q, minus = r.order[mirror], -r.key[mirror]
+                    q = np.take_along_axis(q, np.lexsort((q, minus.imag, minus.real)), axis=-1)
+                    Wq = Vt[at[0], q].swapaxes(1, 2)
+                out.append((name, rr, first, p, q, z if k == _IMAG else x, x if k == _IMAG else
+                            _mean(key.imag) if k == _QUAD else z, Vt[at[0], p].swapaxes(1, 2), Wq))
         return out
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
         """The classification of the given rows alone."""
         return SpectrumStack(tuple(self.elements[i] for i in rows.tolist()), self.lam[rows],
                              self.V[rows], self.eigvec_cond[rows], self.semi_simple[rows],
-                             _Ranked(*(x[:, rows] for x in self.ranked)))
+                             _Ranked(*(x[rows] for x in self.ranked)))
 
 
 def classify_eigenstructure(Bs: list[SpElement]) -> SpectrumStack:
     """The SpectrumStack of elements of one dimension, from this module's one
-    eigensolve and one sort of every kind's keys: each spectrum grouped into
-    real pairs, imaginary pairs, quadruples and zeros, and semi-simplicity
+    eigensolve and one sort of each row on (kind, key): each spectrum grouped
+    into real pairs, imaginary pairs, quadruples and zeros, and semi-simplicity
     flagged via the eigenvector condition number.
 
-    A non-semi-simple input is not grouped (SpectrumStack.clusters skips its
-    row): no decomposition accepts it, and its clusters need not pair up.
-    ClassificationError names the first semi-simple element whose real or
-    quadruple clusters do not pair up."""
+    A non-semi-simple input is not grouped (clusters skips its row): no
+    decomposition accepts it, and its clusters need not pair up.  ClassificationError
+    names the first semi-simple element whose real or quadruple clusters do not."""
     if not Bs:
         return []
     lam, V = np.linalg.eig(np.array([b.mat for b in Bs]))
     cond, semi_simple = eigvec_condition(V)
-    re, im = lam.real, lam.imag
-    parts = np.array([re, im])
+    parts = np.array([lam.real, lam.imag])
     mod = abs(lam)  # hypot(re, im), the modulus of Python's abs(complex)
-    band = AXIS_BAND * (1.0 + mod)
-    scale = np.maximum(1.0, mod.max(axis=-1))
-    kind = _KIND_OF_BITS[(np.concatenate([abs(parts) <= band, parts > 0]) * _BITS).sum(axis=0)]
-    kind[mod <= AXIS_BAND * (1.0 + scale)[:, None]] = _ZERO
-    ctol = CLUSTER_TOL * (1.0 + scale)[:, None]
-    ranked = _rank(re * _KEY_RE + im * _KEY_IM, kind == _KINDS, ctol)
-    if (kind % 3).any():  # some real pair or quadruple: kind 1, 2, 4 or 5
-        _check_pairing(ranked, ctol, semi_simple)
+    scale = 1.0 + np.maximum(1.0, mod.max(axis=-1, keepdims=True))
+    bits = np.concatenate([parts > 0, abs(parts) <= AXIS_BAND * (1.0 + mod),
+                           (mod <= AXIS_BAND * scale)[None]])
+    ctol = CLUSTER_TOL * scale
+    ranked = _rank(parts, _KIND_OF_BITS[np.packbits(bits, axis=0, bitorder="little")[0]], ctol)
+    _check_pairing(ranked, ctol, semi_simple)
     return SpectrumStack(tuple(Bs), lam, V, cond, semi_simple, ranked)
 
 
-# eigenvalue kinds (zero, real with Re > 0 or < 0, imaginary with Im > 0, -a+ib
-# and +a+ib with a, b > 0, the rest) by bits: 8 in the real-axis band, 4 in the
-# imaginary-axis band, 2 Im > 0, 1 Re > 0.  In both bands |lambda| <= 2^(1/2)
-# AXIS_BAND (1 + |lambda|) < 2 AXIS_BAND, which is within the zero tolerance.
-_ZERO, _REAL_POS, _REAL_NEG, _IMAG, _QUAD, _QUAD_PARTNER, _SKIP = range(7)
+# eigenvalue kinds in sort order (real with Re > 0, -a+ib with a, b > 0, zero, imaginary
+# with Im > 0, the rest, then the partners +a+ib and real with Re < 0) by bits: 1 Re > 0,
+# 2 Im > 0, 4 |Re| and 8 |Im| in the axis band, 16 within the zero tolerance (which
+# holds in both bands: |lambda| <= 2^(1/2) AXIS_BAND (1 + |lambda|) < 2 AXIS_BAND).
+_REAL_POS, _QUAD, _ZERO, _IMAG, _SKIP, _QUAD_PARTNER, _REAL_NEG = range(7)
 _KIND_OF_BITS = np.array([_SKIP, _SKIP, _QUAD, _QUAD_PARTNER, _SKIP, _SKIP, _IMAG, _IMAG]
-                         + [_REAL_NEG, _REAL_POS] * 2 + [_ZERO] * 4)
-_BITS = np.array([4, 8, 1, 2])[:, None, None]  # |Re|, |Im| in band; Re, Im > 0
-_PAST = np.finfo(float).max  # sorts after every key, as their real parts are >= 0
-_KINDS = np.arange(_SKIP)[:, None, None]  # ranked: clusters and _check_pairing read no _SKIP
-# each kind's key re * _KEY_RE + im * _KEY_IM, exactly: a of a real pair from
-# either side, b of an imaginary one, a + ib of both members -a + ib, a + ib of a quadruple
-_KEY_RE = np.array([0, 1, -1, 0, -1, 1], dtype=complex)[:, None, None]
-_KEY_IM = np.array([0, 0, 0, 1, 1j, 1j])[:, None, None]
+                         + [_REAL_NEG, _REAL_POS] * 2 + [_ZERO] * 20)
+_GROUP_KIND = {"real": _REAL_POS, "imag": _IMAG, "quad": _QUAD, "zero": _ZERO}
+_SIDE = np.array([1, 2, 0, 0, 0, -2, -1])  # a pair's two sides: +-1 real, +-2 quadruple
+# each kind's key re * _KEY[0] + im * _KEY[1], exactly: a of a real pair, b of an imaginary
+# one, a + ib of the -a + ib member of a quadruple; minus that for the partners
+_KEY = np.array([[1, -1, 0, 0, 0, -1, 1], [0, 1j, 0, 1, 0, -1j, 0]])
 
 
 def _require_semisimple(semi_simple: np.ndarray, eigvec_cond: np.ndarray) -> None:

@@ -41,6 +41,12 @@ def corpus() -> list[tuple[int, str, SpElement]]:
     return out
 
 
+def head(inputs) -> list[tuple[int, str, SpElement]]:
+    """The inputs of recipe seed < 5 and y/z draw < 10, in corpus order."""
+    return [(n, label, B) for n, label, B in inputs
+            if int(label.rpartition("=")[2]) < (5 if " seed=" in label else 10)]
+
+
 def _evaluate(method):
     return lambda Bs: [f"{value.hex()} {bar.hex()} {route}"
                        for value, bar, route in maslov_evaluate(Bs, CFG, method)]
@@ -56,10 +62,11 @@ OPERATIONS = {"auto": _evaluate("auto"), "spectral": _evaluate("spectral"),
               "limit": _evaluate("limit"), "decompose": _decompose}
 
 
-def digest(inputs) -> list[str]:
-    """One line per input: each operation alone, then stacked (see the module)."""
+def digest(inputs, names=tuple(OPERATIONS)) -> list[str]:
+    """One line per input: each named operation alone, then stacked (see the module)."""
     lines = [f"n={n} {label}" for n, label, _ in inputs]
-    for name, op in OPERATIONS.items():
+    for name in names:
+        op = OPERATIONS[name]
         for n in sorted({n for n, _, _ in inputs}):
             at = [i for i, (m, _, _) in enumerate(inputs) if m == n]
             Bs = [inputs[i][2] for i in at]

@@ -8,6 +8,9 @@ sides are read as one `Row` per element (`rows_of` reads a SpectrumStack's
 clusters).  The stacked code must give the same rows, the same values bit for
 bit, and the same first failure."""
 
+import hashlib
+import json
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +32,11 @@ from spqs.symplectic import (
 )
 from spqs.williamson import (
     _GROUP_KINDS,
+    _IMAG,
     _KIND_OF_BITS,
     _QUAD,
+    _QUAD_PARTNER,
+    _REAL_NEG,
     _REAL_POS,
     _ZERO,
     AXIS_BAND,
@@ -81,7 +87,7 @@ def rows_of(spectra: SpectrumStack) -> list[Row]:
             found[i].append(((_GROUP_KINDS.index(kind), int(first[j])), Group(
                 kind, tuple(p[j].tolist()), () if q is None else tuple(q[j].tolist()),
                 float(a[j]), float(b[j]))))
-    zeros = np.count_nonzero(~spectra.ranked.past[_ZERO], axis=-1).tolist()
+    zeros = np.count_nonzero(spectra.ranked.kind == _ZERO, axis=-1).tolist()
     # by kind, then ranked position: unique in a row, so groups are never compared
     return [Row(tuple(g for _, g in sorted(gs)), z, bool(s), float(c))
             for gs, z, s, c in zip(found, zeros, spectra.semi_simple, spectra.eigvec_cond)]
@@ -128,9 +134,11 @@ def _mean(xs: list[float]) -> float:
 
 def _classify_one(lam, V, cond, semi_simple, scale, kind) -> Row:
     """One element's Row from its row of the stacked eigensolve."""
-    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner, _ = at = [[] for _ in range(7)]
+    at = [[] for _ in range(7)]
     for i, k in enumerate(kind.tolist()):
         at[k].append(i)
+    zero_idx, real_pos, real_neg, imag_pos, quad, quad_partner = (
+        at[k] for k in (_ZERO, _REAL_POS, _REAL_NEG, _IMAG, _QUAD, _QUAD_PARTNER))
     if not semi_simple:
         return Row((), len(zero_idx), False, float(cond))
     ctol = float(CLUSTER_TOL * (1.0 + scale))
@@ -227,24 +235,23 @@ def public(row: Row) -> tuple:
 
 
 def stacked_match(keys_a, idx_a, keys_b, idx_b, tol, what):
-    """The stacked classification's pairing of keys_a (kind 1, or 4 for
-    quadruples) with keys_b (kind 2, or 5) in one row: the same return value
-    and the same errors as `_match_clusters`."""
-    k = _REAL_POS if what == "real-pair" else _QUAD
-    keys = np.zeros((7, 1, max(len(keys_a), len(keys_b))), dtype=complex)
-    member = np.zeros(keys.shape, dtype=bool)
-    for kind, ks in ((k, keys_a), (k + 1, keys_b)):
-        keys[kind, 0, : len(ks)], member[kind, 0, : len(ks)] = ks, True
+    """The stacked classification's pairing of keys_a (real +a, or -a+ib for
+    quadruples) with keys_b (their partners) in one row: the same return value and
+    the same errors as `_match_clusters`."""
+    quad = what == "quadruple"
+    kind = np.array([[_QUAD if quad else _REAL_POS] * len(keys_a)
+                     + [_QUAD_PARTNER if quad else _REAL_NEG] * len(keys_b)])
+    # the eigenvalues with these keys: a, -a for real pairs; -a+ib, a+ib for quadruples
+    lam = np.array([[-np.conj(key) if quad else key for key in keys_a]
+                    + [key if quad else -key for key in keys_b]], dtype=complex)
     ctol = np.array([[tol]])
-    ranked = _rank(keys, member, ctol)
+    ranked = _rank(np.array([lam.real, lam.imag]), kind, ctol)
     _check_pairing(ranked, ctol, np.array([True]))
     # the row's groups of that kind, read from the ranking alone
-    lam = np.zeros(keys.shape[1:])
     (row,) = rows_of(SpectrumStack((None,), lam, lam[:, None], np.ones(1), np.ones(1, bool),
                                    ranked))
-    kind = "real" if what == "real-pair" else "quad"
-    return [([idx_a[i] for i in g.indices], [idx_b[j] for j in g.partners])
-            for g in row.groups if g.kind == kind]
+    return [([idx_a[i] for i in g.indices], [idx_b[j - len(keys_a)] for j in g.partners])
+            for g in row.groups if g.kind == ("quad" if quad else "real")]
 
 
 class TestPairing:
@@ -408,6 +415,23 @@ class TestStackedClassification:
             assert bits(outcome(spectral, Bs)) == bits(outcome(reference_spectral, Bs))
             alone = [B for B in Bs if not isinstance(outcome(reference_spectral, [B]), tuple)]
             assert bits(spectral(alone)) == bits(reference_spectral(alone))
+
+
+class TestCorpusSlice:
+    def test_digest_matches_the_recorded_hash(self):
+        """The 380 inputs of tests/corpus.py with recipe seed < 5 and y/z draw < 10
+        digest under auto, spectral and decompose (each alone, then stacked) to the
+        sha256 recorded in BENCH_single_call.json.  The hash holds with numpy 2.4.6
+        on scipy-openblas (the ROADMAP baseline); another BLAS or numpy may round
+        the eigensolves differently."""
+        import corpus  # imported here: corpus imports this module
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "BENCH_single_call.json")) as fh:
+            recorded = json.load(fh)["corpus_slice"]["sha256"]
+        lines = corpus.digest(corpus.head(corpus.corpus()), ("auto", "spectral", "decompose"))
+        assert len(lines) == 380
+        assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == recorded
 
 
 class TestStackedDecomposition:

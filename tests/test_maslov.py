@@ -256,6 +256,32 @@ class TestStackedEvaluation:
         assert stacked[self.NIL] == (est.value, est.error_bar, "limit")
         assert [route for _, _, route in stacked].count("limit") == 1
 
+    def test_one_eigensolve_per_spectral_evaluation(self, monkeypatch):
+        # the spectral route reads the one eig and one svd of its classification;
+        # its only other eigensolves are the Krein pairings, at most one eigh per
+        # distinct imaginary cluster size of the stack
+        counts = {}
+        for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd"):
+            def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        blocks = [WilliamsonBlock("imag", 0.0, b, (p,)) for p, b in enumerate((0.8, -0.8, 1.3))]
+        g = random_symplectic_group_element(sp3, 0.5, 5)
+        D = WilliamsonDecomposition(sp3, np.eye(6), tuple(blocks)).assemble()
+        mixed = [random_semisimple(sp3, seed)[0] for seed in range(6)]
+        mixed.append(SpElement(sp3, g @ D @ omega_adjoint(g)))  # imaginary clusters of 2 and 1
+        for Bs in (mixed[:1], mixed):
+            clusters = classify_eigenstructure(Bs).clusters(("imag",))
+            sizes = {p.shape[1] for _, _, _, p, *_ in clusters}
+            assert len(Bs) == 1 or sizes == {1, 2}
+            for method in ("spectral", "auto"):
+                counts.clear()
+                assert [route for *_, route in maslov_evaluate(Bs, SHORT, method)] == [
+                    "spectral"] * len(Bs)
+                assert (counts.pop("eig"), counts.pop("svd")) == (1, 1)
+                assert set(counts) <= {"eigh"} and counts.get("eigh", 0) <= len(sizes)
+
     def test_empty_stack(self):
         assert maslov_evaluate([], SHORT) == []
         assert classify_eigenstructure([]) == []
