@@ -34,9 +34,9 @@ class MaslovLimitConfig:
     """Path horizon of the asymptotic evaluator.
 
     The estimate converges like O(1/t) (bounded defect), so accuracy is set by
-    t_max alone: every per-step phase increment is exact, and the step is
-    worked out from the input (`_step_count`, then doubled by `_coarsen` on
-    semi-simple batches).
+    t_max alone: every per-step phase increment is exact, and each element's
+    step is worked out from that element alone (`_step_count`, then doubled by
+    `_coarsen` if it is semi-simple), in a batch as in a single evaluation.
     """
 
     t_max: float = 2000.0
@@ -65,7 +65,7 @@ def _step_count(t_max: float, norm: float) -> int:
     """Even number of steps of the base grid over [0, t_max] for inputs of
     spectral norm up to `norm`: dt = t_max / steps is at most 1 and keeps
     ||dt*B||_2 <= STEP_NORM, but is never below DT_FLOOR.  `_coarsen` may
-    then double dt on semi-simple batches."""
+    then double dt on a semi-simple element."""
     cap = max(2, round(t_max / DT_FLOOR))
     cap += cap % 2
     want = t_max * max(1.0, norm / STEP_NORM)
@@ -107,8 +107,9 @@ def _doubled_phase(E: np.ndarray, theta_E: np.ndarray) -> np.ndarray:
     return theta_E + _increments(theta_E, P[:, :h])
 
 
-def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
-    """theta_E: the continuous change of arg det Ec(s) over s in [0, dt].
+def _step_phase(Bs: np.ndarray, dt: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """theta_E of each element: the continuous change of arg det Ec(s) over
+    s in [0, dt], for its own dt and ||B||_2.
 
     At s = dt / 2^k with s ||B||_2 <= 1/2, ||Ec(s) - I|| <= e^(1/2) - 1 < 1 on
     the whole interval, so the principal arguments of eig(Ec(s)) are the lift;
@@ -116,20 +117,22 @@ def _step_phase(Bs: np.ndarray, dt: float, norm: float) -> np.ndarray:
     """
     import scipy.linalg  # deferred: the spectral route never needs it
 
-    k = math.ceil(math.log2(max(1.0, 2.0 * dt * norm)))
+    k = np.array([math.ceil(math.log2(max(1.0, x))) for x in (2.0 * dt * norm).tolist()])
+    order = np.argsort(-k, kind="stable")  # the elements still doubling are a prefix
     with np.errstate(over="ignore"):  # a shorter step than the expm(dt*B) that _phase_path checks
-        E = scipy.linalg.expm(Bs * (dt / 2**k))
+        E = scipy.linalg.expm((Bs * (dt / 2.0**k)[:, None, None])[order])
     theta = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
-    for _ in range(k):
-        theta, E = _doubled_phase(E, theta), E @ E
-    return theta
+    for j in range(k.max()):
+        c = np.count_nonzero(k > j)
+        theta[:c], E[:c] = _doubled_phase(E[:c], theta[:c]), E[:c] @ E[:c]
+    return theta[np.argsort(order)]
 
 
-def _coarsen(Bs: np.ndarray, steps: int, E: np.ndarray, theta_E: np.ndarray):
-    """Double the step E = expm(dt*B) of a `steps` grid while steps % 4 == 0
-    (t_max / 2 stays a grid point), E @ E is finite with ||E @ E||_2 <=
-    e^GROWTH_MAX, and every element of the batch is semi-simple; returns
-    (steps, `_step_blocks` of the step, theta_E).
+def _coarsen(Bs: np.ndarray, steps: np.ndarray, E: np.ndarray, theta_E: np.ndarray):
+    """Double the step E = expm(dt*B) of each element's `steps` grid while its
+    steps % 4 == 0 (t_max / 2 stays a grid point), its E @ E is finite with
+    ||E @ E||_2 <= e^GROWTH_MAX, and it is semi-simple; returns (steps,
+    `_step_blocks` of the steps, theta_E), each per element.
 
     The increments are exact, so theta at the grid points does not depend on
     the grid; their roundoff grows like ||E||_2 per step, which the growth
@@ -138,20 +141,25 @@ def _coarsen(Bs: np.ndarray, steps: int, E: np.ndarray, theta_E: np.ndarray):
     bound stops the doubling at hyperbolic parts.  Along Jordan chains the
     sweep loses digits at any step, so those keep the base grid.
     """
-    semi_simple = eigvec_condition(np.linalg.eig(Bs)[1])[1].all()
-    while semi_simple and steps % 4 == 0:
-        E2 = E @ E
-        if not (np.all(np.isfinite(E2))
-                and np.linalg.norm(E2, 2, axis=(1, 2)).max() <= math.exp(GROWTH_MAX)):
-            break
-        E, theta_E, steps = E2, _doubled_phase(E, theta_E), steps // 2
+    steps, E, theta_E = steps.copy(), E.copy(), theta_E.copy()
+    go = np.flatnonzero(eigvec_condition(np.linalg.eig(Bs)[1])[1] & (steps % 4 == 0))
+    while go.size:
+        Eg = E[go]
+        E2 = Eg @ Eg
+        ok = np.isfinite(E2).all(axis=(1, 2))
+        ok[ok] = np.linalg.norm(E2[ok], 2, axis=(1, 2)) <= math.exp(GROWTH_MAX)
+        go, Eg, E2 = go[ok], Eg[ok], E2[ok]
+        theta_E[go], E[go] = _doubled_phase(Eg, theta_E[go]), E2
+        steps[go] //= 2
+        go = go[steps[go] % 4 == 0]
     return steps, _step_blocks(E), theta_E
 
 
-def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
+def _phase_path(Bs: np.ndarray, t_max: float) -> list[np.ndarray]:
     """Lifted phase theta(t_k) of det of the complexified unitary polar factor
-    of exp(t_k B) on an even grid of [0, t_max], for a stack Bs of shape
-    (m, 2n, 2n); returns theta of shape (m, steps + 1).
+    of exp(t_k B) on an even grid of [0, t_max], for each element of a stack Bs
+    of shape (m, 2n, 2n); returns each element's theta on its own grid, of
+    steps + 1 entries.
 
     The path advances by repeated multiplication with expm(dt*B), carried in
     the complex-linear / anti-linear block representation: the ratio
@@ -160,51 +168,66 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> np.ndarray:
     (positive Hermitian) x (unitary), so the phases of det Zc are those of the
     unitary polar factor.  `_increments` gives their exact change over each
     step (the universal-cover cocycle of Sp(2n, R)), so dt does not set the
-    value: the grid starts at `_step_count` steps and `_coarsen` doubles its
-    step where the batch allows.  Only the ratio N_k is advanced step by step
-    (`_advance`: one stacked product M N).  Step k's increment depends only on
-    N_k, so one stacked eigvals of the L N rows, read in place, phases a chunk.
+    value: each element's grid starts at its own `_step_count` steps and
+    `_coarsen` doubles its step where the element allows, so an element's
+    theta is the one it gets swept alone.  Only the ratio N_k is advanced step
+    by step (`_advance`: one stacked product M N).  The stack is ordered by
+    step count, so the elements still sweeping are a prefix of it, which
+    shrinks where a grid ends.  Step k's increment depends only on N_k, so one
+    stacked eigvals of the L N rows, read in place, phases a chunk.
     """
     import scipy.linalg  # deferred: the spectral route never needs it
 
     m, d, _ = Bs.shape
-    norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
-    steps = _step_count(t_max, norm)
-    if steps > MAX_STEPS:
-        raise MaslovLimitError(f"t_max = {t_max!r} needs {steps} path steps, more than {MAX_STEPS}")
+    h = d // 2
+    norm = np.linalg.norm(Bs, 2, axis=(1, 2))
+    steps = [_step_count(t_max, x) for x in norm.tolist()]
+    if max(steps) > MAX_STEPS:
+        raise MaslovLimitError(f"t_max = {t_max!r} needs {max(steps)} path steps, more than {MAX_STEPS}")
+    steps = np.array(steps)
     dt = t_max / steps
     with np.errstate(over="ignore"):  # the check below reports an overflow
-        E = scipy.linalg.expm(dt * Bs)
+        E = scipy.linalg.expm(dt[:, None, None] * Bs)
     if not np.all(np.isfinite(E)):
         raise MaslovLimitError("expm(dt*B) overflowed; rescale the input")
-    N = np.zeros((m, d // 2, d // 2), dtype=complex)
     try:
         steps, step, theta_E = _coarsen(Bs, steps, E, _step_phase(Bs, dt, norm))
-        theta = np.zeros((m, steps + 1))
-        P = np.empty((min(CHUNK, steps), *step[0].shape), dtype=complex)
-        for k in range(0, steps, CHUNK):
-            for j in range(min(CHUNK, steps - k)):
-                N = _advance(step, N, P[j])
-            theta[:, k + 1:k + j + 2] = _increments(theta_E, P[:j + 1, :, :d // 2]).T
+        order = np.argsort(-steps, kind="stable")
+        ends, M, C, theta_E = steps[order], step[0][order], step[1][order], theta_E[order]
+        theta = np.zeros((m, ends[0] + 1))
+        P = np.empty((min(CHUNK, ends[0]), *M.shape), dtype=complex)
+        N = np.zeros((m, h, h), dtype=complex)
+        start, live = 0, m
+        while live:  # sweep the first `live` elements up to the end of the shortest grid
+            stop, step, Pl, N = ends[live - 1], (M[:live], C[:live]), P[:, :live], N[:live]
+            for k in range(start, stop, CHUNK):
+                for j in range(min(CHUNK, stop - k)):
+                    N = _advance(step, N, Pl[j])
+                theta[:live, k + 1:k + j + 2] = _increments(theta_E[:live], Pl[:j + 1, :, :h]).T
+            start, live = stop, np.count_nonzero(ends > stop)
     except np.linalg.LinAlgError:
         raise MaslovLimitError(
-            f"singular path step at ||dt*B||_2 = {t_max / steps * norm:.3g}; "
+            f"singular path step at ||dt*B||_2 = {(t_max / steps * norm).max():.3g}; "
             "rescale the input"
         ) from None
-    return np.cumsum(theta, axis=1)
+    theta = np.cumsum(theta, axis=1)
+    return [theta[r, :s + 1] for r, s in zip(np.argsort(order).tolist(), steps.tolist())]
 
 
 def maslov_limit_batch(
     elements: list[SpElement], cfg: MaslovLimitConfig = MaslovLimitConfig()
 ) -> list[MaslovEstimate]:
-    """Asymptotic evaluation of a batch sharing one config (one path sweep)."""
+    """Asymptotic evaluation of a batch sharing one config: one stacked path
+    sweep in which each element takes its own grid, so each estimate is the
+    one `maslov_limit` gives that element alone."""
     if not elements:
         return []
     T = cfg.t_max
-    theta = _phase_path(np.stack([b.mat for b in elements]), T)
-    samples = theta.shape[1]
-    full, half = theta[:, -1] / T, theta[:, samples // 2] / (0.5 * T)
-    return [MaslovEstimate(float(v), float(abs(v - h)), samples) for v, h in zip(full, half)]
+    ests = []
+    for theta in _phase_path(np.stack([b.mat for b in elements]), T):
+        full, half = theta[-1] / T, theta[len(theta) // 2] / (0.5 * T)
+        ests.append(MaslovEstimate(float(full), float(abs(full - half)), len(theta)))
+    return ests
 
 
 def maslov_limit(B: SpElement, cfg: MaslovLimitConfig = MaslovLimitConfig()) -> MaslovEstimate:

@@ -337,7 +337,7 @@ def criterion_03_population(n, size):
     "ROADMAP item 1; CHANGES.md FOUND: at short horizons the limit route's error bar does "
     "not cover the truth, FOUND: it misses the truth on the isotropic generator Y_{e0,e1}, "
     "and FOUND: it reads exactly 0.0 on large rotations; the two-point bar "
-    "|theta(T)/T - theta(T/2)/(T/2)| misses 7-15 of each 24"))
+    "|theta(T)/T - theta(T/2)/(T/2)| misses 5-16 of each 24"))
 @pytest.mark.parametrize("T", [2000.0, 100.0])
 @pytest.mark.parametrize("population", [
     lambda: criterion_01_population(24),

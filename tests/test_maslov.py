@@ -319,32 +319,32 @@ class TestTrace:
         assert np.all(np.diff(t) > 0)
 
 
-def per_step_theta(Bs, t_max, coarsen=False):
-    """theta of the sweep with each step's increment taken by its own eigvals
-    call, on the `_step_count` grid or, with coarsen, on the grid `_coarsen`
-    doubles: the reference for the chunked sweep."""
-    m, d, _ = Bs.shape
-    norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
-    steps = _step_count(t_max, norm)
+def per_step_theta(B, t_max, coarsen=False):
+    """theta of one element's sweep with each step's increment taken by its
+    own eigvals call, on its `_step_count` grid or, with coarsen, on the grid
+    `_coarsen` doubles: the one-element reference for the chunked sweep."""
+    Bs, h = B[None], len(B) // 2
+    norm = np.linalg.norm(Bs, 2, axis=(1, 2))
+    steps = np.array([_step_count(t_max, norm[0])])
     dt = t_max / steps
-    E, theta_E = scipy.linalg.expm(dt * Bs), _step_phase(Bs, dt, norm)
+    E, theta_E = scipy.linalg.expm(dt[:, None, None] * Bs), _step_phase(Bs, dt, norm)
     step = _step_blocks(E)
     if coarsen:
         steps, step, theta_E = _coarsen(Bs, steps, E, theta_E)
-    N = np.zeros((m, d // 2, d // 2), dtype=complex)
+    N = np.zeros((1, h, h), dtype=complex)
     P = np.empty_like(step[0])
-    theta = np.zeros((m, steps + 1))
-    for k in range(steps):
+    theta = np.zeros(steps[0] + 1)
+    for k in range(steps[0]):
         N = _advance(step, N, P)
-        theta[:, k + 1] = _increments(theta_E, P[:, :d // 2])
-    return np.cumsum(theta, axis=1)
+        theta[k + 1] = _increments(theta_E, P[:, :h])[0]
+    return np.cumsum(theta)
 
 
-def separate_products_theta(Bs, t_max, swept):
-    """theta of the sweep on its grid of `swept` steps, with the step in the
-    literal form of separate products, L N and (conj Ec N + conj Ea)
-    (Ec + Ea N)^-1, from blocks split here, and each increment by its own
-    eigvals.  theta_E and the step doubling follow `_step_phase` and
+def separate_products_theta(B, t_max, swept):
+    """theta of one element's sweep on its grid of `swept` steps, with the
+    step in the literal form of separate products, L N and (conj Ec N +
+    conj Ea) (Ec + Ea N)^-1, from blocks split here, and each increment by
+    its own eigvals.  theta_E and the step doubling follow `_step_phase` and
     `_coarsen` through the same products: the reference that pins the
     stacked step of `_advance` bit for bit."""
     def blocks(E):
@@ -359,8 +359,8 @@ def separate_products_theta(Bs, t_max, swept):
         b = blocks(E)
         return theta_E + _increments(theta_E, advance(b, b[3] @ np.linalg.inv(b[0]))[0])
 
-    m, d, _ = Bs.shape
-    norm = float(np.linalg.norm(Bs, 2, axis=(1, 2)).max())
+    Bs, h = B[None], len(B) // 2
+    norm = float(np.linalg.norm(B, 2))
     steps = _step_count(t_max, norm)
     dt = t_max / steps
     k = math.ceil(math.log2(max(1.0, 2.0 * dt * norm)))
@@ -371,20 +371,20 @@ def separate_products_theta(Bs, t_max, swept):
     E = scipy.linalg.expm(dt * Bs)
     while steps > swept:
         theta_E, E, steps = doubled(E, theta_E), E @ E, steps // 2
-    b, N = blocks(E), np.zeros((m, d // 2, d // 2), dtype=complex)
-    theta = np.zeros((m, steps + 1))
+    b, N = blocks(E), np.zeros((1, h, h), dtype=complex)
+    theta = np.zeros(steps + 1)
     for j in range(steps):
         LN, N = advance(b, N)
-        theta[:, j + 1] = _increments(theta_E, LN)
-    return np.cumsum(theta, axis=1)
+        theta[j + 1] = _increments(theta_E, LN)[0]
+    return np.cumsum(theta)
 
 
-def base_grid_limit(els, t_max):
-    """(values, bars, samples) of the sweep on the `_step_count` grid, with
-    no step doubling: the reference for the coarsened sweep."""
-    theta = per_step_theta(np.stack([b.mat for b in els]), t_max)
-    full, half = theta[:, -1] / t_max, theta[:, theta.shape[1] // 2] / (0.5 * t_max)
-    return full, np.abs(full - half), theta.shape[1]
+def base_grid_limit(B, t_max):
+    """(value, bar, samples) of one element's sweep on its `_step_count`
+    grid, with no step doubling: the reference for the coarsened sweep."""
+    theta = per_step_theta(B.mat, t_max)
+    full, half = theta[-1] / t_max, theta[len(theta) // 2] / (0.5 * t_max)
+    return full, abs(full - half), len(theta)
 
 
 def criteria_populations():
@@ -423,12 +423,14 @@ class TestCoarseGrid:
         coarsened = 0
         for name, population in criteria_populations():
             els = [population[i] for i in pick.choice(len(population), 8, replace=False)]
-            values, bars, samples = base_grid_limit(els, self.FULL.t_max)
-            ests = maslov_limit_batch(els, self.FULL)
-            got = [e.value for e in ests], [e.error_bar for e in ests]
-            np.testing.assert_allclose(got, (values, bars), rtol=0, atol=1e-10, err_msg=name)
-            assert ests[0].samples_used <= samples, name
-            coarsened += ests[0].samples_used < samples
+            finer = []
+            for B, est in zip(els, maslov_limit_batch(els, self.FULL)):
+                value, bar, samples = base_grid_limit(B, self.FULL.t_max)
+                got = est.value, est.error_bar
+                np.testing.assert_allclose(got, (value, bar), rtol=0, atol=1e-10, err_msg=name)
+                assert est.samples_used <= samples, name
+                finer.append(est.samples_used < samples)
+            coarsened += all(finer)  # every element of the population's sample
         assert coarsened >= 5
 
     @pytest.mark.parametrize(
@@ -439,40 +441,103 @@ class TestCoarseGrid:
     )
     def test_non_semisimple_inputs_keep_the_base_grid(self, B):
         cfg = MaslovLimitConfig(t_max=200.0)
-        values, bars, samples = base_grid_limit([B], cfg.t_max)
         est = maslov_limit(B, cfg)
-        assert (est.value, est.error_bar, est.samples_used) == (values[0], bars[0], samples)
+        assert (est.value, est.error_bar, est.samples_used) == base_grid_limit(B, cfg.t_max)
+
+
+def scaled(B: SpElement, norm: float) -> SpElement:
+    """B scaled to spectral norm `norm`."""
+    return SpElement(B.space, B.mat * (norm / np.linalg.norm(B.mat, 2)))
+
+
+class TestBatchInvariance:
+    """Each element of a batch takes the grid it takes alone, so the batch
+    returns its elements' one-element estimates bit for bit."""
+
+    @staticmethod
+    def assert_invariant(els, cfg):
+        alone = [maslov_limit(B, cfg) for B in els]
+        assert maslov_limit_batch(els, cfg) == alone
+        assert [len(phase_trace(B, cfg)[1]) for B in els] == [e.samples_used for e in alone]
+        return alone
+
+    def test_criteria_populations(self):
+        pick = rng_from(12)
+        for name, population in criteria_populations():
+            els = [population[i] for i in pick.choice(len(population), 8, replace=False)]
+            self.assert_invariant(els, MaslovLimitConfig())
+
+    def test_jordan_chains_among_semisimple_elements(self):
+        els = [random_semisimple(sp2, s)[0] for s in range(4)]
+        els[1:1] = [nilpotent_jordan_sp(sp2), conjugated_jordan(2)]
+        alone = self.assert_invariant(els, SHORT)
+        assert alone[1].samples_used == alone[2].samples_used == 401  # the base grid
+        assert max(e.samples_used for e in alone[3:]) < 401
+
+    def test_one_large_norm_among_smaller_ones(self):
+        els = [random_semisimple(sp3, s)[0] for s in range(5)]
+        els[2] = scaled(els[2], 20.5)  # its base grid has 410 steps, 2 mod 4, the others 400
+        alone = self.assert_invariant(els, SHORT)
+        assert alone[2].samples_used == 411
+        assert max(e.samples_used for i, e in enumerate(alone) if i != 2) < 401
+
+    def test_grids_ending_next_to_a_chunk_seam(self, monkeypatch):
+        # Jordan chains keep their base grids: 42, 20 and 64 steps at t_max = 20,
+        # at, one step before and one after the seams of 21-step chunks
+        monkeypatch.setattr(maslov, "CHUNK", 21)
+        els = [scaled(nilpotent_jordan_sp(sp2), 42.0), scaled(conjugated_jordan(2), 10.0),
+               scaled(conjugated_jordan(2), 64.0)]
+        alone = self.assert_invariant(els, MaslovLimitConfig(t_max=20.0))
+        assert [e.samples_used for e in alone] == [43, 21, 65]
+
+    @pytest.mark.parametrize(
+        "bad, t_max",
+        [(scaled(nilpotent_jordan_sp(sp2), 1e3), 1e5), (SpElement(sp1, np.diag([1e300, -1e300])), 2000.0)],
+        ids=["more than MAX_STEPS", "expm overflow"],
+    )
+    def test_a_failing_element_fails_the_batch(self, bad, t_max):
+        cfg = MaslovLimitConfig(t_max=t_max)
+        ok = SpElement(bad.space, np.zeros_like(bad.mat))
+        with pytest.raises(MaslovLimitError) as alone:
+            maslov_limit(bad, cfg)
+        for batch in ([ok, bad], [bad, ok]):
+            with pytest.raises(MaslovLimitError) as stacked:
+                maslov_limit_batch(batch, cfg)
+            assert str(stacked.value) == str(alone.value)
 
 
 class TestChunkedPhases:
     """`_phase_path` takes each chunk's phases with one stacked eigvals call;
-    the reference takes one step's at a time through the same two routines."""
+    the reference takes one step's at a time through the same two routines,
+    for each element on its own."""
 
-    INPUTS = {  # (stack, t_max, base grid steps, swept steps)
-        "jordan m=1": (np.stack([nilpotent_jordan_sp(SymplecticSpace(3)).mat]), 100.0, 100, 100),
+    INPUTS = {  # (stack, t_max, base grid steps, swept steps of each element)
+        "jordan m=1": (np.stack([nilpotent_jordan_sp(SymplecticSpace(3)).mat]), 100.0, 100, [100]),
         "semi-simple m=8": (
             np.stack([random_semisimple(SymplecticSpace(3), s)[0].mat for s in range(8)]),
-            400.0, 400, 100,
+            400.0, 400, [50, 50, 50, 50, 50, 100, 50, 50],
         ),
     }
 
     @pytest.mark.parametrize("name", INPUTS)
     @pytest.mark.parametrize("seam", ["one below", "at", "one above", "chunks and odd rest"])
     def test_matches_the_per_step_reference(self, name, seam, monkeypatch):
-        Bs, t_max, base, steps = self.INPUTS[name]
-        assert per_step_theta(Bs, t_max).shape[1] == base + 1
-        ref = per_step_theta(Bs, t_max, coarsen=True)
-        assert ref.shape == (len(Bs), steps + 1)
+        Bs, t_max, base, swept = self.INPUTS[name]
+        refs = [per_step_theta(B, t_max, coarsen=True) for B in Bs]
+        assert [per_step_theta(B, t_max).shape for B in Bs] == [(base + 1,)] * len(Bs)
+        assert [ref.shape for ref in refs] == [(s + 1,) for s in swept]
+        steps = max(swept)
         chunk = {"one below": steps + 1, "at": steps, "one above": steps - 1}.get(seam)
         if chunk is None:  # the largest chunk leaving at least 3 full ones and an odd rest
             chunk = next(c for c in range(steps // 3, 1, -1) if steps % c % 2)
         monkeypatch.setattr(maslov, "CHUNK", chunk)
-        np.testing.assert_array_equal(_phase_path(Bs, t_max), ref)
+        for theta, ref in zip(_phase_path(Bs, t_max), refs, strict=True):
+            np.testing.assert_array_equal(theta, ref)
 
     def test_several_chunks_of_the_module_size(self):
         Bs, _, _, _ = self.INPUTS["jordan m=1"]
         t_max = 3 * maslov.CHUNK + 10.0  # an even base grid: 3 chunks and a 10-step rest
-        np.testing.assert_array_equal(_phase_path(Bs, t_max), per_step_theta(Bs, t_max))
+        np.testing.assert_array_equal(_phase_path(Bs, t_max)[0], per_step_theta(Bs[0], t_max))
 
 
 class TestSeparateProductStep:
@@ -481,17 +546,18 @@ class TestSeparateProductStep:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_jordan_base_grid_across_a_chunk_seam(self, n):
-        Bs = nilpotent_jordan_sp(SymplecticSpace(n)).mat[None]
+        B = nilpotent_jordan_sp(SymplecticSpace(n)).mat
         t_max = maslov.CHUNK + 10.0  # one full chunk and a 10-step rest
-        theta = _phase_path(Bs, t_max)
-        assert theta.shape == (1, maslov.CHUNK + 11)
-        np.testing.assert_array_equal(theta, separate_products_theta(Bs, t_max, maslov.CHUNK + 10))
+        [theta] = _phase_path(B[None], t_max)
+        assert theta.shape == (maslov.CHUNK + 11,)
+        np.testing.assert_array_equal(theta, separate_products_theta(B, t_max, maslov.CHUNK + 10))
 
     def test_semisimple_batch_on_the_coarsened_grid(self):
         Bs, t_max, _, swept = TestChunkedPhases.INPUTS["semi-simple m=8"]
-        theta = _phase_path(Bs, t_max)
-        assert theta.shape == (8, swept + 1)
-        np.testing.assert_array_equal(theta, separate_products_theta(Bs, t_max, swept))
+        thetas = _phase_path(Bs, t_max)
+        assert [theta.shape for theta in thetas] == [(s + 1,) for s in swept]
+        for B, theta, s in zip(Bs, thetas, swept):
+            np.testing.assert_array_equal(theta, separate_products_theta(B, t_max, s))
 
 
 class TestRobustness:
