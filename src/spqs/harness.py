@@ -177,20 +177,16 @@ def check_ad_invariance(
     )
 
 
-def sp_basis(space: SymplecticSpace) -> list[np.ndarray]:
-    """Basis of the skew-symplectic algebra: Omega^{-1} S over a symmetric
-    basis S (dimension n(2n+1))."""
+def sp_basis(space: SymplecticSpace) -> np.ndarray:
+    """Basis of the skew-symplectic algebra as one (n(2n+1), 2n, 2n) stack:
+    Omega^{-1} S = -Omega S over the symmetric unit matrices S, i <= j in
+    row-major order (entries 0 and +-1, so the products are exact)."""
     d = space.dim
-    O = space.omega_matrix
-    Oinv = -O  # standard form: Omega^{-1} = -Omega
-    out = []
-    for i in range(d):
-        for j in range(i, d):
-            S = np.zeros((d, d))
-            S[i, j] = 1.0
-            S[j, i] = 1.0
-            out.append(Oinv @ S)
-    return out
+    i, j = np.triu_indices(d)
+    k = np.arange(len(i))
+    S = np.zeros((len(i), d, d))
+    S[k, i, j] = S[k, j, i] = 1.0
+    return -space.omega_matrix @ S
 
 
 def unitary_subalgebra_basis(space: SymplecticSpace) -> list[SpElement]:
@@ -383,10 +379,9 @@ def _cone_sample(rng, dim: int, pairing: Callable) -> tuple[np.ndarray, np.ndarr
             return xi, eta
 
 
-def _stage1_rows(space: SymplecticSpace, xis: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Stage-1 design rows of the stacked cone samples: (A xi) Omega xi +
-    (A eta) Omega eta for each algebra basis element A, then |omega(xi, eta)|."""
-    base = np.stack(sp_basis(space))
+def _stage1_rows(space: SymplecticSpace, base, xis: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Stage-1 design rows of the stacked cone samples: (A xi) Omega xi + (A eta) Omega eta
+    for each A of the `sp_basis` stack base, then |omega(xi, eta)|."""
 
     def quadratic(X):
         return np.einsum("ija,ia->ij", np.einsum("jab,ib->ija", base, X) @ space.omega_matrix, X)
@@ -423,7 +418,7 @@ def fit_main_theorem(
 
     cone = np.swapaxes([_cone_sample(rng, space.dim, lambda x, y: omega(space, x, y))
                         for _ in range(m)], 0, 1)  # (xis, etas)
-    rows = _stage1_rows(space, *cone)
+    rows = _stage1_rows(space, base, *cone)
     ys = SpElement.stack(space, rank_one_matrix(space, "Y", *cone))
     pairs2 = [rng.standard_normal((2, space.dim)) for _ in range(max(40, 2 * space.dim))]
     zs = SpElement.stack(space, rank_one_matrix(space, "Z", *np.swapaxes(pairs2, 0, 1)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import complex_blocks
-from .symplectic import SpElement
+from .symplectic import SpElement, rescaled
 from .williamson import SpectrumStack, classify_eigenstructure, eigvec_condition, krein_parameters
 
 DT_FLOOR = 0.05  # the derived step never goes below this
@@ -113,19 +113,18 @@ def _step_phase(Bs: np.ndarray, dt: np.ndarray, norm: np.ndarray) -> np.ndarray:
 
     At s = dt / 2^k with s ||B||_2 <= 1/2, ||Ec(s) - I|| <= e^(1/2) - 1 < 1 on
     the whole interval, so the principal arguments of eig(Ec(s)) are the lift;
-    k doublings take it to dt.
+    k doublings take it to dt, each on the elements still doubling (an index set).
     """
     import scipy.linalg  # deferred: the spectral route never needs it
 
     k = np.array([math.ceil(math.log2(max(1.0, x))) for x in (2.0 * dt * norm).tolist()])
-    order = np.argsort(-k, kind="stable")  # the elements still doubling are a prefix
     with np.errstate(over="ignore"):  # a shorter step than the expm(dt*B) that _phase_path checks
-        E = scipy.linalg.expm((Bs * (dt / 2.0**k)[:, None, None])[order])
+        E = scipy.linalg.expm(Bs * (dt / 2.0**k)[:, None, None])
     theta = np.angle(np.linalg.eigvals(complex_blocks(E)[0])).sum(axis=-1)
     for j in range(k.max()):
-        c = np.count_nonzero(k > j)
-        theta[:c], E[:c] = _doubled_phase(E[:c], theta[:c]), E[:c] @ E[:c]
-    return theta[np.argsort(order)]
+        go = np.flatnonzero(k > j)
+        theta[go], E[go] = _doubled_phase(E[go], theta[go]), E[go] @ E[go]
+    return theta
 
 
 def _coarsen(Bs: np.ndarray, steps: np.ndarray, E: np.ndarray, theta_E: np.ndarray):
@@ -144,12 +143,11 @@ def _coarsen(Bs: np.ndarray, steps: np.ndarray, E: np.ndarray, theta_E: np.ndarr
     steps, E, theta_E = steps.copy(), E.copy(), theta_E.copy()
     go = np.flatnonzero(eigvec_condition(np.linalg.eig(Bs)[1])[1] & (steps % 4 == 0))
     while go.size:
-        Eg = E[go]
-        E2 = Eg @ Eg
+        E2 = E[go] @ E[go]
         ok = np.isfinite(E2).all(axis=(1, 2))
         ok[ok] = np.linalg.norm(E2[ok], 2, axis=(1, 2)) <= math.exp(GROWTH_MAX)
-        go, Eg, E2 = go[ok], Eg[ok], E2[ok]
-        theta_E[go], E[go] = _doubled_phase(Eg, theta_E[go]), E2
+        go = go[ok]
+        theta_E[go], E[go] = _doubled_phase(E[go], theta_E[go]), E2[ok]
         steps[go] //= 2
         go = go[steps[go] % 4 == 0]
     return steps, _step_blocks(E), theta_E
@@ -181,10 +179,9 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> list[np.ndarray]:
     m, d, _ = Bs.shape
     h = d // 2
     norm = np.linalg.norm(Bs, 2, axis=(1, 2))
-    steps = [_step_count(t_max, x) for x in norm.tolist()]
-    if max(steps) > MAX_STEPS:
-        raise MaslovLimitError(f"t_max = {t_max!r} needs {max(steps)} path steps, more than {MAX_STEPS}")
-    steps = np.array(steps)
+    steps = np.array([_step_count(t_max, x) for x in norm.tolist()])
+    if steps.max() > MAX_STEPS:
+        raise MaslovLimitError(f"t_max = {t_max!r} needs {steps.max()} path steps, more than {MAX_STEPS}")
     dt = t_max / steps
     with np.errstate(over="ignore"):  # the check below reports an overflow
         E = scipy.linalg.expm(dt[:, None, None] * Bs)
@@ -249,14 +246,13 @@ def maslov_dim2(a: float, b: float, c: float) -> float:
 
     sqrt|a^2+bc| when a^2+bc < 0 with b < 0 < c; the opposite sign when
     b > 0 > c; zero whenever a^2 + bc >= 0.  (For a^2+bc < 0 one of the two
-    sign patterns always holds, since then bc < -a^2 <= 0.)
+    sign patterns always holds, since then bc < -a^2 <= 0.)  Taken `rescaled`.
     """
-    e = np.frexp(max(abs(a), abs(b), abs(c)))[1]  # scaling by 2^-e is exact and keeps disc finite
-    disc = np.ldexp(a, -e) * np.ldexp(a, -e) + np.ldexp(b, -e) * np.ldexp(c, -e)
-    if disc < 0.0:
-        r = float(np.ldexp(np.sqrt(-disc), e))
-        return r if b < 0.0 else -r
-    return 0.0
+    def signed_root(y):  # of (a, b, c) / 2^e, whose a^2 + bc stays finite
+        disc = y[0] * y[0] + y[1] * y[2]
+        return math.copysign(math.sqrt(-disc), -y[1]) if disc < 0.0 else 0.0
+
+    return rescaled(signed_root, np.array([a, b, c], dtype=float))
 
 
 def maslov_spectral(spectra: SpectrumStack) -> list[float]:
@@ -269,22 +265,17 @@ def maslov_spectral(spectra: SpectrumStack) -> list[float]:
     values = []
     for b in krein_parameters(spectra):
         total = sum(b)
-        if not math.isfinite(total) and np.isfinite(b).all():  # overflowed: sum b / 2^e, scale back
-            e = np.frexp(np.abs(b).max())[1]
-            with np.errstate(over="ignore"):  # a scaled-back sum past the largest float is inf
-                total = float(np.ldexp(sum(np.ldexp(b, -e).tolist()), e))
+        if not math.isfinite(total) and np.isfinite(b).all():  # overflowed: sum it `rescaled`
+            total = rescaled(lambda y: sum(y.tolist()), b)
         values.append(-total + 0.0)
     return values
 
 
 def _spectral_bar(B: SpElement) -> float:
     """1e-8 (1 + |B|_F), a crude bound on the eigensolve roundoff; where that
-    overflows, it is taken of B scaled by 2^-e (exact) and scaled back."""
+    overflows, 1e-8 |B|_F taken `rescaled` (there the 1 is below its last bit)."""
     bar = 1e-8 * (1.0 + B.norm())
-    if bar == math.inf:
-        e = np.frexp(np.abs(B.mat).max())[1]
-        bar = float(np.ldexp(1e-8 * (np.ldexp(1.0, -e) + np.linalg.norm(np.ldexp(B.mat, -e))), e))
-    return bar
+    return bar if bar != math.inf else rescaled(lambda y: 1e-8 * np.linalg.norm(y), B.mat)
 
 
 def maslov_evaluate(

@@ -132,16 +132,22 @@ def skew_defect(A: np.ndarray) -> float | np.ndarray:
 
 
 @np.errstate(over="ignore")
+def rescaled(f, x) -> float:
+    """f(x) for f homogeneous of degree one, taken of x scaled by 2^-e (exact), 2^e just
+    above max|x|, and scaled back: f's squares and sums stay finite where x's overflow."""
+    e = np.frexp(np.abs(x).max())[1]
+    return float(np.ldexp(f(np.ldexp(x, -e)), e))
+
+
+@np.errstate(over="ignore")
 def frobenius_norms(A) -> list[float]:
     """Frobenius norm of each matrix of the stack A, bit for bit that of np.linalg.norm on
-    the matrix alone; where its squares overflow, it is first scaled by 2^-e (exact)."""
+    the matrix alone; where its squares overflow, it is `rescaled`."""
     A = np.asarray(A, dtype=float)
     F = A.reshape(len(A), math.prod(A.shape[1:]))
     r = np.sqrt((F[:, None, :] @ F[:, :, None])[:, 0, 0]).tolist()
     if math.inf in r:
-        for i in np.flatnonzero(np.isinf(r)).tolist():
-            e = np.frexp(np.abs(F[i]).max())[1]
-            r[i] = float(np.ldexp(np.linalg.norm(np.ldexp(F[i], -e)), e))
+        r = [rescaled(np.linalg.norm, f) if x == math.inf else x for x, f in zip(r, F)]
     return r
 
 

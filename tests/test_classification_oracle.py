@@ -418,20 +418,47 @@ class TestStackedClassification:
 
 
 class TestCorpusSlice:
-    def test_digest_matches_the_recorded_hash(self):
-        """The 380 inputs of tests/corpus.py with recipe seed < 5 and y/z draw < 10
-        digest under auto, spectral and decompose (each alone, then stacked) to the
-        sha256 recorded in BENCH_single_call.json.  The hash holds with numpy 2.4.6
-        on scipy-openblas (the ROADMAP baseline); another BLAS or numpy may round
-        the eigensolves differently."""
+    """The 380 inputs of tests/corpus.py with recipe seed < 5 and y/z draw < 10, built
+    once.  Their hashes hold with numpy 2.4.6 on scipy-openblas (the ROADMAP baseline);
+    another BLAS or numpy may round the eigensolves differently."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
         import corpus  # imported here: corpus imports this module
 
+        return corpus.head(corpus.corpus())
+
+    @staticmethod
+    def recorded(name, key):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "BENCH_single_call.json")) as fh:
-            recorded = json.load(fh)["corpus_slice"]["sha256"]
-        lines = corpus.digest(corpus.head(corpus.corpus()), ("auto", "spectral", "decompose"))
+        with open(os.path.join(root, name)) as fh:
+            return json.load(fh)[key]["sha256"]
+
+    def test_digest_matches_the_recorded_hash(self, inputs):
+        """They digest under auto, spectral and decompose (each alone, then stacked)
+        to the sha256 recorded in BENCH_single_call.json."""
+        import corpus
+
+        lines = corpus.digest(inputs, ("auto", "spectral", "decompose"))
         assert len(lines) == 380
-        assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == recorded
+        assert (hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+                == self.recorded("BENCH_single_call.json", "corpus_slice"))
+
+    def test_limit_route_matches_the_recorded_hash(self, inputs):
+        """Each swept alone by the limit route at corpus.CFG, they digest (value and
+        bar bits, or the exception's name) to the sha256 recorded in
+        BENCH_one_copy_two.json.  357 of them are swept on a coarsened grid, which
+        the hash above never reaches."""
+        import corpus
+
+        lines = []
+        for _, _, B in inputs:
+            got = outcome(maslov_evaluate, [B], corpus.CFG, "limit")
+            lines.append(f"{got[0][0].hex()} {got[0][1].hex()}\n" if isinstance(got, list)
+                         else f"{got[0].__name__}\n")
+        assert len(lines) == 380
+        assert (hashlib.sha256("".join(lines).encode()).hexdigest()
+                == self.recorded("BENCH_one_copy_two.json", "limit_slice"))
 
 
 class TestStackedDecomposition:

@@ -376,7 +376,19 @@ class TestMainTheoremFit:
             + [abs(omega(space, xi, eta))]
             for xi, eta in zip(xis, etas)
         ])
-        assert np.array_equal(harness._stage1_rows(space, xis, etas), reference)
+        assert np.array_equal(harness._stage1_rows(space, sp_basis(space), xis, etas), reference)
+
+    def test_one_basis_stack_per_fit(self, monkeypatch):
+        # stage 1's design rows and the fitted C read the same stack
+        calls, build = [], harness.sp_basis
+
+        def counting(space):
+            calls.append(space.n)
+            return build(space)
+
+        monkeypatch.setattr(harness, "sp_basis", counting)
+        fit_main_theorem([MQ, linear_qs(rng_from(1).standard_normal((6, 6)))], sp3, 1e-2, 0)
+        assert calls == [3]
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_non_continuous_state_refused_before_drawing(self, position, monkeypatch):
@@ -422,7 +434,7 @@ class TestBases:
         from spqs.symplectic import skew_defect
 
         base = sp_basis(sp2)
-        assert len(base) == 10  # n(2n+1) for n = 2
+        assert base.shape == (10, 4, 4)  # n(2n+1) for n = 2
         for A in base:
             assert skew_defect(A) < 1e-12
         flat = np.stack([A.reshape(-1) for A in base])

@@ -137,7 +137,7 @@ def test_every_input_ends_in_a_finite_result_or_an_error_line(B, tmp_path_factor
     p = str(d / "m.txt")
     write_matrix(p, B.mat)
     for argv in (["eval", p], ["eval", p, "--method", "spectral"],
-                 ["eval", p, "--method", "limit", "--t-max", "20"],
+                 ["eval", p, "--method", "limit", "--t-max", "20"], ["eval", p, "--method", "dim2"],
                  ["decompose", p, "--out", str(d)]):
         code, out, err = run_cli(argv, capsys)
         if code == 0:

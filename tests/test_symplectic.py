@@ -20,6 +20,7 @@ from spqs.symplectic import (
     commuting_pairs,
     draw_commuting_pair,
     frobenius_norms,
+    rescaled,
     group_elements,
     omega,
     omega_adjoint,
@@ -467,6 +468,7 @@ class TestFrobeniusNorms:
         A[::2] *= scale  # overflowing rows between ordinary ones
         r = frobenius_norms(A)
         assert all(x == _norm_one_at_a_time(M) for x, M in zip(r, A))
+        assert all(x == rescaled(np.linalg.norm, M) for x, M in zip(r[::2], A[::2]))
         assert np.isfinite(r).all()
         np.testing.assert_allclose(r[::2], scale * np.array(frobenius_norms(A[::2] / scale)),
                                    rtol=1e-14)
