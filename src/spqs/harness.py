@@ -10,6 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .kernels import complex_blocks
 from .maslov import maslov_spectral
 from .quasistates import QuasiState
 from .symplectic import (
@@ -292,13 +293,14 @@ def embed_gl(space: SymplecticSpace, seed: int) -> GlEmbedding:
     rng = rng_from(seed)
     n = space.n
     g = random_symplectic_group_element(space, 0.5, rng)
-    if np.linalg.cond(g) > 1e6:
+    cond = np.linalg.cond(g)
+    if cond > 1e6:
         raise SamplingError("transversality failure; re-draw with another seed")
     M1, M2 = np.swapaxes(rng.standard_normal((20, 2, n, n)), 0, 1)  # 20 pairs, drawn in turn
     injected = GlEmbedding(space, g).inject(np.concatenate([M1 @ M2 - M2 @ M1, M1, M2]))
     lhs, a, b = np.reshape([x.mat for x in injected], (3, 20, space.dim, space.dim))
     defect = float(np.abs(lhs - (a @ b - b @ a)).max())
-    if defect > 1e-9 * (1.0 + np.linalg.cond(g) ** 2):
+    if defect > 1e-9 * (1.0 + cond ** 2):
         raise SamplingError(f"bracket preservation defect {defect:.3e}")
     return GlEmbedding(space=space, g=g, bracket_defect=defect)
 
@@ -490,8 +492,6 @@ def maslov_imtrace_oracle() -> Callable[[SpElement], float]:
     structure: there exp(tA) stays orthogonal-symplectic, the positive polar
     factor is trivial, and the winding rate is the imaginary trace of the
     complexified matrix."""
-    from .kernels import complex_blocks
-
     def oracle(A: SpElement) -> float:
         Zc, Za = complex_blocks(A.mat)
         if np.abs(Za).max() > 1e-8 * (1.0 + A.norm()):

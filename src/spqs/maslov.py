@@ -246,13 +246,16 @@ def maslov_dim2(a: float, b: float, c: float) -> float:
 
     sqrt|a^2+bc| when a^2+bc < 0 with b < 0 < c; the opposite sign when
     b > 0 > c; zero whenever a^2 + bc >= 0.  (For a^2+bc < 0 one of the two
-    sign patterns always holds, since then bc < -a^2 <= 0.)  Taken `rescaled`.
+    sign patterns always holds, since then bc < -a^2 <= 0.)  Taken exactly at the
+    scale of bc, of a / 2^h, b / 2^(2h - j) and c / 2^j: 2^i, 2^j lie just above
+    |b|, |c| and 2h is i + j rounded up to even, so neither b nor c is flushed.
     """
-    def signed_root(y):  # of (a, b, c) / 2^e, whose a^2 + bc stays finite
-        disc = y[0] * y[0] + y[1] * y[2]
-        return math.copysign(math.sqrt(-disc), -y[1]) if disc < 0.0 else 0.0
-
-    return rescaled(signed_root, np.array([a, b, c], dtype=float))
+    i, j = np.frexp([b, c])[1].tolist()
+    h = (i + j + 1) // 2
+    with np.errstate(over="ignore"):  # a / 2^h overflows only where a^2 outweighs bc
+        x, y, z = np.ldexp([a, b, c], [-h, j - 2 * h, -j]).tolist()
+    disc = x * x + y * z
+    return math.ldexp(math.copysign(math.sqrt(-disc), -y), h) if disc < 0.0 else 0.0
 
 
 def maslov_spectral(spectra: SpectrumStack) -> list[float]:

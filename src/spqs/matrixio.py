@@ -5,7 +5,6 @@ round-trips the writer bit-exactly."""
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -54,13 +53,14 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write-temp-then-rename so partially written files never appear; a
-    failure is reported against `path`, never the temporary file."""
-    tmp = None
+    """Write-temp-then-rename so partially written files never appear; the file gets
+    the mode open(path, "w") gives a new one (0o666 less the umask), and a failure
+    is reported against `path`, never the temporary file."""
+    name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    tmp = None  # set once the file is ours: a name collision unlinks nothing
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)) or ".", prefix=".tmp-", text=True
-        )
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -80,14 +80,17 @@ class SymplecticSpace:
         return v
 
 
+def _vectors(space: SymplecticSpace, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; ValueError unless both are vectors of length 2n."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != (space.dim,) or y.shape != (space.dim,):
+        raise ValueError(f"expected vectors of length {space.dim}, got {x.shape} and {y.shape}")
+    return x, y
+
+
 def omega(space: SymplecticSpace, x: np.ndarray, y: np.ndarray) -> float:
     """Evaluate omega(x, y) = x^T Omega y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (space.dim,) or y.shape != (space.dim,):
-        raise ValueError(
-            f"expected vectors of length {space.dim}, got {x.shape} and {y.shape}"
-        )
+    x, y = _vectors(space, x, y)
     n = space.n
     return float(x[:n] @ y[n:] - x[n:] @ y[:n])
 
@@ -251,12 +254,7 @@ def rank_one_matrix(space: SymplecticSpace, kind: RankOneKind | str, xi, eta) ->
 
 
 def _rank_one_element(space: SymplecticSpace, kind: RankOneKind, xi, eta) -> SpElement:
-    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-    if xi.shape != (space.dim,) or eta.shape != (space.dim,):
-        raise ValueError(
-            f"expected vectors of length {space.dim}, got {xi.shape} and {eta.shape}"
-        )
-    return SpElement(space, rank_one_matrix(space, kind, xi, eta))
+    return SpElement(space, rank_one_matrix(space, kind, *_vectors(space, xi, eta)))
 
 
 def y_element(space: SymplecticSpace, xi, eta) -> SpElement:

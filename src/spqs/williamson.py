@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,19 +56,11 @@ def eigvec_condition(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cond, cond <= EIGVEC_COND_MAX
 
 
-class _Ranked(NamedTuple):
-    """Each row's eigenvalue indices `order` by one stable sort on (kind, key), their kinds,
+def _rank(parts: np.ndarray, kind: np.ndarray, ctol: np.ndarray) -> tuple:
+    """Rank the eigenvalues parts = [re, im] of each row, clusters breaking at gaps > ctol:
+    each row's eigenvalue indices `order` by one stable sort on (kind, key), their kinds,
     keys, and whether each position starts a cluster (a single-linkage run of one kind; True
     at 0 and d).  Partners, keyed by minus their partners' keys, sit at d - 1 - j if matched."""
-
-    order: np.ndarray
-    kind: np.ndarray
-    key: np.ndarray
-    start: np.ndarray
-
-
-def _rank(parts: np.ndarray, kind: np.ndarray, ctol: np.ndarray) -> _Ranked:
-    """Rank the eigenvalues parts = [re, im] of each row; clusters break at gaps > ctol."""
     key = np.add.reduce(parts * _KEY[:, kind])
     order = np.lexsort((key.imag, key.real, kind))
     flat = order + np.arange(0, kind.size, kind.shape[-1])[:, None]
@@ -77,19 +68,19 @@ def _rank(parts: np.ndarray, kind: np.ndarray, ctol: np.ndarray) -> _Ranked:
     start = np.ones((len(kind), kind.shape[-1] + 1), dtype=bool)  # True at 0 and d
     np.greater(abs(key[:, 1:] - key[:, :-1]), ctol, out=start[:, 1:-1])
     start[:, 1:-1] |= kind[:, 1:] != kind[:, :-1]
-    return _Ranked(order, kind, key, start)
+    return order, kind, key, start
 
 
-def _check_pairing(r: _Ranked, ctol: np.ndarray, semi_simple: np.ndarray) -> None:
+def _check_pairing(s: SpectrumStack, ctol: np.ndarray) -> None:
     """Raise ClassificationError at the first semi-simple row whose real-pair (quadruple)
     clusters do not pair up in order with their partners': equal sizes, keys within 10 ctol."""
-    side = _SIDE[r.kind]
+    side = _SIDE[s.kind]
     if not side.any():
         return
-    one, start, count = side > 0, r.start[:, :-1] != r.start[:, :0:-1], side + side[:, ::-1]
-    fault = np.logical_or(count, one & (start | (abs(r.key + r.key[:, ::-1]) > 10 * ctol)))
-    if fault[semi_simple].any():
-        i = (semi_simple & fault.any(axis=-1)).argmax()
+    one, start, count = side > 0, s.start[:, :-1] != s.start[:, :0:-1], side + side[:, ::-1]
+    fault = np.logical_or(count, one & (start | (abs(s.key + s.key[:, ::-1]) > 10 * ctol)))
+    if fault[s.semi_simple].any():
+        i = (s.semi_simple & fault.any(axis=-1)).argmax()
         at = abs(side[i]) == 1  # the real pairs, where they fail, else the quadruples
         what, at = ("real-pair", at) if fault[i, at].any() else ("quadruple", ~at)
         raise ClassificationError(f"unmatched {what} eigenvalue clusters" if (
@@ -105,18 +96,20 @@ def _mean(x: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpectrumStack:
-    """A stack's classification: each element's eigenvalues lam and eigenvectors V, their
-    condition and semi-simple flag, and their ranking, whose groups `clusters` enumerates."""
+    """A stack's classification: each element's eigenvectors V, their condition and
+    semi-simple flag, and their ranking (see `_rank`), whose groups `clusters` enumerates."""
 
-    elements: tuple  # the classified SpElements
-    lam: np.ndarray
+    elements: tuple  # the classified SpElements; each later field is an array, a row each
     V: np.ndarray
     eigvec_cond: np.ndarray
     semi_simple: np.ndarray
-    ranked: _Ranked
+    order: np.ndarray
+    kind: np.ndarray
+    key: np.ndarray
+    start: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.lam)
+        return len(self.V)
 
     def clusters(self, kinds: tuple = _GROUP_KINDS) -> list[tuple]:
         """The eigenvalue groups of the semi-simple rows: per kind asked for (in the order
@@ -124,21 +117,21 @@ class SpectrumStack:
         (c, k) eigenvalue indices p (real: +a side; quad: -a+ib) and partners q (real: -a
         side; quad: +a+ib; None for the other kinds), its a and b, and the (c, 2n, k)
         eigenvector columns W of p and Wq of q (None with q), groups in row order."""
-        r, out, Vt = self.ranked, [], self.V.swapaxes(1, 2)
+        out, Vt = [], self.V.swapaxes(1, 2)
         for name in kinds:
             k = _GROUP_KIND[name]
-            of_kind = (r.kind == k) & self.semi_simple[:, None]
-            rows, cols = (r.start[:, :-1] & of_kind).nonzero()  # each group's first position
-            sizes = (r.start[:, 1:] & of_kind).nonzero()[1] + 1 - cols  # its last + 1 - first
+            of_kind = (self.kind == k) & self.semi_simple[:, None]
+            rows, cols = (self.start[:, :-1] & of_kind).nonzero()  # each group's first position
+            sizes = (self.start[:, 1:] & of_kind).nonzero()[1] + 1 - cols  # its last + 1 - first
             for s in sorted(set(sizes.tolist())):
                 of_size = sizes == s
                 rr, first = rows[of_size], cols[of_size]
                 at = rr[:, None], first[:, None] + np.arange(s)  # the groups' sorted positions
-                p, key, z = r.order[at], r.key[at], np.zeros(len(rr))
+                p, key, z = self.order[at], self.key[at], np.zeros(len(rr))
                 x, q, Wq = _mean(key.real) if k != _ZERO else z, None, None  # a; imaginary: b
                 if k in (_REAL_POS, _QUAD):  # partners at the mirror positions, by key then index
-                    mirror = at[0], r.order.shape[-1] - 1 - at[1]
-                    q, minus = r.order[mirror], -r.key[mirror]
+                    mirror = at[0], self.order.shape[-1] - 1 - at[1]
+                    q, minus = self.order[mirror], -self.key[mirror]
                     q = np.take_along_axis(q, np.lexsort((q, minus.imag, minus.real)), axis=-1)
                     Wq = Vt[at[0], q].swapaxes(1, 2)
                 out.append((name, rr, first, p, q, z if k == _IMAG else x, x if k == _IMAG else
@@ -147,9 +140,8 @@ class SpectrumStack:
 
     def take(self, rows: np.ndarray) -> SpectrumStack:
         """The classification of the given rows alone."""
-        return SpectrumStack(tuple(self.elements[i] for i in rows.tolist()), self.lam[rows],
-                             self.V[rows], self.eigvec_cond[rows], self.semi_simple[rows],
-                             _Ranked(*(x[rows] for x in self.ranked)))
+        return SpectrumStack(tuple(self.elements[i] for i in rows.tolist()),
+                             *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
 def classify_eigenstructure(Bs: list[SpElement]) -> SpectrumStack:
@@ -171,9 +163,10 @@ def classify_eigenstructure(Bs: list[SpElement]) -> SpectrumStack:
     bits = np.concatenate([parts > 0, abs(parts) <= AXIS_BAND * (1.0 + mod),
                            (mod <= AXIS_BAND * scale)[None]])
     ctol = CLUSTER_TOL * scale
-    ranked = _rank(parts, _KIND_OF_BITS[np.packbits(bits, axis=0, bitorder="little")[0]], ctol)
-    _check_pairing(ranked, ctol, semi_simple)
-    return SpectrumStack(tuple(Bs), lam, V, cond, semi_simple, ranked)
+    kind = _KIND_OF_BITS[np.packbits(bits, axis=0, bitorder="little")[0]]
+    spectra = SpectrumStack(tuple(Bs), V, cond, semi_simple, *_rank(parts, kind, ctol))
+    _check_pairing(spectra, ctol)
+    return spectra
 
 
 # eigenvalue kinds in sort order (real with Re > 0, -a+ib with a, b > 0, zero, imaginary
@@ -327,13 +320,18 @@ def _realify_eigenspace(V: np.ndarray) -> tuple[np.ndarray, tuple]:
                         rank)
 
 
+def _guarded_inv(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each matrix of the stack G, and which are singular (|det| < 1e-12):
+    those are refused, and the identity stands in for them."""
+    singular = abs(np.linalg.det(G)) < 1e-12
+    return np.linalg.inv(np.where(singular[:, None, None], np.eye(G.shape[-1]), G)), singular
+
+
 def _planes_real(space, W, Wq):
     """e from the realified -a eigenspace Vm, f = Vp G^-1 from the +a one, G = omega(Vm, Vp)."""
     (Vm, rank_m), (Vp, rank_p) = _realify_eigenspace(Wq), _realify_eigenspace(W)
-    G = _omega_form(space, Vm, Vp).real
-    singular = abs(np.linalg.det(G)) < 1e-12
-    F = Vp @ np.linalg.inv(np.where(singular[:, None, None], np.eye(G.shape[-1]), G))
-    return [(Vm.swapaxes(1, 2), F.swapaxes(1, 2))], 1.0, [
+    G_inv, singular = _guarded_inv(_omega_form(space, Vm, Vp).real)
+    return [(Vm.swapaxes(1, 2), (Vp @ G_inv).swapaxes(1, 2))], 1.0, [
         rank_m, rank_p, (singular, "degenerate pairing on a real eigenvalue pair", singular)]
 
 
@@ -353,10 +351,8 @@ def _planes_imag(space, W, Wq=None):
 def _planes_quad(space, W, Wq):
     """Planes (Re w1, Re w2) and (Im w1, Im w2): w1 from W, w2 from Wq normalized by the
     pairing P = omega(W, conj Wq) as Wq conj(2 P^-1)."""
-    P = _omega_form(space, W, Wq.conj())
-    singular = abs(np.linalg.det(P)) < 1e-12
-    P = np.where(singular[:, None, None], np.eye(P.shape[-1]), P)  # inverted where regular
-    W1, W2 = W.swapaxes(1, 2), (Wq @ np.conj(2.0 * np.linalg.inv(P))).swapaxes(1, 2)
+    P_inv, singular = _guarded_inv(_omega_form(space, W, Wq.conj()))
+    W1, W2 = W.swapaxes(1, 2), (Wq @ np.conj(2.0 * P_inv)).swapaxes(1, 2)
     return [(W1.real, W2.real), (W1.imag, W2.imag)], 1.0, [
         (singular, "degenerate pairing on a quadruple", singular)]
 

@@ -11,6 +11,7 @@ bit, and the same first failure."""
 import hashlib
 import json
 import os
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +88,7 @@ def rows_of(spectra: SpectrumStack) -> list[Row]:
             found[i].append(((_GROUP_KINDS.index(kind), int(first[j])), Group(
                 kind, tuple(p[j].tolist()), () if q is None else tuple(q[j].tolist()),
                 float(a[j]), float(b[j]))))
-    zeros = np.count_nonzero(spectra.ranked.kind == _ZERO, axis=-1).tolist()
+    zeros = np.count_nonzero(spectra.kind == _ZERO, axis=-1).tolist()
     # by kind, then ranked position: unique in a row, so groups are never compared
     return [Row(tuple(g for _, g in sorted(gs)), z, bool(s), float(c))
             for gs, z, s, c in zip(found, zeros, spectra.semi_simple, spectra.eigvec_cond)]
@@ -245,11 +246,11 @@ def stacked_match(keys_a, idx_a, keys_b, idx_b, tol, what):
     lam = np.array([[-np.conj(key) if quad else key for key in keys_a]
                     + [key if quad else -key for key in keys_b]], dtype=complex)
     ctol = np.array([[tol]])
-    ranked = _rank(np.array([lam.real, lam.imag]), kind, ctol)
-    _check_pairing(ranked, ctol, np.array([True]))
+    spectra = SpectrumStack((None,), lam[:, None], np.ones(1), np.ones(1, bool),
+                            *_rank(np.array([lam.real, lam.imag]), kind, ctol))
+    _check_pairing(spectra, ctol)
     # the row's groups of that kind, read from the ranking alone
-    (row,) = rows_of(SpectrumStack((None,), lam, lam[:, None], np.ones(1), np.ones(1, bool),
-                                   ranked))
+    (row,) = rows_of(spectra)
     return [([idx_a[i] for i in g.indices], [idx_b[j - len(keys_a)] for j in g.partners])
             for g in row.groups if g.kind == ("quad" if quad else "real")]
 
@@ -415,6 +416,33 @@ class TestStackedClassification:
             assert bits(outcome(spectral, Bs)) == bits(outcome(reference_spectral, Bs))
             alone = [B for B in Bs if not isinstance(outcome(reference_spectral, [B]), tuple)]
             assert bits(spectral(alone)) == bits(reference_spectral(alone))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_take_is_the_classification_of_its_rows(self, n):
+        # semi-simple draws, a nilpotent and a Krein collision: the gathered rows equal
+        # the rows classified alone, on every array field and every cluster, bit for bit
+        # (eig returns real eigenvectors for a stack whose spectra are all real: compared
+        # as complex, exactly)
+        def raw(x):
+            if x is None or isinstance(x, str):
+                return x
+            x = x.astype(complex) if x.dtype.kind == "f" else x
+            return x.dtype.str, x.shape, x.tobytes()
+
+        space = SymplecticSpace(n)
+        collision = [WilliamsonBlock("imag", 0.0, b, (p,)) for p, b in enumerate((0.8, -0.8, 1.1))]
+        Bs = [element(space, recipe, seed) for seed in (3, 4)
+              for recipe in ("mixed", "nilpotent", "imag", "quad-repeat")]
+        Bs[2:2] = [conjugated(space, collision[:n], 5)]
+        spectra = classify_eigenstructure(Bs)
+        assert 2 in {p.shape[1] for _, _, _, p, *_ in spectra.clusters(("imag",))}
+        for rows in (np.array([1, 2, 7]), np.arange(len(Bs))[::-1], np.array([6])):
+            got, want = spectra.take(rows), classify_eigenstructure([Bs[i] for i in rows])
+            assert all(a is b for a, b in zip(got.elements, want.elements, strict=True))
+            assert [raw(getattr(got, f.name)) for f in fields(SpectrumStack)[1:]] == [
+                raw(getattr(want, f.name)) for f in fields(SpectrumStack)[1:]]
+            assert [tuple(map(raw, c)) for c in got.clusters()] == [
+                tuple(map(raw, c)) for c in want.clusters()]
 
 
 class TestCorpusSlice:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestMatrixIO:
         # writer output re-written from the parse is byte-identical
         path2 = str(tmp_path / "m2.txt")
         write_matrix(path2, back)
-        assert open(path).read() == open(path2).read()
+        assert Path(path).read_text() == Path(path2).read_text()
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -442,7 +443,7 @@ class TestVerify:
                 capsys,
             )
             assert code == 0
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_batched_evaluation_leaves_the_reports_unchanged(self, tmp_path, monkeypatch, capsys):
         # the suite's Maslov state evaluates each check's samples as one
@@ -459,7 +460,7 @@ class TestVerify:
                     capsys,
                 )
                 assert code == 0
-            return [open(p, "rb").read() for p in paths]
+            return [Path(p).read_bytes() for p in paths]
 
         stacked = reports("stacked")
         monkeypatch.setattr(
@@ -563,7 +564,7 @@ class TestVerify:
             capsys,
         )
         assert code == 0
-        assert open(out).read().startswith("check_name,record,field,value")
+        assert Path(out).read_text().startswith("check_name,record,field,value")
 
     def test_non_finite_tol_rejected(self, tmp_path, capsys):
         # tol inf would pass every check, including the negative control
@@ -594,7 +595,7 @@ class TestTrace:
             ["trace", rotation_file, "--t-max", "50", "--out", out], capsys
         )
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "t,theta,theta_over_t"
         ts = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -609,7 +610,7 @@ class TestTrace:
     def test_rotation_ratio_converges_to_one(self, rotation_file, tmp_path, capsys):
         out = str(tmp_path / "tr.csv")
         run_cli(["trace", rotation_file, "--t-max", "30", "--out", out], capsys)
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
         tail = [ratio for t, _, ratio in rows if t >= 25.0]
         assert len(tail) >= 5
@@ -622,6 +623,35 @@ class TestEnvVarOutDir:
         code, stdout, _ = run_cli(["trace", rotation_file, "--t-max", "10"], capsys)
         assert code == 0
         assert os.path.exists(os.path.join(str(tmp_path), "rot_trace.csv"))
+
+
+class TestOutputMode:
+    def test_outputs_get_the_mode_of_a_plain_open(self, rotation_file, tmp_path, capsys):
+        # under the process umask, the verify report (over an existing 0600 one),
+        # the trace CSV and the decompose frame get the mode open(path, "w") gives
+        B, _ = random_semisimple(SymplecticSpace(2), 9)
+        matrix, report = str(tmp_path / "b.txt"), tmp_path / "r.txt"
+        write_matrix(matrix, B.mat)
+        report.write_text("old\n")
+        report.chmod(0o600)
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            outputs = [str(report), str(tmp_path / "tr.csv")]
+            for argv in (["verify", "--suite", "isotropic", "--n", "3", "--trials", "5",
+                          "--seed", "1", "--out", outputs[0]],
+                         ["trace", rotation_file, "--t-max", "10", "--out", outputs[1]],
+                         ["decompose", matrix, "--out", str(tmp_path)]):
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0
+            outputs += [ln.split(": ")[1] for ln in out.splitlines()
+                        if ln.startswith("frame_file: ")]
+        finally:
+            os.umask(old)
+        plain = os.stat(tmp_path / "plain.txt").st_mode
+        assert plain & 0o777 == 0o640
+        assert [os.stat(p).st_mode for p in outputs] == [plain] * 3
 
 
 class TestInProcessCalls:

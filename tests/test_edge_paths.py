@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ class TestVerifyAllSuite:
         captured = capsys.readouterr().out
         assert code == 0
         assert "PASS" in captured
-        text = open(out).read()
+        text = Path(out).read_text()
         assert "main-theorem" in text and "gleason" in text
 
 

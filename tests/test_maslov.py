@@ -72,16 +72,17 @@ class TestClosedForm:
         assert maslov_dim2(0, 1, -1) == pytest.approx(-1.0)
         assert maslov_dim2(3, 1, 2) == 0.0
 
-    # (a, b, c, maslov_dim2(a, b, c).hex()), recorded before the closed form was
-    # written through symplectic.rescaled: entries up to 1.7e308, subnormal
-    # entries, and a^2 + bc >= 0 with either sign of b, which reads +0.0
+    # (a, b, c, maslov_dim2(a, b, c).hex()): entries up to 1.7e308, subnormal
+    # entries, and a^2 + bc >= 0 with either sign of b, which reads +0.0.  The
+    # last three, correctly rounded 80-digit mpmath values, have a b or c that
+    # one common power-of-two scale of (a, b, c) flushes to zero
     RECORDED = [
         (0.0, -1.7e308, 1.7e308, "0x1.e42d130773b76p+1023"),
         (0.0, 1.7e308, -1.7e308, "-0x1.e42d130773b76p+1023"),
         (1e308, -1.7e308, 1.7e308, "0x1.878c5b0d039c4p+1023"),
         (-1e308, 1.7e308, -1.2e308, "-0x1.2273259bb951dp+1023"),
         (1.7e308, -1e-300, 1.7e308, "0x0.0p+0"),
-        (0.0, 1.0, -1.7e308, "-0x1.f1e4ca52e6b9bp+511"),
+        (0.0, 1.0, -1.7e308, "-0x1.f1e4ca52e6b9ap+511"),
         (0.0, -5e-324, 5e-324, "0x0.0000000000001p-1022"),
         (5e-324, -1.5e-323, 1e-323, "0x0.0000000000002p-1022"),
         (1e-320, 3e-320, -2e-320, "-0x0.00000000011aep-1022"),
@@ -98,6 +99,9 @@ class TestClosedForm:
         (1.7e308, 1.7e308, -1.7e308, "0x0.0p+0"),
         (5e-324, -5e-324, 5e-324, "0x0.0p+0"),
         (5e-324, 5e-324, 0.0, "0x0.0p+0"),
+        (0.0, -1.7e308, 1e-300, "0x1.97733d0d3cdebp+13"),  # 13038.404810405298
+        (0.0, -5e-324, 1.0, "0x1.0000000000000p-537"),  # 2.2227587494850775e-162
+        (0.0, 1.0, -5e-324, "-0x1.0000000000000p-537"),
     ]
 
     @pytest.mark.parametrize("a, b, c, bits", RECORDED)
