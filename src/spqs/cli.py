@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 suite failure, 2 matrix parse failure or argparse
 usage error, 3 input not skew-symplectic or not finite, 4 bad numeric option,
 unmet method precondition, no finite result (overflow, singular path step),
 unwritable output or a verify sampler failing on the drawn seed, 5
-non-semisimple input.
+non-semisimple input.  The subcommands raise; `main` maps the exception to its
+code through `EXIT_CODES` and writes its one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -52,6 +53,19 @@ EXIT_NOT_SP = 3
 EXIT_PRECONDITION = 4
 EXIT_NON_SEMISIMPLE = 5
 
+# failure -> exit code, first match wins: the only place a failure is mapped;
+# reads raise MatrixParseError, so an OSError comes from writing the output
+EXIT_CODES = {
+    MatrixParseError: EXIT_PARSE,
+    SkewSymplecticityError: EXIT_NOT_SP,
+    NonSemisimpleError: EXIT_NON_SEMISIMPLE,
+    ClassificationError: EXIT_NON_SEMISIMPLE,
+    NormalizationError: EXIT_NON_SEMISIMPLE,
+    ValueError: EXIT_PRECONDITION,
+    MaslovLimitError: EXIT_PRECONDITION,
+    OSError: EXIT_PRECONDITION,
+}
+
 OUT_DIR_ENV = "SPQS_OUT_DIR"
 
 SUITES = (
@@ -72,10 +86,6 @@ FORMATS = {
 }
 
 
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, ".")
-
-
 def _load_element(path: str) -> SpElement:
     M = read_matrix(path)
     space = SymplecticSpace(M.shape[0] // 2)
@@ -90,11 +100,9 @@ def cmd_eval(args) -> int:
     except (NonSemisimpleError, ClassificationError) as exc:
         if args.method == "auto":
             raise  # the auto classification failed: EXIT_NON_SEMISIMPLE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError(str(exc)) from None  # an unmet method precondition
     if not (math.isfinite(value) and math.isfinite(error_bar)):
-        print(f"error: non-finite value {value!r} or error bar {error_bar!r}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError(f"non-finite value {value!r} or error bar {error_bar!r}")
     print(f"value: {value!r}\nerror_bar: {error_bar!r}\nmethod: {method}")
     return EXIT_OK
 
@@ -102,7 +110,7 @@ def cmd_eval(args) -> int:
 def cmd_decompose(args) -> int:
     B = _load_element(args.matrix_file)
     (dec,) = williamson_decompose(classify_eigenstructure([B]))
-    out_dir = args.out or _default_out_dir()
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV, ".")
     stem = os.path.splitext(os.path.basename(args.matrix_file))[0]
     frame_path = os.path.join(out_dir, f"{stem}_frame.txt")
     write_matrix(frame_path, dec.S)
@@ -140,11 +148,8 @@ def _suite_reports(args, cfg: MaslovLimitConfig):
             reports.append(harness.check_ad_invariance(lin, space, args.trials, args.tol, seed))
     if args.suite in ("gleason", "all"):
         reports.append(harness.fit_gleason_on_unitary(lin, space, 1e-9, seed))
-        reports.append(
-            harness.fit_gleason_on_unitary(
-                mq, space, args.tol, seed, oracle=harness.maslov_imtrace_oracle()
-            )
-        )
+        reports.append(harness.fit_gleason_on_unitary(mq, space, args.tol, seed,
+                                                      oracle=harness.maslov_imtrace))
     if args.suite in ("rank-one", "all"):
         emb = harness.embed_gl(space, seed + 2)
         reports.append(harness.fit_rank_one_trace(lin, emb, 1e-9, seed))
@@ -174,15 +179,14 @@ def cmd_verify(args) -> int:
         raise ValueError("need --n >= 1, --trials >= 1, --seed >= 0 and 0 < --tol < inf")
     cfg = MaslovLimitConfig(t_max=args.t_max)
     if args.suite in ("gleason", "rank-one", "main-theorem", "all") and args.n < 3:
-        print("error: hypothesis n >= 3 not met for the requested suite", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError("hypothesis n >= 3 not met for the requested suite")
     try:
         reports = _suite_reports(args, cfg)
     except SamplingError as exc:
-        print(f"error: sampling failed at --seed {args.seed}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError(f"sampling failed at --seed {args.seed}: {exc}") from None
     writer, ext = FORMATS[args.format]
-    out_path = args.out or os.path.join(_default_out_dir(), f"verify_{args.suite}.{ext}")
+    out_path = args.out or os.path.join(os.environ.get(OUT_DIR_ENV, "."),
+                                        f"verify_{args.suite}.{ext}")
     atomic_write(out_path, getattr(reportmod, writer)(reports))
     npass = sum(r.passed for r in reports)
     total = len(reports)
@@ -209,7 +213,7 @@ def cmd_trace(args) -> int:
         ratio = float(theta[k] / t[k]) if t[k] > 0 else 0.0
         lines.append(f"{float(t[k])!r},{float(theta[k])!r},{ratio!r}")
     stem = os.path.splitext(os.path.basename(args.matrix_file))[0]
-    out_path = args.out or os.path.join(_default_out_dir(), f"{stem}_trace.csv")
+    out_path = args.out or os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{stem}_trace.csv")
     atomic_write(out_path, "\n".join(lines) + "\n")
     print(f"trace: {out_path}")
     print(f"final: {float(theta[-1] / t[-1])!r}")
@@ -276,19 +280,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SkewSymplecticityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SP
-    except (NonSemisimpleError, ClassificationError, NormalizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_SEMISIMPLE
-    except (ValueError, MaslovLimitError, OSError) as exc:
-        # reads raise MatrixParseError, so an OSError comes from writing the output
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -487,15 +487,12 @@ def frobenius_pseudo_state() -> QuasiState:
                                                         for x in xs], True, "negative-control")
 
 
-def maslov_imtrace_oracle() -> Callable[[SpElement], float]:
+def maslov_imtrace(A: SpElement) -> float:
     """Independent check on the unitary subalgebra of the standard complex
     structure: there exp(tA) stays orthogonal-symplectic, the positive polar
     factor is trivial, and the winding rate is the imaginary trace of the
     complexified matrix."""
-    def oracle(A: SpElement) -> float:
-        Zc, Za = complex_blocks(A.mat)
-        if np.abs(Za).max() > 1e-8 * (1.0 + A.norm()):
-            raise ValueError("element does not commute with the standard structure")
-        return float(np.trace(Zc).imag)
-
-    return oracle
+    Zc, Za = complex_blocks(A.mat)
+    if np.abs(Za).max() > 1e-8 * (1.0 + A.norm()):
+        raise ValueError("element does not commute with the standard structure")
+    return float(np.trace(Zc).imag)

@@ -143,7 +143,8 @@ def _coarsen(Bs: np.ndarray, steps: np.ndarray, E: np.ndarray, theta_E: np.ndarr
     steps, E, theta_E = steps.copy(), E.copy(), theta_E.copy()
     go = np.flatnonzero(eigvec_condition(np.linalg.eig(Bs)[1])[1] & (steps % 4 == 0))
     while go.size:
-        E2 = E[go] @ E[go]
+        with np.errstate(over="ignore", invalid="ignore"):  # `ok` drops a non-finite E2
+            E2 = E[go] @ E[go]
         ok = np.isfinite(E2).all(axis=(1, 2))
         ok[ok] = np.linalg.norm(E2[ok], 2, axis=(1, 2)) <= math.exp(GROWTH_MAX)
         go = go[ok]
@@ -183,7 +184,7 @@ def _phase_path(Bs: np.ndarray, t_max: float) -> list[np.ndarray]:
     if steps.max() > MAX_STEPS:
         raise MaslovLimitError(f"t_max = {t_max!r} needs {steps.max()} path steps, more than {MAX_STEPS}")
     dt = t_max / steps
-    with np.errstate(over="ignore"):  # the check below reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
         E = scipy.linalg.expm(dt[:, None, None] * Bs)
     if not np.all(np.isfinite(E)):
         raise MaslovLimitError("expm(dt*B) overflowed; rescale the input")

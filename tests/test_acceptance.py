@@ -16,7 +16,7 @@ from spqs.harness import (
     fit_main_theorem,
     fit_rank_one_trace,
     frobenius_pseudo_state,
-    maslov_imtrace_oracle,
+    maslov_imtrace,
 )
 from spqs.maslov import (
     MaslovLimitConfig,
@@ -180,7 +180,7 @@ def test_criterion_05_ad_invariance():
 def test_criterion_06_gleason_fit():
     sp = SymplecticSpace(3)
     r = fit_gleason_on_unitary(
-        maslov_qs(FULL), sp, 1e-2, 500, oracle=maslov_imtrace_oracle()
+        maslov_qs(FULL), sp, 1e-2, 500, oracle=maslov_imtrace
     )
     dev = r.fitted_parameters["oracle_max_dev"]
     report_line(

@@ -252,6 +252,68 @@ class TestEval:
         assert os.listdir(target) == []
 
 
+# input files of the failure table, written under {tmp}
+FAILURE_INPUTS = {
+    "header": "dim 2 7\n0 1\n-1 0\n",
+    "notsp": "dim 2\n1 2\n3 4\n",
+    "nil": "dim 2\n0 1\n0 0\n",
+    "four": "dim 4\n0 0 1 0\n0 0 0 1\n-1 0 0 0\n0 -1 0 0\n",
+    "rot": "dim 2\n0 -1\n1 0\n",
+    "big": "dim 2\n1e300 0\n0 -1e300\n",
+}
+NIL_CONDITION = "error: eigenvector condition 9.979e+291 exceeds 1.0e+08\n"
+EXPM_OVERFLOW = "error: expm(dt*B) overflowed; rescale the input\n"
+# argv, exit code, stderr; {tmp} stands for the test's directory.  Every
+# failure prints nothing on stdout and exactly this one line on stderr.
+FAILURES = [
+    (["eval", "{tmp}/header.txt"], 2, "error: malformed dimension header\n"),
+    (["eval", "{tmp}/absent.txt"], 2,
+     "error: cannot read {tmp}/absent.txt: [Errno 2] No such file or directory: "
+     "'{tmp}/absent.txt'\n"),
+    (["eval", "{tmp}/notsp.txt"], 3, "error: matrix is not skew-symplectic (defect 1.000e+00)\n"),
+    (["eval", "{tmp}/nil.txt", "--method", "spectral"], 4, NIL_CONDITION),
+    (["eval", "{tmp}/four.txt", "--method", "dim2"], 4,
+     "error: dim2 closed form needs a 2x2 input\n"),
+    (["eval", "{tmp}/rot.txt", "--method", "limit", "--t-max", "-1"], 4,
+     "error: need 4.450147717014403e-308 <= t_max <= 8.988465674311579e+306\n"),
+    (["eval", "{tmp}/nil.txt", "--method", "limit", "--t-max", "1e12"], 4,
+     "error: t_max = 1000000000000.0 needs 1000000000000 path steps, more than 1000000\n"),
+    (["eval", "{tmp}/big.txt", "--method", "limit"], 4, EXPM_OVERFLOW),
+    (["verify", "--suite", "gleason", "--n", "2", "--out", "{tmp}/g.txt"], 4,
+     "error: hypothesis n >= 3 not met for the requested suite\n"),
+    (["verify", "--suite", "isotropic", "--n", "0", "--out", "{tmp}/i.txt"], 4,
+     "error: need --n >= 1, --trials >= 1, --seed >= 0 and 0 < --tol < inf\n"),
+    (["verify", "--suite", "isotropic", "--trials", "2", "--out", "{tmp}/missing/r.txt"], 4,
+     "error: cannot write {tmp}/missing/r.txt: No such file or directory\n"),
+    (["decompose", "{tmp}/nil.txt", "--out", "{tmp}"], 5, NIL_CONDITION),
+    (["decompose", "{tmp}/rot.txt", "--out", "{tmp}/missing"], 4,
+     "error: cannot write {tmp}/missing/rot_frame.txt: No such file or directory\n"),
+    (["trace", "{tmp}/big.txt", "--out", "{tmp}/t.csv"], 4, EXPM_OVERFLOW),
+    # the sampler is patched to draw diag(1e4, 1e-4): symplectic, but at
+    # condition number 1e8 embed_gl refuses it
+    (["verify", "--suite", "rank-one", "--seed", "5", "--out", "{tmp}/r.txt"], 4,
+     "error: sampling failed at --seed 5: transversality failure; re-draw with another seed\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", FAILURES,
+                         ids=[" ".join(argv).replace("{tmp}/", "") for argv, _, _ in FAILURES])
+def test_failure_paths_byte_for_byte(argv, code, err, tmp_path, monkeypatch, capsys):
+    import spqs.harness
+
+    for stem, text in FAILURE_INPUTS.items():
+        (tmp_path / f"{stem}.txt").write_text(text)
+    monkeypatch.setattr(
+        spqs.harness, "random_symplectic_group_element",
+        lambda space, scale, rng: np.diag([1e4] * space.n + [1e-4] * space.n),
+    )
+    before = sorted(os.listdir(tmp_path))
+    tmp = str(tmp_path)
+    got = run_cli([a.replace("{tmp}", tmp) for a in argv], capsys)
+    assert got == (code, "", err.replace("{tmp}", tmp))
+    assert sorted(os.listdir(tmp_path)) == before  # a failed command writes no file
+
+
 def _count_classifications(monkeypatch, replacement=None):
     """Rebind classify_eigenstructure in every spqs module that binds it;
     returns the list that records one entry per call."""
@@ -539,23 +601,6 @@ class TestVerify:
         assert singles == text("all")
         assert singles.count("\n---\n") == count - 1
 
-    def test_sampling_failure_exits_4(self, tmp_path, monkeypatch, capsys):
-        import spqs.harness
-
-        # diag(a, 1/a) is symplectic; at condition number 1e8 embed_gl refuses it
-        monkeypatch.setattr(
-            spqs.harness, "random_symplectic_group_element",
-            lambda space, scale, rng: np.diag([1e4] * space.n + [1e-4] * space.n),
-        )
-        out = str(tmp_path / "r.txt")
-        code, _, err = run_cli(
-            ["verify", "--suite", "rank-one", "--seed", "5", "--out", out], capsys
-        )
-        assert code == 4
-        assert err.startswith("error:") and "--seed 5" in err
-        assert "Traceback" not in err
-        assert not os.path.exists(out)
-
     def test_csv_format(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
         code, _, _ = run_cli(
@@ -580,12 +625,6 @@ class TestVerify:
             assert err.startswith("error:"), argv
         assert "--seed >= 0" in err  # named, not numpy's bare seed message
         assert not os.path.exists(out)
-
-    def test_small_n_precondition(self, capsys):
-        code, _, err = run_cli(
-            ["verify", "--suite", "gleason", "--n", "2", "--trials", "5"], capsys
-        )
-        assert code == 4
 
 
 class TestTrace:

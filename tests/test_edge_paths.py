@@ -7,7 +7,7 @@ import scipy.linalg
 
 from spqs import kernels, williamson
 from spqs.cli import main
-from spqs.harness import embed_gl, fit_gleason_on_unitary, fit_rank_one_trace, maslov_imtrace_oracle
+from spqs.harness import embed_gl, fit_gleason_on_unitary, fit_rank_one_trace, maslov_imtrace
 from spqs.maslov import MaslovLimitConfig, MaslovLimitError, maslov_evaluate, maslov_limit
 from spqs.quasistates import (discontinuous_qs, linear_combination, linear_qs, maslov_qs,
                               nilpotent_jordan_sp)
@@ -202,7 +202,7 @@ def _two_block_nilpotent():
     (lambda: fit_rank_one_trace(_discontinuous(), embed_gl(sp3, 0), 1e-2), ValueError,
      "continuous"),
     (lambda: embed_gl(sp3, 0).inject(np.eye(3)), ValueError, "a stack of 3 x 3 matrices"),
-    (lambda: maslov_imtrace_oracle()(SpElement(sp1, np.diag([1.0, -1.0]))), ValueError,
+    (lambda: maslov_imtrace(SpElement(sp1, np.diag([1.0, -1.0]))), ValueError,
      "does not commute"),
     (lambda: linear_qs(np.zeros((2, 3))), ValueError, "square"),
     (lambda: discontinuous_qs(_two_block_nilpotent(), 1.0), ValueError, "not rank one"),

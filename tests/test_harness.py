@@ -15,7 +15,7 @@ from spqs.harness import (
     fit_rank_one_trace,
     frobenius_pseudo_state,
     isotropic_pair,
-    maslov_imtrace_oracle,
+    maslov_imtrace,
     sp_basis,
     unitary_subalgebra_basis,
 )
@@ -212,7 +212,7 @@ class TestGleason:
 
     def test_maslov_with_imtrace_oracle(self):
         r = fit_gleason_on_unitary(
-            MQ, sp3, 1e-2, 12, oracle=maslov_imtrace_oracle()
+            MQ, sp3, 1e-2, 12, oracle=maslov_imtrace
         )
         assert r.passed
         assert r.fitted_parameters["oracle_max_dev"] <= 1e-6

@@ -1,6 +1,7 @@
-"""The input contract of `spqs eval` and `spqs decompose`: every input matrix
-ends in a finite printed result with exit 0, or in a documented exit code with
-an `error:` line, and the library never returns a NaN value with a finite bar."""
+"""The input contract of `spqs eval`, `spqs decompose` and `spqs trace`: every
+input matrix ends in a finite printed result with exit 0 and an empty stderr, or
+in a documented exit code with one `error:` line, and the library never returns
+a NaN value with a finite bar."""
 
 import re
 
@@ -21,10 +22,9 @@ from spqs.williamson import (
 )
 from test_cli import run_cli
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy near overflow
-
-# the printed numbers: eval's value and bar, decompose's block parameters and residual
-NUMBER = re.compile(r"^(?:value|error_bar|roundtrip_residual): (\S+)$|\b[ab]=(\S+)", re.M)
+# the printed numbers: eval's value and bar, decompose's block parameters and
+# residual, trace's final ratio
+NUMBER = re.compile(r"^(?:value|error_bar|roundtrip_residual|final): (\S+)$|\b[ab]=(\S+)", re.M)
 # what the library may raise on a valid element; the CLI maps each to exit 4 or 5
 REFUSALS = (ValueError, MaslovLimitError, NonSemisimpleError, ClassificationError,
             NormalizationError)
@@ -138,13 +138,16 @@ def test_every_input_ends_in_a_finite_result_or_an_error_line(B, tmp_path_factor
     write_matrix(p, B.mat)
     for argv in (["eval", p], ["eval", p, "--method", "spectral"],
                  ["eval", p, "--method", "limit", "--t-max", "20"], ["eval", p, "--method", "dim2"],
-                 ["decompose", p, "--out", str(d)]):
+                 ["decompose", p, "--out", str(d)],
+                 ["trace", p, "--t-max", "20", "--out", str(d / "t.csv")]):
         code, out, err = run_cli(argv, capsys)
         if code == 0:
             numbers = [float(a or b) for a, b in NUMBER.findall(out)]
-            assert len(numbers) >= 2 and np.isfinite(numbers).all(), (argv, out)
+            least = 1 if argv[0] == "trace" else 2
+            assert err == "" and len(numbers) >= least and np.isfinite(numbers).all(), (argv, out)
         else:
             assert 2 <= code <= 5 and err.startswith("error:"), (argv, code, err)
+            assert err.count("\n") == 1, (argv, err)
     for method in ("auto", "spectral", "limit"):
         try:
             ((value, bar, _),) = maslov_evaluate([B], MaslovLimitConfig(t_max=20.0), method)

@@ -46,6 +46,9 @@ from spqs.williamson import (
     classify_eigenstructure,
     krein_parameters,
     random_semisimple,
+    semisimple_elements,
+    williamson_decompose,
+    yz_decomposition,
 )
 from test_classification_oracle import pairs, rows_of
 
@@ -323,6 +326,10 @@ class TestStackedEvaluation:
         assert classify_eigenstructure([]) == []
         assert krein_parameters(classify_eigenstructure([])) == []
         assert maslov_spectral(classify_eigenstructure([])) == []
+        assert maslov_limit_batch([]) == []
+        assert williamson_decompose(classify_eigenstructure([])) == []
+        assert yz_decomposition([], []) == []
+        assert semisimple_elements(sp2, []) == []
 
     OK = [random_semisimple(sp2, seed)[0] for seed in range(3)]
 
